@@ -3,14 +3,16 @@
 Every command reads a lattice (a file path or a bundled name), runs one
 operation and writes a report either as text or as JSON with the same fields
 in the same order.  Exit codes: 0 for YES/valid/success, 1 for NO/invalid,
-2 for UNKNOWN (budget), 3 for input errors.  Budgets can also be set through
-environment variables (LATLOG_VAR_CAP, LATLOG_LEVEL_CAP, LATLOG_MAX_N,
-LATLOG_DOMAIN_CAP); explicit flags win.
+2 for UNKNOWN (budget), 3 for input errors, 4 for internal errors (any
+exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
+can also be set through environment variables (LATLOG_VAR_CAP,
+LATLOG_LEVEL_CAP, LATLOG_MAX_N, LATLOG_DOMAIN_CAP); explicit flags win.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -56,7 +58,7 @@ from .propcore import (
 )
 from .syntax import parse_formula, render
 
-EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT = 0, 1, 2, 3
+EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -78,7 +80,6 @@ class RunConfig:
     out_lattice: Optional[str] = None
     output: Optional[str] = None
     fmt: str = "text"
-    seed: int = 2024
 
 
 def _env_int(name: str, default):
@@ -496,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this file")
         p.add_argument("--var-cap", type=int, default=None,
                        help="validity sweep variable cap (default 10)")
-        p.add_argument("--seed", type=int, default=2024)
         return p
 
     add("validate", "check every lattice axiom")
@@ -562,7 +562,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.frame = getattr(args, "frame", None)
     cfg.out_lattice = getattr(args, "out_lattice", None)
     cfg.mode = getattr(args, "mode", "godel")
-    cfg.seed = getattr(args, "seed", 2024)
     cfg.var_cap = (getattr(args, "var_cap", None)
                    if getattr(args, "var_cap", None) is not None
                    else _env_int("LATLOG_VAR_CAP", 10))
@@ -600,6 +599,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    where = RunConfig(command=args.command, fmt=getattr(args, "format", "text"),
+                      output=getattr(args, "output", None))
+
+    def fail(status: str, code: str, message: str, details: dict, exit_code: int) -> int:
+        emit({"status": status, "code": code, "message": message,
+              "details": _plain(details)}, where)
+        return exit_code
+
     try:
         config = _config_from_args(args)
         code, report = HANDLERS[config.command](config)
@@ -607,26 +614,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             emit(report, config)
         return code
     except NotValidError as exc:
-        emit({"status": "NOT_VALID", "code": exc.code, "message": exc.message,
-              "details": _plain(exc.details)},
-             RunConfig(command=args.command, fmt=getattr(args, "format", "text"),
-                       output=getattr(args, "output", None)))
-        return EXIT_INPUT
+        return fail("NOT_VALID", exc.code, exc.message, exc.details, EXIT_INPUT)
     except BudgetExceeded as exc:
-        emit({"status": "UNKNOWN", "code": exc.code, "message": exc.message,
-              "details": _plain(exc.details)},
-             RunConfig(command=args.command, fmt=getattr(args, "format", "text"),
-                       output=getattr(args, "output", None)))
-        return EXIT_UNKNOWN
+        return fail("UNKNOWN", exc.code, exc.message, exc.details, EXIT_UNKNOWN)
     except LatlogError as exc:
-        emit({"status": "error", "code": exc.code, "message": exc.message,
-              "details": _plain(exc.details)},
-             RunConfig(command=args.command, fmt=getattr(args, "format", "text"),
-                       output=getattr(args, "output", None)))
-        return EXIT_INPUT
+        return fail("error", exc.code, exc.message, exc.details, EXIT_INPUT)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug: never let it read as a verdict
+        logging.getLogger("latlog").debug("internal error", exc_info=True)
+        return fail("error", "INTERNAL_ERROR", f"{type(exc).__name__}: {exc}", {},
+                    EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

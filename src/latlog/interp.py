@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .algebra import JOIN, MEET, Lattice
-from .errors import BudgetExceeded, LatlogError, NotValidError, PreconditionFailed
+from .errors import LatlogError, NotValidError, PreconditionFailed
 from .propcore import (
     ClosureBudget,
     ClosureState,
@@ -24,6 +24,7 @@ from .propcore import (
     _fold_axis,
     constant_values,
     envelopes,
+    grow_closure,
     is_valid_implication,
     representable_closure,
 )
@@ -77,39 +78,13 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     if hit is not None:
         col = state.column(hit)
         return verdict_yes(col.values, col.word, col.witness)
-
-    levels_grown = 0
-    while True:
-        try:
-            found = state.stream_scan(lower, upper)
-        except BudgetExceeded as exc:
-            note = exc.message
-            break
-        if found is not None:
-            return verdict_yes(*found)
-        if budget.max_levels is not None and levels_grown >= budget.max_levels:
-            note = f"level budget {budget.max_levels} reached"
-            break
-        if state.app_count_next_level() > budget.max_apps_per_level:
-            note = (f"next closure level needs {state.app_count_next_level()} applications, "
-                    f"budget is {budget.max_apps_per_level}")
-            break
-        added = state.grow()
-        levels_grown += 1
-        if added == 0:
-            closure = state.result(True)
-            return InterpolationVerdict(
-                NO, None, None, env.shared, env.lower, env.upper,
-                closure_columns=closure.columns, closure_complete=True,
-                closure_cumulative=closure.cumulative,
-            )
-        if state.total > budget.max_columns:
-            note = f"column budget {budget.max_columns} exceeded at {state.total} columns"
-            break
-    closure = state.result(False, note=note)
+    found, note = grow_closure(state, budget, scan=lambda: state.stream_scan(lower, upper))
+    if found is not None:
+        return verdict_yes(*found)
+    closure = state.result(note is None, note)
     return InterpolationVerdict(
-        UNKNOWN, None, None, env.shared, env.lower, env.upper,
-        closure_columns=closure.columns, closure_complete=False,
+        UNKNOWN if note else NO, None, None, env.shared, env.lower, env.upper,
+        closure_columns=closure.columns, closure_complete=closure.complete,
         closure_cumulative=closure.cumulative, budget_note=note,
     )
 

@@ -1,16 +1,20 @@
 """Propositional semantics over a finite lattice.
 
 Evaluation and validity are exhaustive over the valuation space (lexicographic
-order over element indices, first variable most significant).  The closure of
-representable functions grows level by level: level 0 holds the projection
-columns and the declared constant columns, level k+1 everything obtainable by
-one connective application to existing columns.  Every column carries its
-shortest known witness word (levels first, then rendered length, then
-lexicographic order), which keeps interpolants deterministic.
+order over element indices, first variable most significant).  One kernel,
+``apply_connective``, applies a connective to arrays of argument values in
+validity grids, folds and the closure.  The closure of representable
+functions grows level by level: level 0 holds the projection and constant
+columns, level k+1 every connective application with an argument from level
+k, evaluated in blocks of about ``BLOCK_CELLS`` cells.  Each column keeps its
+canonical witness, the least (rendered length, word) over the applications
+producing it; lengths come from the arguments, and only the shortest words
+are joined.  Columns are ordered by level, then length, then word, which
+keeps interpolants deterministic.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -24,9 +28,31 @@ from .errors import (
     UnboundVariable,
     UndeclaredConstant,
 )
-from .syntax import App, Const, Formula, PropVar, is_prop_word, prop_variables, render
+from .syntax import (
+    App,
+    Const,
+    Formula,
+    PropVar,
+    arg_parens,
+    is_prop_word,
+    join_args,
+    precedence,
+    prop_variables,
+    render,
+)
 
 DEFAULT_VAR_CAP = 10
+BLOCK_CELLS = 1 << 16  # applications x valuations evaluated per closure block
+MAX_SURVIVORS = 500_000  # applications an envelope scan may evaluate in full
+
+
+def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
+    """Values of a connective, given its flattened table, on broadcastable
+    integer arrays of argument values; ``flat[0]`` for a nullary connective."""
+    idx, m = 0, np.int32(m)  # a typed m widens uint8 arguments before they overflow
+    for k, a in enumerate(args):
+        idx = idx * m + a if k else a
+    return flat[idx]
 
 
 def require_prop_word(phi: Formula) -> None:
@@ -64,14 +90,7 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
             return np.full((), lat.constants[f.name], dtype=np.int32)
-        kids = [ev(a) for a in f.args]
-        flat = lat.flat(f.conn)
-        if not kids:
-            return np.full((), int(flat[0]), dtype=np.int32)
-        idx = kids[0]
-        for nxt in kids[1:]:
-            idx = idx * m + nxt
-        return flat[idx]
+        return apply_connective(lat.flat(f.conn), m, [ev(a) for a in f.args])
 
     out = np.broadcast_to(ev(phi), (m,) * n)
     return np.ascontiguousarray(out).reshape(-1).astype(np.uint8)
@@ -123,7 +142,7 @@ def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
     acc = grid.astype(np.int32)
     while acc.shape[1] > 1:
         width = acc.shape[1]
-        red = flat[acc[:, 0:width - 1:2] * m + acc[:, 1:width:2]]
+        red = apply_connective(flat, m, (acc[:, 0:width - 1:2], acc[:, 1:width:2]))
         if width % 2:
             red = np.concatenate([red, acc[:, width - 1:]], axis=1)
         acc = red
@@ -267,6 +286,30 @@ class ClosureBudget:
     max_apps_per_level: int = 4_000_000
 
 
+def _blocks(boxes, cells: int):
+    """Argument tuples of the products of ``boxes`` (one index array per
+    argument position) as (n, arity) arrays of at most about BLOCK_CELLS
+    cells, one tuple evaluating to ``cells`` cells."""
+    step = max(1, BLOCK_CELLS // cells)
+    pending, count = [], 0
+    for box in boxes:
+        shape = [len(s) for s in box]
+        size = math.prod(shape)
+        for start in range(0, size, step):
+            flat = np.arange(start, min(size, start + step))
+            tup = np.empty((len(flat), len(box)), dtype=np.intp)
+            for k in reversed(range(len(box))):
+                flat, r = np.divmod(flat, shape[k])
+                tup[:, k] = box[k][r]
+            if count + len(tup) > step:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+            pending.append(tup)
+            count += len(tup)
+    if pending:
+        yield np.concatenate(pending)
+
+
 class ClosureState:
     """Incremental closure: grow one level at a time, or scan the next level's
     candidates against envelope bounds without materialising it."""
@@ -281,253 +324,202 @@ class ClosureState:
         if unknown:
             raise LatlogError(f"connectives not in the signature: {sorted(unknown)}")
         self.m = lat.m
-        self.N = lat.m ** len(self.var_list)
-        self.cols: list[np.ndarray] = []
+        n = len(self.var_list)
+        self.N = lat.m ** n
+        self._void = np.dtype((np.void, self.N))  # one column as one comparable item
+        self.values = np.empty((0, self.N), dtype=np.uint8)  # one row per column
         self.words: list[str] = []
         self.wits: list[Formula] = []
+        self.precs: list[int] = []  # precedence of each witness's top symbol
         self.levels: list[int] = []
-        self.index: dict[bytes, int] = {}
-        self.level_starts = [0]
+        self.frontier = 0  # index of the first column of the newest level
         self.added: list[int] = []
         self.complete = False
 
-        candidates: list[tuple[np.ndarray, Formula]] = []
-        for k, v in enumerate(self.var_list):
-            candidates.append((_projection(self.m, len(self.var_list), k), PropVar(v)))
-        for cname, cidx in lat.constants.items():
-            candidates.append((np.full(self.N, cidx, dtype=np.uint8), Const(cname)))
-        self._commit_level(0, candidates)
+        seeds = [(_projection(self.m, n, k), PropVar(v)) for k, v in enumerate(self.var_list)]
+        seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
+                  for cname, cidx in lat.constants.items()]
+        self._commit((len(render(w)), render(w), values, w) for values, w in seeds)
 
     @property
     def total(self) -> int:
-        return len(self.cols)
+        return len(self.words)
 
-    def _commit_level(self, level: int, candidates: list[tuple[np.ndarray, Formula]]) -> int:
-        best: dict[bytes, tuple[int, str, Formula, np.ndarray]] = {}
-        for values, wit in candidates:
-            key = values.tobytes()
-            if key in self.index:
-                continue
-            word = render(wit)
-            entry = (len(word), word, wit, values)
-            old = best.get(key)
-            if old is None or entry[:2] < old[:2]:
-                best[key] = entry
-        ordered = sorted(best.values(), key=lambda e: e[:2])
-        for _, word, wit, values in ordered:
-            self.index[values.tobytes()] = len(self.cols)
-            self.cols.append(values)
-            self.words.append(word)
-            self.wits.append(wit)
-            self.levels.append(level)
-        self.added.append(len(ordered))
-        self.level_starts.append(len(self.cols))
-        return len(ordered)
+    def _commit(self, entries) -> int:
+        """Append one level of (length, word, values, witness) entries in
+        canonical order, each column with its least entry; returns their
+        number."""
+        least: dict[bytes, tuple] = {}
+        for e in sorted(entries, key=lambda e: e[:2]):
+            least.setdefault(e[2].tobytes(), e)
+        new = list(least.values())
+        self.frontier = self.total
+        self.values = np.vstack([self.values] + [e[2] for e in new])
+        self.words += [e[1] for e in new]
+        self.wits += [e[3] for e in new]
+        self.precs += [precedence(e[3]) for e in new]
+        self.levels += [len(self.added)] * len(new)
+        self.added.append(len(new))
+        return len(new)
 
-    def _level_apps(self):
-        """(connective, argument index tuple) pairs for the next level, in
-        deterministic order; at least one argument from the frontier."""
-        next_level = len(self.added)
-        frontier = self.level_starts[-2]
-        total = self.total
-        for conn in self.conns:
-            if conn.arity == 0:
-                if next_level == 1:
-                    yield conn, ()
-                continue
-            for tup in itertools.product(range(total), repeat=conn.arity):
-                if next_level == 1 or max(tup) >= frontier:
-                    yield conn, tup
+    def _count_new(self, sizes, olds) -> int:
+        """Argument tuples with an argument from the newest level, over set
+        tuples given as rows of per-position set sizes and of the sizes of
+        their parts that predate the newest level (at level 1 every tuple
+        counts).  Products are taken in float64, exact below 2**53, so wide
+        connectives cannot overflow the count."""
+        newest_only = len(self.added) > 1
+        return int(sizes.prod(axis=-1, dtype=float).sum()
+                   - newest_only * olds.prod(axis=-1, dtype=float).sum())
 
     def app_count_next_level(self) -> int:
-        next_level = len(self.added)
-        frontier = self.level_starts[-2]
-        total = self.total
-        count = 0
-        for conn in self.conns:
-            if conn.arity == 0:
-                count += 1 if next_level == 1 else 0
-            elif next_level == 1:
-                count += total ** conn.arity
-            else:
-                count += total ** conn.arity - frontier ** conn.arity
-        return count
+        return sum(self._count_new(np.full(c.arity, self.total), np.full(c.arity, self.frontier))
+                   for c in self.conns)
+
+    def _tuples(self, conn, set_tuples):
+        """(connective, block) pairs enumerating, for each of ``set_tuples``
+        (one sorted index array per argument position), the argument tuples
+        with an argument from the newest level; at level 1 every tuple
+        counts.  Box k of a set tuple takes older columns before position k
+        and a newest one at k."""
+        frontier = self.frontier
+
+        def boxes():
+            for sets in set_tuples:
+                if len(self.added) == 1:
+                    yield sets
+                    continue
+                for k in range(conn.arity):
+                    yield ([s[s < frontier] for s in sets[:k]]
+                           + [sets[k][sets[k] >= frontier]] + sets[k + 1:])
+
+        return ((conn, tup) for tup in _blocks(boxes(), self.N))
+
+    def _eval(self, flat: np.ndarray, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
+        """Kernel values of the argument tuples ``tup`` over ``rows``, shape
+        (len(tup), row width)."""
+        values = apply_connective(flat, self.m, rows[tup.T])
+        return np.broadcast_to(values, (len(tup), rows.shape[1]))
+
+    def _word(self, conn: str, tup) -> str:
+        parens = arg_parens(conn, [self.precs[t] for t in tup])
+        return join_args(conn, [f"({self.words[t]})" if p else self.words[t]
+                                for t, p in zip(tup, parens)])
+
+    def _candidates(self, blocks, inside=None) -> dict[bytes, tuple]:
+        """Evaluate (connective, argument tuples) blocks.  For every resulting
+        column that is not in the closure (and passes ``inside``), keep its
+        least (length, word, values, connective, tuple).  Lengths come from
+        the arguments' word lengths and precedences; words are joined only
+        for the shortest applications of a column."""
+        best: dict[bytes, tuple] = {}
+        lens = np.array([len(w) for w in self.words], dtype=np.int64)
+        precs = np.array(self.precs, dtype=np.int64)
+        known = np.sort(self.values.view(self._void).ravel())
+        for conn, tup in blocks:
+            vals = self._eval(self.lat.flat(conn.name), self.values, tup).astype(np.uint8)
+            if inside is not None:
+                keep = inside(vals)
+                tup, vals = tup[keep], vals[keep]
+                if not len(tup):
+                    continue
+            length = np.full(len(tup), len(join_args(conn.name, [""] * conn.arity)))
+            for t, p in zip(tup.T, arg_parens(conn.name, list(precs[tup.T]))):
+                length += lens[t] + 2 * p
+            uniq, inv = np.unique(vals.view(self._void).ravel(), return_inverse=True)
+            pos = np.minimum(np.searchsorted(known, uniq), len(known) - 1)
+            fresh = np.flatnonzero(known[pos] != uniq) if len(known) else np.arange(len(uniq))
+            if not len(fresh):
+                continue
+            order = np.lexsort((length, inv))
+            rank = inv[order] * (int(length.max()) + 1) + length[order]
+            first = np.searchsorted(inv[order], fresh)
+            ties = np.searchsorted(rank, rank[first], side="right")
+            for u, s, e in zip(fresh, first, ties):
+                key = uniq[u].tobytes()
+                old = best.get(key)
+                if old is not None and old[0] < length[order[s]]:
+                    continue
+                word, row = min((self._word(conn.name, tup[r]), r) for r in order[s:e])
+                entry = (int(length[row]), word, vals[row].copy(), conn.name, tuple(tup[row]))
+                if old is None or entry[:2] < old[:2]:
+                    best[key] = entry
+        return best
 
     def grow(self) -> int:
         """Materialise the next level fully; returns the number of new columns."""
-        lat = self.lat
-        m = self.m
-        next_level = len(self.added)
-        candidates: list[tuple[np.ndarray, Formula]] = []
-        for conn, tup in self._level_apps():
-            flat = lat.flat(conn.name)
-            if not tup:
-                values = np.full(self.N, int(flat[0]), dtype=np.uint8)
-            else:
-                idx = self.cols[tup[0]].astype(np.int32)
-                for t in tup[1:]:
-                    idx = idx * m + self.cols[t]
-                values = flat[idx].astype(np.uint8)
-            if values.tobytes() in self.index:
-                continue
-            wit = App(conn.name, tuple(self.wits[t] for t in tup))
-            candidates.append((values, wit))
-        n = self._commit_level(next_level, candidates)
-        if n == 0:
-            self.complete = True
-        return n
+        every = [np.arange(self.total)]
+        best = self._candidates(
+            block for c in self.conns for block in self._tuples(c, [every * c.arity]))
+        added = self._commit(
+            (length, word, values, App(cname, tuple(self.wits[t] for t in tup)))
+            for length, word, values, cname, tup in best.values())
+        self.complete = added == 0
+        return added
 
     def scan_existing(self, lower: np.ndarray, upper: np.ndarray) -> Optional[int]:
         """First committed column inside [lower, upper], in closure order."""
         leq = self.lat.leq
-        for i, values in enumerate(self.cols):
-            if leq[lower, values].all() and leq[values, upper].all():
-                return i
-        return None
+        ok = (leq[lower, self.values] & leq[self.values, upper]).all(axis=1)
+        return int(ok.argmax()) if ok.any() else None
 
-    def stream_scan(self, lower: np.ndarray, upper: np.ndarray,
-                    probe_count: int = 16) -> Optional[tuple[np.ndarray, str, Formula]]:
+    def stream_scan(self, lower: np.ndarray,
+                    upper: np.ndarray) -> Optional[tuple[np.ndarray, str, Formula]]:
         """Search the next level's candidates for a column inside the bounds
         without materialising the level.
 
         A candidate's values at the probe positions depend only on the
         argument values there, so columns are grouped by probe signature and
-        whole group pairs are filtered at once; surviving applications are
-        evaluated in full.  The probes are spread over the valuation grid so
-        every variable varies among them.  Every application producing a
-        fitting column is collected, so the returned witness is the canonical
-        one (shortest rendering, then lexicographic) and the fitting column
-        the first in closure order.  Observationally identical to growing the
-        level and scanning it.
+        the kernel first filters tuples of group representatives; only the
+        applications of surviving group tuples are evaluated in full.  The
+        probes are spread over the valuation grid so every variable varies
+        among them.  Returns (values, word, witness) for the first fitting new
+        column in closure order, with its canonical witness: observationally
+        identical to growing the level and scanning it.  More than
+        MAX_SURVIVORS surviving applications raise BUDGET_EXCEEDED.
         """
-        lat = self.lat
-        m = self.m
-        leq = lat.leq
-        N = len(lower)
-        probes = np.unique(np.linspace(0, N - 1, min(N, probe_count)).astype(np.int64))
-        P = len(probes)
-        low_p = lower[probes].astype(np.int32)
-        up_p = upper[probes].astype(np.int32)
-        next_level = len(self.added)
-        frontier = self.level_starts[-2]
-        total = self.total
-        survivors: list[tuple[str, tuple[int, ...]]] = []
+        leq = self.lat.leq
+        probes = np.arange(16) * (self.N - 1) // 15 if self.N > 16 else np.arange(self.N)
+        signatures = np.ascontiguousarray(self.values[:, probes])
+        _, first, group = np.unique(signatures.view(np.dtype((np.void, len(probes)))).ravel(),
+                                    return_index=True, return_inverse=True)
+        reps = signatures[first]
+        sizes = np.bincount(group, minlength=len(reps))
+        olds = np.bincount(group[:self.frontier], minlength=len(reps))
+        order, starts = np.argsort(group, kind="stable"), np.cumsum(sizes) - sizes
 
-        # group columns by their probe signature
-        group_of = np.empty(total, dtype=np.int64)
-        groups: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-        signatures = []
-        for i, col in enumerate(self.cols):
-            sig = col[probes]
-            key = sig.tobytes()
-            g = seen.setdefault(key, len(seen))
-            if g == len(signatures):
-                signatures.append(sig)
-            group_of[i] = g
-        for g in range(len(seen)):
-            groups.append(np.nonzero(group_of == g)[0])
-        if signatures:
-            reps = np.stack(signatures).astype(np.int32)
-        else:
-            reps = np.zeros((0, P), dtype=np.int32)
-        G = len(groups)
+        def inside(lo, up):
+            allowed = (leq[lo] & leq[:, up].T).reshape(-1)  # [position, value]
+            offsets = np.arange(len(lo)) * self.m
+            return lambda vals: allowed[offsets + vals].all(axis=1)
 
-        def member_pairs(g: int, h: int):
-            left = groups[g]
-            right = groups[h]
-            if next_level == 1:
-                yield from itertools.product(left.tolist(), right.tolist())
-                return
-            for i in left.tolist():
-                for j in right.tolist():
-                    if i >= frontier or j >= frontier:
-                        yield i, j
-
+        at_probes = inside(lower[probes], upper[probes])
+        plan, survivors = [], 0
         for conn in self.conns:
-            flat = lat.flat(conn.name)
-            if conn.arity == 2:
-                # fits[g, h] iff the candidate's prefix sits inside the bounds;
-                # built position by position from m*m value-pair masks
-                table = lat.tables[conn.name].astype(np.int32)
-                fits = None
-                for p in range(P):
-                    mask_p = leq[low_p[p], table] & leq[table, up_p[p]]  # (m, m)
-                    cur = mask_p[reps[:, p][:, None], reps[None, :, p]]
-                    fits = cur if fits is None else (fits & cur)
-                    if not fits.any():
-                        break
-                for g, h in np.argwhere(fits):
-                    survivors.extend((conn.name, pair) for pair in member_pairs(int(g), int(h)))
-            elif conn.arity == 0:
-                if next_level == 1:
-                    v = int(flat[0])
-                    if leq[lower, v].all() and leq[v, upper].all():
-                        survivors.append((conn.name, ()))
-            else:
-                for tup in itertools.product(range(total), repeat=conn.arity):
-                    if next_level > 1 and max(tup) < frontier:
-                        continue
-                    idx = self.cols[tup[0]][probes].astype(np.int32)
-                    for t in tup[1:]:
-                        idx = idx * m + self.cols[t][probes]
-                    row = flat[idx]
-                    if (leq[low_p, row] & leq[row, up_p]).all():
-                        survivors.append((conn.name, tup))
-
-        if len(survivors) > 500_000:
+            flat = self.lat.flat(conn.name)
+            every = [np.arange(len(reps))] * conn.arity
+            fits = np.concatenate([np.empty((0, conn.arity), dtype=np.intp)]
+                                  + [b[at_probes(self._eval(flat, reps, b))]
+                                     for b in _blocks([every], len(probes))])
+            survivors += self._count_new(sizes[fits], olds[fits])
+            plan.append((conn, fits))
+        if survivors > MAX_SURVIVORS:
             raise BudgetExceeded(
-                f"envelope scan produced {len(survivors)} candidate applications",
-                survivors=len(survivors),
+                f"envelope scan produced {survivors} candidate applications",
+                survivors=survivors,
             )
-
-        fitting: dict[bytes, tuple[tuple[int, str], np.ndarray, Formula]] = {}
-
-        def consider(cname: str, tup: tuple[int, ...], values: np.ndarray) -> None:
-            key = values.tobytes()
-            if key in self.index:
-                return  # an old column; already scanned at its own level
-            wit = App(cname, tuple(self.wits[t] for t in tup))
-            word = render(wit)
-            entry = ((len(word), word), values, wit)
-            old = fitting.get(key)
-            if old is None or entry[0] < old[0]:
-                fitting[key] = entry
-
-        binary = [(cname, tup) for cname, tup in survivors if len(tup) == 2]
-        other = [(cname, tup) for cname, tup in survivors if len(tup) != 2]
-        by_conn: dict[str, list[tuple[int, int]]] = {}
-        for cname, tup in binary:
-            by_conn.setdefault(cname, []).append(tup)
-        for cname, pairs in by_conn.items():
-            flat = lat.flat(cname)
-            arr = np.array(pairs, dtype=np.int64)
-            for start in range(0, len(arr), 512):
-                chunk = arr[start:start + 512]
-                A = np.stack([self.cols[int(i)] for i in chunk[:, 0]]).astype(np.int32)
-                B = np.stack([self.cols[int(j)] for j in chunk[:, 1]])
-                C = flat[A * m + B].astype(np.uint8)
-                ok = (leq[lower, C] & leq[C, upper]).all(axis=1)
-                for r in np.nonzero(ok)[0]:
-                    consider(cname, (int(chunk[r, 0]), int(chunk[r, 1])), C[int(r)])
-        for cname, tup in other:
-            flat = lat.flat(cname)
-            if not tup:
-                values = np.full(self.N, int(flat[0]), dtype=np.uint8)
-            else:
-                idx = self.cols[tup[0]].astype(np.int32)
-                for t in tup[1:]:
-                    idx = idx * m + self.cols[t]
-                values = flat[idx].astype(np.uint8)
-            if leq[lower, values].all() and leq[values, upper].all():
-                consider(cname, tup, values)
-        if not fitting:
+        best = self._candidates(
+            (block for conn, fits in plan
+             for block in self._tuples(conn, ([order[starts[i]:starts[i] + sizes[i]] for i in g]
+                                              for g in fits))),
+            inside(lower, upper))
+        if not best:
             return None
-        (_, word), values, wit = min(fitting.values(), key=lambda e: e[0])
-        return values, word, wit
+        _, word, values, cname, tup = min(best.values(), key=lambda e: e[:2])
+        return values, word, App(cname, tuple(self.wits[t] for t in tup))
 
     def column(self, i: int) -> ValueColumn:
-        return ValueColumn(self.var_list, self.cols[i], self.wits[i],
+        return ValueColumn(self.var_list, self.values[i], self.wits[i],
                            self.words[i], self.levels[i])
 
     def result(self, complete: bool, note: Optional[str] = None) -> ClosureResult:
@@ -550,6 +542,37 @@ class ClosureState:
         )
 
 
+def grow_closure(state: ClosureState, budget: ClosureBudget,
+                 level_cap: Optional[int] = None, scan=None):
+    """The level loop: grow ``state`` until its fixpoint or a budget.
+
+    ``scan``, when given, runs before every level; a result other than None
+    ends the loop.  Returns (scan result, budget note): the note says which
+    budget stopped the growth, and both are None at the fixpoint."""
+    level = 0
+    while True:
+        if scan is not None:
+            try:
+                found = scan()
+            except BudgetExceeded as exc:
+                return None, exc.message
+            if found is not None:
+                return found, None
+        apps = state.app_count_next_level()
+        if level_cap is not None and level >= level_cap:
+            return None, f"level cap {level_cap} reached"
+        if budget.max_levels is not None and level >= budget.max_levels:
+            return None, f"level budget {budget.max_levels} reached"
+        if apps > budget.max_apps_per_level:
+            return None, (f"next level needs {apps} applications, "
+                          f"budget is {budget.max_apps_per_level}")
+        if state.grow() == 0:
+            return None, None
+        level += 1
+        if state.total > budget.max_columns:
+            return None, f"column budget {budget.max_columns} exceeded at {state.total} columns"
+
+
 def representable_closure(lat: Lattice, var_list: Sequence[str],
                           level_cap: Optional[int] = None,
                           budget: Optional[ClosureBudget] = None,
@@ -560,26 +583,9 @@ def representable_closure(lat: Lattice, var_list: Sequence[str],
     levels and the budget bounds columns and per-level applications.  A
     truncated run is returned with ``complete=False`` and a budget note.
     """
-    budget = budget or ClosureBudget()
     state = ClosureState(lat, var_list, connectives)
-    level = 0
-    while True:
-        if state.complete:
-            return state.result(True)
-        if level_cap is not None and level >= level_cap:
-            return state.result(False, note=f"level cap {level_cap} reached")
-        if budget.max_levels is not None and level >= budget.max_levels:
-            return state.result(False, note=f"level budget {budget.max_levels} reached")
-        if state.app_count_next_level() > budget.max_apps_per_level:
-            return state.result(
-                False, note=f"next level needs {state.app_count_next_level()} applications, "
-                            f"budget is {budget.max_apps_per_level}")
-        added = state.grow()
-        level += 1
-        if added == 0:
-            return state.result(True)
-        if state.total > budget.max_columns:
-            return state.result(False, note=f"column budget {budget.max_columns} exceeded")
+    _, note = grow_closure(state, budget or ClosureBudget(), level_cap)
+    return state.result(note is None, note)
 
 
 def constant_values(lat: Lattice) -> dict[str, Formula]:

@@ -462,14 +462,41 @@ def parse_formula(text: str, signature: Optional[PolaritySignature] = None,
 # rendering
 
 _PREC = {"->": 1, "|": 2, "&": 3}
+_ATOMIC = 5  # precedence of a word that never needs parentheses
+
+
+def precedence(f: Formula) -> int:
+    """Precedence of the top symbol: infix connectives by _PREC, quantifiers
+    lowest, everything else atomic."""
+    if isinstance(f, Quant):
+        return 0
+    return _PREC.get(f.conn, _ATOMIC) if isinstance(f, App) else _ATOMIC
+
+
+def arg_parens(conn: str, precs):
+    """Which arguments of ``conn`` are parenthesised, given the precedence of
+    each argument's top symbol (elementwise on arrays).  ``->`` associates to
+    the right, ``&`` and ``|`` to the left; prefix arguments stay bare."""
+    prec = _PREC.get(conn)
+    if prec is None:
+        return [False] * len(precs)
+    need = (prec + 1, prec) if conn == "->" else (prec, prec + 1)
+    return [p < q for p, q in zip(precs, need)]
+
+
+def join_args(conn: str, parts) -> str:
+    """Text of ``conn`` applied to already rendered (and bracketed) arguments."""
+    if conn in _PREC:
+        return f"{parts[0]} {conn} {parts[1]}"
+    return f"{conn}({', '.join(parts)})"
 
 
 def render(f: Formula) -> str:
     """Canonical string form; parse(render(f)) == f."""
-    return _render(f, 0)
+    return _render(f)
 
 
-def _render(f: Formula, required: int) -> str:
+def _render(f: Formula) -> str:
     if isinstance(f, PropVar):
         return f.name
     if isinstance(f, Const):
@@ -479,22 +506,14 @@ def _render(f: Formula, required: int) -> str:
             return f.pred
         return f"{f.pred}({', '.join(str(t) for t in f.args)})"
     if isinstance(f, Quant):
-        body = _render(f.body, 0)
+        body = _render(f.body)
         if body.startswith("("):
             body = f"({body})"
-        text = f"{f.kind} {f.var}. {body}"
-        return f"({text})" if required > 0 else text
+        return f"{f.kind} {f.var}. {body}"
     if isinstance(f, App):
-        prec = _PREC.get(f.conn)
-        if prec is None:  # extra connective, rendered prefix
-            inner = ", ".join(_render(a, 0) for a in f.args)
-            return f"{f.conn}({inner})"
-        a, b = f.args
-        if f.conn == "->":
-            text = f"{_render(a, prec + 1)} -> {_render(b, prec)}"
-        else:
-            text = f"{_render(a, prec)} {f.conn} {_render(b, prec + 1)}"
-        return f"({text})" if prec < required else text
+        parens = arg_parens(f.conn, [precedence(a) for a in f.args])
+        return join_args(f.conn, [f"({_render(a)})" if p else _render(a)
+                                  for a, p in zip(f.args, parens)])
     raise LatlogError(f"cannot render {f!r}")
 
 
@@ -607,15 +626,6 @@ def prop_variables(f: Formula) -> set[str]:
     out: set[str] = set()
     for c in children(f):
         out |= prop_variables(c)
-    return out
-
-
-def formula_constants(f: Formula) -> set[str]:
-    if isinstance(f, Const):
-        return {f.name}
-    out: set[str] = set()
-    for c in children(f):
-        out |= formula_constants(c)
     return out
 
 

@@ -208,3 +208,12 @@ def test_determinism_of_reports(capsys):
     _, second = run_json(capsys, "interpolate", "--lattice", "three-01",
                          "x & (x -> #0)", "y | (y -> #0)")
     assert first == second
+
+
+def test_internal_error_is_not_a_verdict(capsys):
+    """A formula nested beyond the interpreter's recursion limit ends with
+    exit code 4 and an INTERNAL_ERROR report, never 1 (NO) or a traceback."""
+    formula = " -> ".join(["x"] * 3000)
+    code, report = run_json(capsys, "valid", "--lattice", "classical", "--formula", formula)
+    assert code == 4
+    assert report["code"] == "INTERNAL_ERROR"

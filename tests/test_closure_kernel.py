@@ -1,0 +1,102 @@
+"""Differential tests of the closure kernel against the slow reference in
+``closure_reference.py``."""
+import random
+
+import numpy as np
+import pytest
+
+from latlog import RawConnective, RawLattice, validate_lattice
+from latlog.bundled import BUNDLED, bundled_lattice
+from latlog.propcore import ClosureState, envelopes, representable_closure
+
+from closure_reference import reference_closure
+from genutil import random_valid_pair
+
+CHAIN3 = dict(elements=["0", "h", "1"], covers=[("0", "h"), ("h", "1")])
+GODEL_IMP = ["1", "1", "1", "0", "1", "1", "0", "h", "1"]
+
+
+def _lattice(*extras):
+    raw = RawLattice(**CHAIN3, connectives=[RawConnective("->", ("-", "+"), GODEL_IMP),
+                                            *extras])
+    return validate_lattice(raw)
+
+
+def _median_lattice():
+    order = {"0": 0, "h": 1, "1": 2}
+    names = ["0", "h", "1"]
+    values = [names[sorted((order[a], order[b], order[c]))[1]]
+              for a in names for b in names for c in names]
+    return _lattice(RawConnective("Med", ("+", "+", "+"), values))
+
+
+def _summary(clo):
+    return ([c.word for c in clo.columns], [c.level for c in clo.columns],
+            clo.cumulative, clo.complete)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("var_list", [(), ("x",)])
+def test_closure_matches_reference_on_bundled_lattices(name, var_list):
+    lat = bundled_lattice(name)
+    assert _summary(representable_closure(lat, var_list)) == reference_closure(lat, var_list)
+
+
+@pytest.mark.parametrize("name, cap", [("godel3", 2), ("three-01", 2), ("classical-01", 2),
+                                       ("godel3", None)])
+def test_two_variable_closure_matches_reference(name, cap):
+    lat = bundled_lattice(name)
+    got = representable_closure(lat, ("x", "y"), level_cap=cap)
+    assert _summary(got) == reference_closure(lat, ("x", "y"), level_cap=cap)
+
+
+@pytest.mark.parametrize("lat, connectives", [
+    (_lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])), None),
+    (_lattice(RawConnective("Mid", (), ["h"])), None),
+    (_lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"]),
+              RawConnective("Mid", (), ["h"])), ("Box_up", "Mid")),
+    (_median_lattice(), None),
+    (_median_lattice(), ("Med",)),
+], ids=["unary", "nullary", "unary-nullary-only", "ternary", "ternary-only"])
+@pytest.mark.parametrize("var_list", [(), ("x",), ("x", "y")])
+def test_extra_connectives_match_reference(lat, connectives, var_list):
+    cap = 2 if len(var_list) == 2 else None
+    got = representable_closure(lat, var_list, level_cap=cap, connectives=connectives)
+    assert _summary(got) == reference_closure(lat, var_list, cap, connectives)
+
+
+def _first_new_fit(state, lower, upper):
+    leq = state.lat.leq
+    start = state.total
+    state.grow()
+    for i in range(start, state.total):
+        if leq[lower, state.values[i]].all() and leq[state.values[i], upper].all():
+            return state.values[i], state.words[i]
+    return None
+
+
+@pytest.mark.parametrize("name", ["godel3", "three-01", "three-0a", "diamond", "median"])
+def test_stream_scan_equals_growing_one_level(name):
+    """At each of the first three levels, scanning the next level without
+    materialising it finds the same column and word as growing it."""
+    lat = _median_lattice() if name == "median" else bundled_lattice(name)
+    rng = random.Random(20240801)
+    hits = set()
+    for _ in range(8):
+        a, b = random_valid_pair(rng, lat, ["u"], ["s", "t"], ["w"], depth=4)
+        env = envelopes(a, b, lat)
+        lower, upper = env.lower.values, env.upper.values
+        state = ClosureState(lat, env.shared)
+        for level in range(1, 4):
+            if state.complete:
+                break
+            scanned = state.stream_scan(lower, upper)
+            grown = _first_new_fit(state, lower, upper)
+            if grown is None:
+                assert scanned is None
+                continue
+            assert scanned is not None
+            assert scanned[1] == grown[1]
+            assert np.array_equal(scanned[0], grown[0])
+            hits.add(level)
+    assert len(hits) >= 2, hits
