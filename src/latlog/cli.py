@@ -2,9 +2,10 @@
 
 Every command reads a lattice (a file path or a bundled name), runs one
 operation and writes a report either as text or as JSON with the same fields
-in the same order.  Exit codes: 0 for YES/valid/success, 1 for NO/invalid,
-2 for UNKNOWN (budget), 3 for input errors, 4 for internal errors (any
-exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
+in the same order.  Exit codes: 0 for YES/valid/success (and ``--help``), 1
+for NO/invalid, 2 for UNKNOWN (budget), 3 for input errors (usage errors
+such as an unknown flag or a missing option included), 4 for internal errors
+(any exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
 can also be set through environment variables (LATLOG_VAR_CAP,
 LATLOG_LEVEL_CAP, LATLOG_MAX_N, LATLOG_DOMAIN_CAP); explicit flags win.
 """
@@ -481,8 +482,16 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown flag, a missing option) are input errors."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latlog",
         description="Workbench for finitely-valued lattice-based logics.",
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import JOIN, MEET, Lattice
 from .errors import LatlogError, NotValidError, PreconditionFailed
 from .propcore import (
+    BLOCK_CELLS,
     ClosureBudget,
     ClosureState,
     ValueColumn,
@@ -231,6 +232,63 @@ def _right_vars(r: int) -> list[str]:
     return [f"z{i + 1}" for i in range(r)]
 
 
+def _envelope_rows(columns: Sequence[ValueColumn], shape: tuple[int, int], flat: np.ndarray,
+                   m: int, fold_first: bool) -> np.ndarray:
+    """One envelope row per closure column: each column, read as a grid of
+    ``shape``, folded with ``flat`` along its first axis (``fold_first``) or
+    its last.  Columns are stacked in blocks of about BLOCK_CELLS cells."""
+    out = np.empty((len(columns), shape[1] if fold_first else shape[0]), dtype=np.uint8)
+    step = max(1, BLOCK_CELLS // (shape[0] * shape[1]))
+    for start in range(0, len(columns), step):
+        grid = np.stack([c.values for c in columns[start:start + step]]).reshape(-1, *shape)
+        out[start:start + step] = _fold_axis(grid.swapaxes(1, 2) if fold_first else grid, flat, m)
+    return out
+
+
+def _leq_rows(rows: np.ndarray, cols: np.ndarray, leq: np.ndarray) -> np.ndarray:
+    """Boolean matrix: entry (i, j) says rows[i] <= cols[j] at every valuation."""
+    out = np.ones((len(rows), len(cols)), dtype=bool)
+    for t in range(rows.shape[1]):
+        out &= leq[rows[:, t, None], cols[None, :, t]]
+    return out
+
+
+def _first_failing_pair(lower: np.ndarray, upper: np.ndarray, shared: np.ndarray,
+                        leq: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (ia, ib) in row-major order with lower[ia] <= upper[ib] and
+    no row of ``shared`` between them, or None.
+
+    Decided over the distinct envelope rows: a pair is valid when its rows
+    compare, and interpolated when some shared column lies above the lower
+    row and below the upper one, a boolean matrix product.  The products are
+    taken in blocks of about BLOCK_CELLS cells."""
+    n_b = len(upper)
+    low, inv_low = np.unique(lower, axis=0, return_inverse=True)
+    up, first_up = np.unique(upper, axis=0, return_index=True)
+    least_b = np.full(len(low), n_b)  # least failing partner of each distinct lower row
+    up_step = max(1, BLOCK_CELLS // max(1, len(shared)))
+    for j in range(0, len(up), up_step):
+        ups = up[j:j + up_step]
+        # float32 takes numpy's BLAS path; a sum of 0/1 products is positive
+        # exactly when one of them is 1, whatever the rounding
+        below = _leq_rows(shared, ups, leq).astype(np.float32)
+        low_step = max(1, BLOCK_CELLS // max(1, len(shared), len(ups)))
+        for i in range(0, len(low), low_step):
+            lows = low[i:i + low_step]
+            has = (_leq_rows(lows, shared, leq).astype(np.float32) @ below) > 0
+            bad = _leq_rows(lows, ups, leq) & ~has
+            least = np.where(bad, first_up[j:j + up_step], n_b).min(axis=1)
+            np.minimum(least_b[i:i + low_step], least, out=least_b[i:i + low_step])
+    failing = least_b[inv_low.reshape(-1)]
+    ia = int(np.argmax(failing < n_b))
+    return (ia, int(failing[ia])) if failing[ia] < n_b else None
+
+
+def _check_k(k: Optional[int]) -> None:
+    if k is not None and k < 0:
+        raise LatlogError(f"k must be at least 0, got {k}", k=k)
+
+
 def decide_interpolation(lat: Lattice, k: Optional[int] = None,
                          budget: Optional[DecideBudget] = None) -> DecisionReport:
     """Decide whether the lattice has the propositional interpolation property.
@@ -240,11 +298,22 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
     element); all values representable means YES with constructive
     interpolants.  Otherwise candidate implications are enumerated as pairs of
     representable columns over at most k left, shared and right variables
-    (k = |L| suffices for completeness); the first valid pair without a
-    representable column between its envelopes is a NO witness.  YES is only
-    reported when the complete enumeration finished; exhausted budgets and
-    bounded runs return UNKNOWN.
+    (k = |L| suffices for completeness; a negative k is an input error); the
+    first valid pair without a representable column between its envelopes is
+    a NO witness.  YES is only reported when the complete enumeration
+    finished; exhausted budgets and bounded runs return UNKNOWN.
+
+    Pairs come in buckets of (left, shared, right) variable counts, taken by
+    total size.  Each bucket is decided with array operations: its columns
+    are folded to envelope rows, the distinct rows are compared, and a
+    boolean matrix product over the shared closure tells which valid pairs
+    have a column between their envelopes.  The NO witness is the first
+    failing pair in the enumeration order (A column, then B column).  The
+    pair budget counts pairs in that order: a failing pair is reported only
+    when its position is within ``max_pairs``, and a bucket that crosses the
+    budget first ends the run as UNKNOWN with ``pairs_checked == max_pairs``.
     """
+    _check_k(k)
     budget = budget or DecideBudget()
     n = lat.m
     kk = n if k is None else k
@@ -282,7 +351,6 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
             cache[var_list] = representable_closure(lat, var_list, budget=budget.closure)
         return cache[var_list]
 
-    leq = lat.leq
     buckets = sorted(
         itertools.product(range(kk + 1), repeat=3),
         key=lambda t: (sum(t), t),
@@ -301,45 +369,36 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
             notes.append(f"closure budget hit at sizes (left={l}, shared={s}, right={r})")
             if not s_clo.complete:
                 continue  # cannot trust a NO for this bucket
-        m_s = lat.m ** s
-        a_envs = [
-            _fold_axis(c.values.reshape(lat.m ** l, m_s).T, lat.flat(JOIN), lat.m)
-            for c in a_clo.columns
-        ]
-        b_envs = [
-            _fold_axis(c.values.reshape(m_s, lat.m ** r), lat.flat(MEET), lat.m)
-            for c in b_clo.columns
-        ]
-        shared_cols = [c.values for c in s_clo.columns]
-        for ia, lower in enumerate(a_envs):
-            for ib, upper in enumerate(b_envs):
-                pairs_checked += 1
-                if pairs_checked > budget.max_pairs:
-                    notes.append(f"pair budget {budget.max_pairs} exhausted")
-                    return DecisionReport(
-                        UNKNOWN, "budget", vals, kk, False,
-                        pairs_checked=pairs_checked - 1, notes=notes,
-                    )
-                if not leq[lower, upper].all():
-                    continue  # not a valid implication
-                if any(leq[lower, c].all() and leq[c, upper].all() for c in shared_cols):
-                    continue
-                a_col = a_clo.columns[ia]
-                b_col = b_clo.columns[ib]
-                verdict = InterpolationVerdict(
-                    NO, None, None, tuple(_shared_vars(s)),
-                    ValueColumn(tuple(_shared_vars(s)), lower),
-                    ValueColumn(tuple(_shared_vars(s)), upper),
-                    closure_columns=s_clo.columns, closure_complete=True,
-                    closure_cumulative=s_clo.cumulative,
-                )
-                return DecisionReport(
-                    NO, "enumeration", vals, kk, True,
-                    pairs_checked=pairs_checked,
-                    witness_pair=(a_col.witness, b_col.witness),
-                    pair_verdict=verdict,
-                    notes=notes,
-                )
+        a_cols, b_cols = a_clo.columns, b_clo.columns
+        m, m_s = lat.m, lat.m ** s
+        lower = _envelope_rows(a_cols, (m ** l, m_s), lat.flat(JOIN), m, fold_first=True)
+        upper = _envelope_rows(b_cols, (m_s, m ** r), lat.flat(MEET), m, fold_first=False)
+        shared = np.stack([c.values for c in s_clo.columns])
+        hit = _first_failing_pair(lower, upper, shared, lat.leq)
+        remaining = budget.max_pairs - pairs_checked
+        if hit is not None and hit[0] * len(b_cols) + hit[1] < remaining:
+            ia, ib = hit
+            verdict = InterpolationVerdict(
+                NO, None, None, tuple(_shared_vars(s)),
+                ValueColumn(tuple(_shared_vars(s)), lower[ia]),
+                ValueColumn(tuple(_shared_vars(s)), upper[ib]),
+                closure_columns=s_clo.columns, closure_complete=True,
+                closure_cumulative=s_clo.cumulative,
+            )
+            return DecisionReport(
+                NO, "enumeration", vals, kk, True,
+                pairs_checked=pairs_checked + ia * len(b_cols) + ib + 1,
+                witness_pair=(a_cols[ia].witness, b_cols[ib].witness),
+                pair_verdict=verdict,
+                notes=notes,
+            )
+        if len(a_cols) * len(b_cols) > remaining:
+            notes.append(f"pair budget {budget.max_pairs} exhausted")
+            return DecisionReport(
+                UNKNOWN, "budget", vals, kk, False,
+                pairs_checked=budget.max_pairs, notes=notes,
+            )
+        pairs_checked += len(a_cols) * len(b_cols)
 
     if complete_requested and all_complete:
         return DecisionReport(YES, "enumeration", vals, kk, True,
@@ -386,6 +445,7 @@ def spectrum(lat: Lattice, k: Optional[int] = None,
     constants for a subset of values (existing constants are kept; the subsets
     are enumerated regardless of them).  Per-subset budgets surface as
     UNKNOWN entries."""
+    _check_k(k)
     if subsets is None:
         idx_subsets = []
         for size in range(lat.m + 1):

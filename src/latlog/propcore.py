@@ -137,16 +137,17 @@ class ValidityReport:
 
 
 def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
-    """Reduce axis 1 of a 2-D index grid with a binary table (pairwise tree;
-    the tables reduced this way are associative, so the shape is immaterial)."""
+    """Reduce the last axis of an index grid with a binary table (pairwise
+    tree; the tables reduced this way are associative, so the shape is
+    immaterial)."""
     acc = grid.astype(np.int32)
-    while acc.shape[1] > 1:
-        width = acc.shape[1]
-        red = apply_connective(flat, m, (acc[:, 0:width - 1:2], acc[:, 1:width:2]))
+    while acc.shape[-1] > 1:
+        width = acc.shape[-1]
+        red = apply_connective(flat, m, (acc[..., 0:width - 1:2], acc[..., 1:width:2]))
         if width % 2:
-            red = np.concatenate([red, acc[:, width - 1:]], axis=1)
+            red = np.concatenate([red, acc[..., width - 1:]], axis=-1)
         acc = red
-    return acc[:, 0].astype(np.uint8)
+    return acc[..., 0].astype(np.uint8)
 
 
 @dataclass

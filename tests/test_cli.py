@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latlog.cli import main
 
 
@@ -171,6 +173,25 @@ def test_input_error_exit_code(capsys):
     assert code == 3
     code, _ = run(capsys, "valid", "--lattice", "classical", "--formula", "x &")
     assert code == 3
+
+
+def test_negative_k_is_an_input_error(capsys):
+    for command in ("decide", "spectrum"):
+        code, report = run_json(capsys, command, "--lattice", "three-01", "--k", "-1")
+        assert code == 3, command
+        assert report["details"]["k"] == -1
+
+
+def test_usage_errors_are_input_errors(capsys):
+    for argv in (["valid", "--lattice", "classical", "--formula", "x -> x", "--bogus"],
+                 ["valid", "--lattice", "classical"],
+                 []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["valid", "--help"])
+    assert exc.value.code == 0
 
 
 def test_text_and_json_reports_mirror(capsys):
