@@ -565,47 +565,43 @@ def _interpretation_space(lat: Lattice, domain: tuple, lang: PredicateLanguage) 
     return count
 
 
-def _structures(lat: Lattice, domain: tuple, lang: PredicateLanguage):
-    """Deterministic exhaustive enumeration of all interpretations."""
-    pred_names = sorted(lang.predicates)
-    func_names = sorted(lang.functions)
-    pred_keys = {p: list(itertools.product(domain, repeat=lang.predicates[p]))
-                 for p in pred_names}
-    func_keys = {f: list(itertools.product(domain, repeat=lang.functions[f]))
-                 for f in func_names}
-    pred_spaces = [itertools.product(range(lat.m), repeat=len(pred_keys[p]))
-                   for p in pred_names]
-    func_spaces = [itertools.product(domain, repeat=len(func_keys[f]))
-                   for f in func_names]
-    for combo in itertools.product(*pred_spaces, *func_spaces):
-        preds = {}
-        for i, p in enumerate(pred_names):
-            preds[p] = dict(zip(pred_keys[p], combo[i]))
-        funcs = {}
-        for j, f in enumerate(func_names):
-            funcs[f] = dict(zip(func_keys[f], combo[len(pred_names) + j]))
-        yield FoStructure(domain, preds, funcs)
+class _Interpretations:
+    """Every interpretation of a language over a domain, in a deterministic
+    exhaustive order.  An interpretation is a combo: one value tuple per
+    symbol, predicates then functions, each in name order; ``structure``
+    builds its tables."""
+
+    def __init__(self, lat: Lattice, domain: tuple, lang: PredicateLanguage):
+        self.domain = domain
+        self.preds, self.funcs = sorted(lang.predicates), sorted(lang.functions)
+        self.keys = ([list(itertools.product(domain, repeat=lang.predicates[p]))
+                      for p in self.preds]
+                     + [list(itertools.product(domain, repeat=lang.functions[f]))
+                        for f in self.funcs])
+        self.spaces = [range(lat.m)] * len(self.preds) + [domain] * len(self.funcs)
+
+    def slots(self, lang: PredicateLanguage) -> list[int]:
+        """Combo positions of the symbols of a sub-language."""
+        return ([i for i, p in enumerate(self.preds) if p in lang.predicates]
+                + [len(self.preds) + j for j, f in enumerate(self.funcs)
+                   if f in lang.functions])
+
+    def combos(self):
+        return itertools.product(*(itertools.product(space, repeat=len(keys))
+                                   for space, keys in zip(self.spaces, self.keys)))
+
+    def structure(self, combo: tuple) -> FoStructure:
+        tables = [dict(zip(keys, values)) for keys, values in zip(self.keys, combo)]
+        n = len(self.preds)
+        return FoStructure(self.domain, dict(zip(self.preds, tables[:n])),
+                           dict(zip(self.funcs, tables[n:])))
 
 
 def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                 budgets: FoBudgets, trace: PipelineTrace) -> None:
     lang = inferred_language(implies(implies(a, interpolant), b))
-    formulas = {}
-    for which, f in (("a", a), ("i", interpolant), ("b", b)):
-        fl = inferred_language(f)
-        formulas[which] = (f, sorted(fl.predicates), sorted(fl.functions))
-    memo: dict[tuple, int] = {}
     checked = 0
     domains_done = []
-
-    def value(which: str, structure: FoStructure) -> int:
-        f, pnames, fnames = formulas[which]
-        key = (which, len(structure.domain),
-               tuple(tuple(sorted(structure.predicates[p].items())) for p in pnames),
-               tuple(tuple(sorted(structure.functions[g].items())) for g in fnames))
-        if key not in memo:
-            memo[key] = lat.index(fo_eval(f, lat, structure))
-        return memo[key]
 
     for d in range(1, budgets.smoke_domain_cap + 1):
         domain = tuple(range(d))
@@ -615,23 +611,32 @@ def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                 f"smoke test stopped before domain size {d}: "
                 f"{space} interpretations exceed the budget")
             break
-        for structure in _structures(lat, domain, lang):
+        interps = _Interpretations(lat, domain, lang)
+        # each formula's value depends only on its own symbols' slice of the combo
+        sides = [(f, interps.slots(inferred_language(f)), {}) for f in (a, interpolant, b)]
+
+        def value(side, combo: tuple) -> int:
+            f, slots, memo = side
+            key = tuple(combo[i] for i in slots)
+            if key not in memo:
+                memo[key] = lat.index(fo_eval(f, lat, interps.structure(combo)))
+            return memo[key]
+
+        for combo in interps.combos():
             checked += 1
-            va = value("a", structure)
-            vi = value("i", structure)
-            vb = value("b", structure)
+            va, vi, vb = [value(side, combo) for side in sides]
             if not lat.leq[va, vi]:
                 raise SmokeTestFailed(
                     "antecedent -> interpolant fails on a finite structure",
                     domain=list(domain),
-                    predicates={p: dict(t) for p, t in structure.predicates.items()},
+                    predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
                     values=(lat.elements[va], lat.elements[vi]),
                 )
             if not lat.leq[vi, vb]:
                 raise SmokeTestFailed(
                     "interpolant -> succedent fails on a finite structure",
                     domain=list(domain),
-                    predicates={p: dict(t) for p, t in structure.predicates.items()},
+                    predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
                     values=(lat.elements[vi], lat.elements[vb]),
                 )
         domains_done.append(d)

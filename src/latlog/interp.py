@@ -20,6 +20,7 @@ from .errors import LatlogError, NotValidError, PreconditionFailed
 from .propcore import (
     BLOCK_CELLS,
     ClosureBudget,
+    ClosureResult,
     ClosureState,
     ValueColumn,
     _fold_axis,
@@ -342,14 +343,12 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
     pairs_checked = 0
     all_complete = True
     notes: list[str] = []
-    a_closures: dict[tuple[str, ...], object] = {}
-    b_closures: dict[tuple[str, ...], object] = {}
-    shared_closures: dict[int, object] = {}
+    closures: dict[tuple[str, ...], ClosureResult] = {}  # one per variable list
 
-    def closure_for(var_list: tuple[str, ...], cache: dict) -> object:
-        if var_list not in cache:
-            cache[var_list] = representable_closure(lat, var_list, budget=budget.closure)
-        return cache[var_list]
+    def closure_for(var_list: tuple[str, ...]) -> ClosureResult:
+        if var_list not in closures:
+            closures[var_list] = representable_closure(lat, var_list, budget=budget.closure)
+        return closures[var_list]
 
     buckets = sorted(
         itertools.product(range(kk + 1), repeat=3),
@@ -358,12 +357,8 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
     for l, s, r in buckets:
         a_vars = tuple(_left_vars(l) + _shared_vars(s))
         b_vars = tuple(_shared_vars(s) + _right_vars(r))
-        a_clo = closure_for(a_vars, a_closures)
-        b_clo = closure_for(b_vars, b_closures)
-        if s not in shared_closures:
-            shared_closures[s] = representable_closure(
-                lat, tuple(_shared_vars(s)), budget=budget.closure)
-        s_clo = shared_closures[s]
+        a_clo, b_clo = closure_for(a_vars), closure_for(b_vars)
+        s_clo = closure_for(tuple(_shared_vars(s)))
         if not (a_clo.complete and b_clo.complete and s_clo.complete):
             all_complete = False
             notes.append(f"closure budget hit at sizes (left={l}, shared={s}, right={r})")

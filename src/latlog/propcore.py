@@ -11,6 +11,13 @@ canonical witness, the least (rendered length, word) over the applications
 producing it; lengths come from the arguments, and only the shortest words
 are joined.  Columns are ordered by level, then length, then word, which
 keeps interpolants deterministic.
+
+An envelope scan searches the next level for a column between two bounds
+without growing it, in three stages: tuples of probe-group representatives
+at ``PROBES`` positions, then each surviving application at ``SCREEN_WIDTH``
+positions, then the remaining applications over the full valuation grid.
+Each stage drops only applications that leave the bounds somewhere, so the
+scan finds what growing the level would.
 """
 from __future__ import annotations
 
@@ -43,7 +50,9 @@ from .syntax import (
 
 DEFAULT_VAR_CAP = 10
 BLOCK_CELLS = 1 << 16  # applications x valuations evaluated per closure block
-MAX_SURVIVORS = 500_000  # applications an envelope scan may evaluate in full
+MAX_SURVIVORS = 500_000  # applications an envelope scan may keep after its probe groups
+PROBES = 16  # probe positions whose values group the columns in an envelope scan
+SCREEN_WIDTH = 64  # positions an envelope scan checks before the full width
 
 
 def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
@@ -287,28 +296,52 @@ class ClosureBudget:
     max_apps_per_level: int = 4_000_000
 
 
+def _spread(k: int, N: int) -> np.ndarray:
+    """k positions spread evenly over range(N), both ends included; all of
+    them when N <= k."""
+    return np.arange(k) * (N - 1) // (k - 1) if N > k else np.arange(N)
+
+
+def _step(cells: int) -> int:
+    """Tuples per block when one tuple evaluates to ``cells`` cells."""
+    return max(1, BLOCK_CELLS // cells)
+
+
+def _rechunk(arrays, step: int):
+    """Regroup a stream of (n, arity) tuple arrays into blocks of at most
+    ``step`` tuples."""
+    pending, count = [], 0
+    for a in arrays:
+        for start in range(0, len(a), step):
+            piece = a[start:start + step]
+            if count + len(piece) > step:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+            pending.append(piece)
+            count += len(piece)
+    if pending:
+        yield np.concatenate(pending)
+
+
 def _blocks(boxes, cells: int):
     """Argument tuples of the products of ``boxes`` (one index array per
     argument position) as (n, arity) arrays of at most about BLOCK_CELLS
     cells, one tuple evaluating to ``cells`` cells."""
-    step = max(1, BLOCK_CELLS // cells)
-    pending, count = [], 0
-    for box in boxes:
-        shape = [len(s) for s in box]
-        size = math.prod(shape)
-        for start in range(0, size, step):
-            flat = np.arange(start, min(size, start + step))
-            tup = np.empty((len(flat), len(box)), dtype=np.intp)
-            for k in reversed(range(len(box))):
-                flat, r = np.divmod(flat, shape[k])
-                tup[:, k] = box[k][r]
-            if count + len(tup) > step:
-                yield np.concatenate(pending)
-                pending, count = [], 0
-            pending.append(tup)
-            count += len(tup)
-    if pending:
-        yield np.concatenate(pending)
+    step = _step(cells)
+
+    def chunks():
+        for box in boxes:
+            shape = [len(s) for s in box]
+            size = math.prod(shape)
+            for start in range(0, size, step):
+                flat = np.arange(start, min(size, start + step))
+                tup = np.empty((len(flat), len(box)), dtype=np.intp)
+                for k in reversed(range(len(box))):
+                    flat, r = np.divmod(flat, shape[k])
+                    tup[:, k] = box[k][r]
+                yield tup
+
+    return _rechunk(chunks(), step)
 
 
 class ClosureState:
@@ -377,12 +410,12 @@ class ClosureState:
         return sum(self._count_new(np.full(c.arity, self.total), np.full(c.arity, self.frontier))
                    for c in self.conns)
 
-    def _tuples(self, conn, set_tuples):
-        """(connective, block) pairs enumerating, for each of ``set_tuples``
-        (one sorted index array per argument position), the argument tuples
-        with an argument from the newest level; at level 1 every tuple
-        counts.  Box k of a set tuple takes older columns before position k
-        and a newest one at k."""
+    def _tuples(self, conn, set_tuples, cells: int):
+        """Blocks enumerating, for each of ``set_tuples`` (one sorted index
+        array per argument position), the argument tuples with an argument
+        from the newest level, sized for ``cells`` cells per tuple; at level 1
+        every tuple counts.  Box k of a set tuple takes older columns before
+        position k and a newest one at k."""
         frontier = self.frontier
 
         def boxes():
@@ -394,7 +427,7 @@ class ClosureState:
                     yield ([s[s < frontier] for s in sets[:k]]
                            + [sets[k][sets[k] >= frontier]] + sets[k + 1:])
 
-        return ((conn, tup) for tup in _blocks(boxes(), self.N))
+        return _blocks(boxes(), cells)
 
     def _eval(self, flat: np.ndarray, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
         """Kernel values of the argument tuples ``tup`` over ``rows``, shape
@@ -450,8 +483,8 @@ class ClosureState:
     def grow(self) -> int:
         """Materialise the next level fully; returns the number of new columns."""
         every = [np.arange(self.total)]
-        best = self._candidates(
-            block for c in self.conns for block in self._tuples(c, [every * c.arity]))
+        best = self._candidates((c, tup) for c in self.conns
+                                for tup in self._tuples(c, [every * c.arity], self.N))
         added = self._commit(
             (length, word, values, App(cname, tuple(self.wits[t] for t in tup)))
             for length, word, values, cname, tup in best.values())
@@ -467,20 +500,26 @@ class ClosureState:
     def stream_scan(self, lower: np.ndarray,
                     upper: np.ndarray) -> Optional[tuple[np.ndarray, str, Formula]]:
         """Search the next level's candidates for a column inside the bounds
-        without materialising the level.
+        without materialising the level, in three stages.
 
-        A candidate's values at the probe positions depend only on the
-        argument values there, so columns are grouped by probe signature and
-        the kernel first filters tuples of group representatives; only the
-        applications of surviving group tuples are evaluated in full.  The
-        probes are spread over the valuation grid so every variable varies
-        among them.  Returns (values, word, witness) for the first fitting new
-        column in closure order, with its canonical witness: observationally
-        identical to growing the level and scanning it.  More than
-        MAX_SURVIVORS surviving applications raise BUDGET_EXCEEDED.
+        1. Probe groups: a candidate's values at the ``PROBES`` probe
+           positions depend only on the argument values there, so columns are
+           grouped by probe signature and the kernel filters tuples of group
+           representatives.
+        2. Screen: every application of a surviving group tuple is evaluated
+           at ``SCREEN_WIDTH`` positions (skipped when the grid is no wider).
+        3. Full width: the applications that fit there are evaluated over the
+           whole grid and checked against the bounds.
+
+        Probe and screen positions are spread over the valuation grid, so
+        every variable varies among them.  Returns (values, word, witness) for
+        the first fitting new column in closure order, with its canonical
+        witness: observationally identical to growing the level and scanning
+        it.  More than MAX_SURVIVORS applications after the probe groups
+        raise BUDGET_EXCEEDED.
         """
         leq = self.lat.leq
-        probes = np.arange(16) * (self.N - 1) // 15 if self.N > 16 else np.arange(self.N)
+        probes = _spread(PROBES, self.N)
         signatures = np.ascontiguousarray(self.values[:, probes])
         _, first, group = np.unique(signatures.view(np.dtype((np.void, len(probes)))).ravel(),
                                     return_index=True, return_inverse=True)
@@ -489,12 +528,12 @@ class ClosureState:
         olds = np.bincount(group[:self.frontier], minlength=len(reps))
         order, starts = np.argsort(group, kind="stable"), np.cumsum(sizes) - sizes
 
-        def inside(lo, up):
-            allowed = (leq[lo] & leq[:, up].T).reshape(-1)  # [position, value]
-            offsets = np.arange(len(lo)) * self.m
+        def inside(at):
+            allowed = (leq[lower[at]] & leq[:, upper[at]].T).reshape(-1)  # [position, value]
+            offsets = np.arange(len(at)) * self.m
             return lambda vals: allowed[offsets + vals].all(axis=1)
 
-        at_probes = inside(lower[probes], upper[probes])
+        at_probes = inside(probes)
         plan, survivors = [], 0
         for conn in self.conns:
             flat = self.lat.flat(conn.name)
@@ -509,11 +548,20 @@ class ClosureState:
                 f"envelope scan produced {survivors} candidate applications",
                 survivors=survivors,
             )
-        best = self._candidates(
-            (block for conn, fits in plan
-             for block in self._tuples(conn, ([order[starts[i]:starts[i] + sizes[i]] for i in g]
-                                              for g in fits))),
-            inside(lower, upper))
+
+        def blocks(conn, fits):
+            set_tuples = ([order[starts[i]:starts[i] + sizes[i]] for i in g] for g in fits)
+            if self.N <= SCREEN_WIDTH:
+                return self._tuples(conn, set_tuples, self.N)
+            screen = _spread(SCREEN_WIDTH, self.N)
+            flat, rows, at_screen = self.lat.flat(conn.name), self.values[:, screen], inside(screen)
+            return _rechunk((tup[at_screen(self._eval(flat, rows, tup))]
+                             for tup in self._tuples(conn, set_tuples, len(screen))),
+                            _step(self.N))
+
+        best = self._candidates(((conn, tup) for conn, fits in plan
+                                 for tup in blocks(conn, fits)),
+                                inside(np.arange(self.N)))
         if not best:
             return None
         _, word, values, cname, tup = min(best.values(), key=lambda e: e[:2])

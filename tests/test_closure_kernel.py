@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from latlog import RawConnective, RawLattice, validate_lattice
+from latlog import RawConnective, RawLattice, parse_formula, propcore, validate_lattice
 from latlog.bundled import BUNDLED, bundled_lattice
+from latlog.errors import BudgetExceeded
 from latlog.propcore import ClosureState, envelopes, representable_closure
 
 from closure_reference import reference_closure
@@ -100,3 +101,78 @@ def test_stream_scan_equals_growing_one_level(name):
             assert np.array_equal(scanned[0], grown[0])
             hits.add(level)
     assert len(hits) >= 2, hits
+
+
+def _scan_counting(state, lower, upper):
+    """``stream_scan``'s result and the number of applications it evaluated
+    over the full width."""
+    evaluated = []
+    kernel = state._candidates
+
+    def counting(blocks, inside=None):
+        def tally():
+            for conn, tup in blocks:
+                evaluated.append(len(tup))
+                yield conn, tup
+        return kernel(tally(), inside)
+
+    state._candidates = counting
+    try:
+        return state.stream_scan(lower, upper), sum(evaluated)
+    finally:
+        del state._candidates
+
+
+@pytest.mark.parametrize("name, shared", [("mc", ("s", "t", "v")),
+                                          ("diamond", ("p", "q", "s", "t"))])
+def test_screened_scan_equals_growing_one_level(name, shared, monkeypatch):
+    """On grids wider than SCREEN_WIDTH the screen runs.  The scan finds the
+    same column and word as growing the level and as the unscreened scan, and
+    the screen keeps some applications from the full-width evaluation."""
+    lat = bundled_lattice(name)
+    rng = random.Random(20240801)
+    pairs, hits, dropped = 0, 0, 0
+    while pairs < 4:
+        a, b = random_valid_pair(rng, lat, ["u"], list(shared), ["w"], depth=4)
+        env = envelopes(a, b, lat)
+        if env.shared != shared:
+            continue
+        pairs += 1
+        lower, upper = env.lower.values, env.upper.values
+        state = ClosureState(lat, env.shared)
+        assert state.N > propcore.SCREEN_WIDTH
+        for level in (1, 2):
+            scanned, full = _scan_counting(state, lower, upper)
+            with monkeypatch.context() as patch:
+                patch.setattr(propcore, "SCREEN_WIDTH", state.N)
+                unscreened, unscreened_full = _scan_counting(state, lower, upper)
+            dropped += unscreened_full - full
+            assert full <= unscreened_full
+            grown = _first_new_fit(state, lower, upper)
+            if grown is None:
+                assert scanned is None and unscreened is None
+                continue
+            hits += 1
+            for got in (scanned, unscreened):
+                assert got is not None
+                assert got[1] == grown[1]
+                assert np.array_equal(got[0], grown[0])
+    assert hits >= 4, hits
+    assert dropped > 0
+
+
+def test_survivor_budget_counts_probe_group_survivors(monkeypatch):
+    """MAX_SURVIVORS bounds the applications left after the probe groups:
+    on mc over three shared variables (N = 125, so the screen runs), the
+    second level's scan keeps 65 of its 1,152 applications."""
+    lat = bundled_lattice("mc")
+    env = envelopes(parse_formula("s & (u -> t) & v"), parse_formula("s | t & (w -> v)"), lat)
+    state = ClosureState(lat, env.shared)
+    state.grow()
+    assert state.N == 125 and state.app_count_next_level() == 1152
+    monkeypatch.setattr(propcore, "MAX_SURVIVORS", 64)
+    with pytest.raises(BudgetExceeded) as exc:
+        state.stream_scan(env.lower.values, env.upper.values)
+    assert exc.value.details == {"survivors": 65}
+    monkeypatch.setattr(propcore, "MAX_SURVIVORS", 65)
+    assert state.stream_scan(env.lower.values, env.upper.values)[1] == "s | t & v"

@@ -14,6 +14,7 @@ from latlog import (
 from latlog.errors import (
     LatlogError,
     PropInterpolationFailed,
+    SmokeTestFailed,
     StrongQuantifierPresent,
     UninterpretedSymbol,
     UnknownValidity,
@@ -21,6 +22,8 @@ from latlog.errors import (
 from latlog.folift import (
     FoBudgets,
     FoStructure,
+    PipelineTrace,
+    _smoke_test,
     check_valid_expansion,
     enumerate_closed_terms,
     expand_n,
@@ -437,3 +440,34 @@ def test_lemma_alpha_contexts():
 
 def test_skolem_witness_realization():
     check_skolem_witness()
+
+
+def _smoke(lat, a, interpolant, b):
+    a, interpolant, b = (parse_formula(t) for t in (a, interpolant, b))
+    trace = PipelineTrace(original=imp(a, b))
+    _smoke_test(a, interpolant, b, lat, FoBudgets(), trace)
+    return trace
+
+
+def test_smoke_test_counts_every_structure(godel3):
+    """Function symbols and object constants are interpreted too: 9
+    structures over one element, and over two the 81 tables of P and Q
+    times the 8 of f and c."""
+    trace = _smoke(godel3, "forall x. P(x)", "P(f(c))", "P(f(c)) | Q(c)")
+    assert trace.smoke == {"domains": [1, 2], "structures": 657}
+
+
+@pytest.mark.parametrize("interpolant, message, domain, predicates, values", [
+    ("R(d,c)", "interpolant -> succedent fails on a finite structure", [0, 1],
+     {"P": {(0,): 0, (1,): 0}, "R": {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+     ("1", "0")),
+    ("R(c,d) & P(d)", "antecedent -> interpolant fails on a finite structure", [0, 1],
+     {"P": {(0,): 0, (1,): 1}, "R": {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+     ("1", "0")),
+])
+def test_smoke_test_reports_the_first_failing_structure(classical, interpolant, message,
+                                                        domain, predicates, values):
+    with pytest.raises(SmokeTestFailed) as exc:
+        _smoke(classical, "P(c) & R(c,d)", interpolant, "R(c,d) | P(d)")
+    assert exc.value.message == message
+    assert exc.value.details == {"domain": domain, "predicates": predicates, "values": values}

@@ -7,6 +7,7 @@ from latlog import (
     parse_formula,
     render,
 )
+from latlog import interp
 from latlog.errors import NotValidError, PreconditionFailed
 from latlog.interp import (
     collapse_word,
@@ -19,7 +20,13 @@ from latlog.interp import (
     sigma_substitutions,
     spectrum,
 )
-from latlog.propcore import ClosureBudget, column_of, eval_prop, is_valid_implication
+from latlog.propcore import (
+    ClosureBudget,
+    column_of,
+    eval_prop,
+    is_valid_implication,
+    representable_closure,
+)
 
 from property_checks import check_lemmas_123
 
@@ -221,6 +228,23 @@ def test_decide_three_01_finds_the_witness_pair(three_01):
     want_b = column_of(parse_formula("z1 | (z1 -> #0)"), three_01, ("z1",))
     assert (bcol == want_b).all()
     assert report.pair_verdict.closure_complete
+
+
+def test_decide_grows_each_variable_list_once(three_01, luka3, monkeypatch):
+    """The left, right and shared closures share one cache: at l = 0 the
+    left list is the shared list, at r = 0 so is the right one."""
+    grown = []
+
+    def counting(lat, var_list, *args, **kwargs):
+        grown.append(tuple(var_list))
+        return representable_closure(lat, var_list, *args, **kwargs)
+
+    monkeypatch.setattr(interp, "representable_closure", counting)
+    for lat in (three_01, luka3):
+        grown.clear()
+        assert decide_interpolation(lat).status == "NO"
+        assert ("y1",) in grown
+        assert len(grown) == len(set(grown)), grown
 
 
 def test_decide_bounded_unknown_on_classical_1(classical_1):
