@@ -135,10 +135,10 @@ class Lattice:
             raise UnknownSymbolError(f"unknown element {name!r}", element=name) from None
 
     def flat(self, conn: str) -> np.ndarray:
-        """Connective table flattened to 1-D int32 (row-major), cached."""
+        """Connective table flattened to 1-D uint8 (row-major), cached."""
         arr = self._flat.get(conn)
         if arr is None:
-            arr = self.tables[conn].reshape(-1).astype(np.int32)
+            arr = self.tables[conn].reshape(-1).astype(np.uint8)
             self._flat[conn] = arr
         return arr
 

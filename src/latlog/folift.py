@@ -26,7 +26,7 @@ from .errors import (
     UnknownValidity,
 )
 from .interp import YES, InterpolationVerdict, find_prop_interpolant
-from .propcore import ClosureBudget, ValidityReport, is_valid_prop
+from .propcore import ClosureBudget, EnvelopePair, ValidityReport, is_valid_prop
 from .syntax import (
     App,
     Atom,
@@ -378,6 +378,7 @@ class HerbrandSearch:
     exhausted_at: Optional[int] = None
     reason: Optional[str] = None
     added_constant: Optional[str] = None
+    envelopes: Optional[EnvelopePair] = None  # from the valid check, when factored
 
 
 def find_herbrand_expansion(phi: Formula, lat: Lattice, max_n: int = 8,
@@ -410,7 +411,8 @@ def find_herbrand_expansion(phi: Formula, lat: Lattice, max_n: int = 8,
         checks.append((n, check.valid))
         if check.valid:
             return HerbrandSearch("FOUND", n, expansion, checks, terms,
-                                  exhausted_at=exhausted, added_constant=added)
+                                  exhausted_at=exhausted, added_constant=added,
+                                  envelopes=check.report.envelopes)
     reason = ("all closed terms exhausted" if exhausted is not None
               else f"no valid expansion up to n={max_n}")
     return HerbrandSearch("UNKNOWN", None, None, checks, terms,
@@ -679,8 +681,10 @@ def fo_interpolate(phi: Formula, lat: Lattice,
     trace.prop_antecedent = prop_a
     trace.prop_succedent = prop_b
 
+    # one naming over exp_a then exp_b reproduces the word of the valid check,
+    # so its envelope pair (when the check was factored) is that of prop_a -> prop_b
     verdict = find_prop_interpolant(prop_a, prop_b, lat, budget=budgets.closure,
-                                    var_cap=budgets.var_cap)
+                                    var_cap=budgets.var_cap, env=search.envelopes)
     trace.verdict = verdict
     if verdict.status != YES:
         raise PropInterpolationFailed(

@@ -22,6 +22,7 @@ from .propcore import (
     ClosureBudget,
     ClosureResult,
     ClosureState,
+    EnvelopePair,
     ValueColumn,
     _fold_axis,
     constant_values,
@@ -51,16 +52,21 @@ class InterpolationVerdict:
 
 def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
                           budget: Optional[ClosureBudget] = None,
-                          var_cap: Optional[int] = None) -> InterpolationVerdict:
+                          var_cap: Optional[int] = None,
+                          env: Optional[EnvelopePair] = None) -> InterpolationVerdict:
     """Interpolant for a valid implication a -> b over the shared variables.
 
     Scans the representable closure in deterministic order (construction
     level, then witness length, then lexicographic); the first column inside
     the envelopes wins.  NO only when the closure reached its fixpoint with no
-    fitting column; UNKNOWN when a budget was hit first.
+    fitting column; UNKNOWN when a budget was hit first.  The envelopes may
+    come from the caller as ``env``, the pair a valid factored check of
+    a -> b carries (``ValidityReport.envelopes``); otherwise they are built
+    here, which raises NOT_VALID when a -> b fails.
     """
     budget = budget or ClosureBudget()
-    env = envelopes(a, b, lat, var_cap)  # raises NOT_VALID when a -> b fails
+    if env is None:
+        env = envelopes(a, b, lat, var_cap)
     lower, upper = env.lower.values, env.upper.values
     state = ClosureState(lat, env.shared)
 

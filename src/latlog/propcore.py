@@ -3,7 +3,10 @@
 Evaluation and validity are exhaustive over the valuation space (lexicographic
 order over element indices, first variable most significant).  One kernel,
 ``apply_connective``, applies a connective to arrays of argument values in
-validity grids, folds and the closure.  The closure of representable
+validity grids, folds and the closure.  Values, tables and table indices are
+uint8 while ``m ** arity <= 256``; beyond that the kernel widens the index to
+intp.  A valid factored implication check keeps only its two envelope
+columns, not its grids.  The closure of representable
 functions grows level by level: level 0 holds the projection and constant
 columns, level k+1 every connective application with an argument from level
 k, evaluated in blocks of about ``BLOCK_CELLS`` cells.  Each column keeps its
@@ -57,10 +60,19 @@ SCREEN_WIDTH = 64  # positions an envelope scan checks before the full width
 
 def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     """Values of a connective, given its flattened table, on broadcastable
-    integer arrays of argument values; ``flat[0]`` for a nullary connective."""
-    idx, m = 0, np.int32(m)  # a typed m widens uint8 arguments before they overflow
-    for k, a in enumerate(args):
-        idx = idx * m + a if k else a
+    integer arrays of argument values; ``flat[0]`` for a nullary connective.
+
+    The table index of a tuple is a1*m**(k-1) + ... + ak.  While
+    ``m ** arity <= 256`` it is at most 255, so uint8 arguments with a
+    Python-int ``m`` compute it exactly in uint8; otherwise the first
+    argument is widened to intp before the arithmetic."""
+    if not len(args):
+        return flat[0]
+    idx = args[0]
+    if m ** len(args) > 256:
+        idx = np.asarray(idx, dtype=np.intp)
+    for a in args[1:]:
+        idx = idx * m + a
     return flat[idx]
 
 
@@ -86,7 +98,7 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
     m = lat.m
     n = len(var_list)
     pos = {v: k for k, v in enumerate(var_list)}
-    base = np.arange(m, dtype=np.int32)
+    base = np.arange(m, dtype=np.uint8)
 
     def ev(f: Formula) -> np.ndarray:
         if isinstance(f, PropVar):
@@ -98,11 +110,13 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
         if isinstance(f, Const):
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
-            return np.full((), lat.constants[f.name], dtype=np.int32)
+            return np.full((), lat.constants[f.name], dtype=np.uint8)
         return apply_connective(lat.flat(f.conn), m, [ev(a) for a in f.args])
 
-    out = np.broadcast_to(ev(phi), (m,) * n)
-    return np.ascontiguousarray(out).reshape(-1).astype(np.uint8)
+    out = ev(phi)
+    if out.shape != (m,) * n:  # a full-shape result is already a fresh array
+        out = np.broadcast_to(out, (m,) * n).copy()
+    return out.reshape(-1)
 
 
 def eval_prop(phi: Formula, lat: Lattice, valuation: Mapping[str, str]) -> str:
@@ -133,13 +147,14 @@ def _decode_valuation(index: int, var_list: tuple[str, ...], lat: Lattice) -> di
     return dict(sorted(out.items()))
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidityReport:
     valid: bool
     countervaluation: Optional[dict[str, str]]
     variables: tuple[str, ...]
     checked: int
     method: str = "grid"
+    envelopes: Optional[EnvelopePair] = None  # of a valid factored check
 
     def __bool__(self) -> bool:
         return self.valid
@@ -149,14 +164,14 @@ def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
     """Reduce the last axis of an index grid with a binary table (pairwise
     tree; the tables reduced this way are associative, so the shape is
     immaterial)."""
-    acc = grid.astype(np.int32)
+    acc = grid
     while acc.shape[-1] > 1:
         width = acc.shape[-1]
         red = apply_connective(flat, m, (acc[..., 0:width - 1:2], acc[..., 1:width:2]))
         if width % 2:
             red = np.concatenate([red, acc[..., width - 1:]], axis=-1)
         acc = red
-    return acc[..., 0].astype(np.uint8)
+    return acc[..., 0].astype(np.uint8)  # a copy: a view would keep acc alive
 
 
 @dataclass
@@ -168,6 +183,10 @@ class ImplicationParts:
     upper: np.ndarray  # meet over right extensions of the succedent
     a_grid: np.ndarray  # shape (m^s, m^l)
     b_grid: np.ndarray  # shape (m^s, m^r)
+
+    def envelope_pair(self) -> EnvelopePair:
+        return EnvelopePair(self.shared, ValueColumn(self.shared, self.lower),
+                            ValueColumn(self.shared, self.upper))
 
 
 def _implication_parts(a: Formula, b: Formula, lat: Lattice,
@@ -211,22 +230,24 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
     """Validity of a -> b via the shared-variable factorisation: valid iff for
     every shared valuation, the join over antecedent-only extensions stays
     below the meet over succedent-only extensions.  Observationally identical
-    to the full valuation sweep."""
+    to the full valuation sweep.  A valid report carries that join and meet
+    as the envelope pair of a -> b (the grids themselves are not kept)."""
     parts = _implication_parts(a, b, lat, var_cap)
-    ok = lat.leq[parts.lower, parts.upper]
     variables = tuple(sorted(set(parts.shared) | set(parts.left) | set(parts.right)))
-    if ok.all():
-        return ValidityReport(True, None, variables, parts.a_grid.size + parts.b_grid.size,
-                              method="factored")
-    return ValidityReport(False, _implication_counter(parts, lat), variables,
-                          parts.a_grid.size + parts.b_grid.size, method="factored")
+    checked = parts.a_grid.size + parts.b_grid.size
+    if lat.leq[parts.lower, parts.upper].all():
+        return ValidityReport(True, None, variables, checked, method="factored",
+                              envelopes=parts.envelope_pair())
+    return ValidityReport(False, _implication_counter(parts, lat), variables, checked,
+                          method="factored")
 
 
 def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> ValidityReport:
     """Exhaustive validity: true iff the word evaluates to the top element
     under every valuation.  Returns one countervaluation when false.  When the
     variable count exceeds the cap, a top-level implication falls back to the
-    factored check; anything else raises BUDGET_EXCEEDED."""
+    factored check, whose valid report carries the envelope pair; anything
+    else raises BUDGET_EXCEEDED."""
     require_prop_word(phi)
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
     variables = tuple(sorted(prop_variables(phi)))
@@ -451,7 +472,7 @@ class ClosureState:
         precs = np.array(self.precs, dtype=np.int64)
         known = np.sort(self.values.view(self._void).ravel())
         for conn, tup in blocks:
-            vals = self._eval(self.lat.flat(conn.name), self.values, tup).astype(np.uint8)
+            vals = np.ascontiguousarray(self._eval(self.lat.flat(conn.name), self.values, tup))
             if inside is not None:
                 keep = inside(vals)
                 tup, vals = tup[keep], vals[keep]
@@ -670,8 +691,4 @@ def envelopes(a: Formula, b: Formula, lat: Lattice,
             "the implication is not valid",
             countervaluation=_implication_counter(parts, lat),
         )
-    return EnvelopePair(
-        parts.shared,
-        ValueColumn(parts.shared, parts.lower),
-        ValueColumn(parts.shared, parts.upper),
-    )
+    return parts.envelope_pair()

@@ -1,14 +1,25 @@
 """Differential tests of the closure kernel against the slow reference in
 ``closure_reference.py``."""
+import functools
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from latlog import RawConnective, RawLattice, parse_formula, propcore, validate_lattice
+from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded
-from latlog.propcore import ClosureState, envelopes, representable_closure
+from latlog.propcore import (
+    ClosureState,
+    _fold_axis,
+    column_of,
+    envelopes,
+    eval_prop,
+    representable_closure,
+)
+from latlog.syntax import prop_variables
 
 from closure_reference import reference_closure
 from genutil import random_valid_pair
@@ -176,3 +187,70 @@ def test_survivor_budget_counts_probe_group_survivors(monkeypatch):
     assert exc.value.details == {"survivors": 65}
     monkeypatch.setattr(propcore, "MAX_SURVIVORS", 65)
     assert state.stream_scan(env.lower.values, env.upper.values)[1] == "s | t & v"
+
+
+# ---------------------------------------------------------------------------
+# index width: uint8 while m ** arity <= 256, widened beyond
+
+
+def _chain(k, *extras):
+    """A k-element chain with the Goedel implication, a nullary connective
+    ``Mid`` and the constant ``#0``."""
+    names = [f"e{i}" for i in range(k)]
+    imp = [names[-1] if i <= j else names[j] for i in range(k) for j in range(k)]
+    raw = RawLattice(elements=names, covers=list(zip(names, names[1:])),
+                     connectives=[RawConnective("->", ("-", "+"), imp),
+                                  RawConnective("Mid", (), [names[k // 2]]), *extras],
+                     constants={"0": names[0]})
+    return validate_lattice(raw)
+
+
+def _median_chain(k):
+    """A k-chain with a ternary median ``Med`` (k**3 table entries)."""
+    names = [f"e{i}" for i in range(k)]
+    med = [names[sorted(t)[1]] for t in itertools.product(range(k), repeat=3)]
+    return _chain(k, RawConnective("Med", ("+", "+", "+"), med))
+
+
+WIDTH_CASES = {
+    # 16 * 16 = 256 table entries: the largest binary index is 255, still uint8
+    "chain16": (lambda: _chain(16), ["x -> y", "(x -> y) -> z", "x -> Mid()",
+                                     "(z -> #0) -> Mid()", "Mid()", "#0"]),
+    # 17 * 17 = 289 entries: the binary index widens
+    "chain17": (lambda: _chain(17), ["x -> y", "(x -> y) -> z", "x -> Mid()",
+                                     "(z -> #0) -> Mid()", "Mid()", "#0"]),
+    # 7 ** 3 = 343 entries: the ternary index widens, the binary one does not
+    "median7": (lambda: _median_chain(7), ["Med(x, y, z)", "Med(x, Med(y, z, x), z -> y)",
+                                           "Med(#0, x, Mid())", "Med(x, y, x) -> y"]),
+}
+
+
+@pytest.mark.parametrize("case", WIDTH_CASES)
+@pytest.mark.parametrize("var_list", [("x", "y"), ("x", "y", "z")])
+def test_column_of_matches_eval_prop_across_index_widths(case, var_list):
+    build, words = WIDTH_CASES[case]
+    lat = build()
+    for text in words:
+        phi = parse_formula(text, lat.signature)
+        if not prop_variables(phi) <= set(var_list):
+            continue
+        col = column_of(phi, lat, var_list)
+        assert col.dtype == np.uint8
+        expected = [lat.index(eval_prop(phi, lat, dict(zip(var_list, vals))))
+                    for vals in itertools.product(lat.elements, repeat=len(var_list))]
+        assert col.tolist() == expected, text
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "chain16", "chain17"])
+def test_fold_axis_matches_sequential_reduction(name):
+    lat = WIDTH_CASES[name][0]() if name in WIDTH_CASES else bundled_lattice(name)
+    rng = np.random.default_rng(20240801)
+    for shape in [(5, 1), (7, 13), (2, 3, 16)]:
+        grid = rng.integers(0, lat.m, size=shape).astype(np.uint8)
+        for conn in (JOIN, MEET):
+            got = _fold_axis(grid, lat.flat(conn), lat.m)
+            assert got.dtype == np.uint8
+            table = lat.tables[conn]
+            expected = functools.reduce(lambda acc, k: table[acc, grid[..., k]],
+                                        range(1, shape[-1]), grid[..., 0])
+            assert np.array_equal(got, expected), (shape, conn)

@@ -8,7 +8,9 @@ from latlog import (
     Func,
     Quant,
     alpha_equal,
+    bundled_lattice,
     parse_formula,
+    propcore,
     render,
 )
 from latlog.errors import (
@@ -33,6 +35,7 @@ from latlog.folift import (
     generalize_interpolant,
     skolemize,
 )
+from latlog.interp import find_prop_interpolant
 from latlog.syntax import PredicateLanguage, functions_of, predicates_of
 
 from genutil import all_unary_structures
@@ -428,6 +431,50 @@ def test_pipeline_interpolant_mentions_only_common_predicates(mc):
     b_preds = set(predicates_of(phi.args[1]))
     assert set(predicates_of(result.interpolant)) <= (a_preds & b_preds)
     assert not any(f.startswith("sk") for f in functions_of(result.interpolant))
+
+
+README_SENTENCE = "exists x.(B(x) & forall y. C(y)) -> exists x.(A(x) | B(x))"
+
+
+def test_pipeline_builds_the_herbrand_grids_once(mc, monkeypatch):
+    """On mc the README sentence's valid expansion (n=5) abstracts to 15
+    atoms, over the variable cap of 10, so its validity check is factored
+    into grids over 5 shared + 5 private variables per side.  The check's
+    envelope pair feeds the propositional search, so those grids are built
+    once, not again by ``envelopes``."""
+    built = []
+    original = propcore._implication_parts
+
+    def counting(a, b, lat, var_cap=None):
+        parts = original(a, b, lat, var_cap)
+        built.append((len(parts.shared) + len(parts.left), len(parts.shared) + len(parts.right)))
+        return parts
+
+    monkeypatch.setattr(propcore, "_implication_parts", counting)
+    trace = fo_interpolate(parse_formula(README_SENTENCE), mc).trace
+    assert trace.herbrand.envelopes is not None
+    assert built.count((10, 10)) == 1
+
+
+@pytest.mark.parametrize("name, text", [
+    *((name, README_SENTENCE)
+      for name in ("mc", "godel3", "lukasiewicz3", "three-0a", "diamond", "classical")),
+    ("classical", "(forall x. P(x)) -> P(c)"),
+    ("godel3", "(forall x. P(x)) & Q(c) -> Q(c) | R(d)"),
+    ("mc", "P(c,d,d) -> exists x. P(c,x,d)"),
+])
+def test_herbrand_envelopes_give_the_verdict_of_a_fresh_search(name, text):
+    """The envelope pair the Herbrand check hands on (when it was factored)
+    is the one ``envelopes`` computes for the abstracted sides: the verdict
+    and interpolant word equal those of a search that builds its own."""
+    lat = bundled_lattice(name)
+    trace = fo_interpolate(parse_formula(text), lat).trace
+    fresh = find_prop_interpolant(trace.prop_antecedent, trace.prop_succedent, lat)
+    assert trace.verdict.status == fresh.status == "YES"
+    assert trace.verdict.interpolant_word == fresh.interpolant_word
+    assert trace.verdict.lower == fresh.lower and trace.verdict.upper == fresh.upper
+    if trace.herbrand.envelopes is not None:
+        assert trace.verdict.lower is trace.herbrand.envelopes.lower
 
 
 # ---------------------------------------------------------------------------
