@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     FrameViolation,
     ImplicationLawViolation,
+    LatlogError,
     LatticeAxiomViolation,
     MissingMandatoryConnective,
     ParseError,
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 JOIN, MEET, IMP = "|", "&", "->"
+MAX_ELEMENTS = 256  # element indices, tables and validity grids are uint8
 
 #: name, arity, polarity of the three connectives every lattice must carry
 MANDATORY = (
@@ -123,6 +125,8 @@ class Lattice:
     def __post_init__(self):
         self._flat: dict[str, np.ndarray] = {}
         self._index = {e: i for i, e in enumerate(self.elements)}
+        # tables other modules derive from this algebra, built on first use
+        self.derived: dict[str, object] = {}
 
     @property
     def m(self) -> int:
@@ -224,6 +228,9 @@ def validate_lattice(raw: RawLattice) -> Lattice:
     if len(set(elements)) != len(elements):
         raise LatticeAxiomViolation("duplicate element names", elements=elements)
     m = len(elements)
+    if m > MAX_ELEMENTS:  # not an axiom violation: an input this tool does not support
+        raise LatlogError(f"{m} elements declared; at most {MAX_ELEMENTS} are supported",
+                          elements=m)
     index = {e: i for i, e in enumerate(elements)}
 
     def to_index(name: str, where: str) -> int:

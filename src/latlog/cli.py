@@ -263,9 +263,20 @@ def cmd_decide(config: RunConfig) -> tuple[int, dict]:
         "k": report.k, "complete": report.complete,
         "pairs_checked": report.pairs_checked,
     }
+    if report.bucket is not None:
+        out["bucket"] = dict(zip(("left", "shared", "right"), report.bucket))
     if report.witness_pair:
         out["witness_antecedent"] = render(report.witness_pair[0])
         out["witness_succedent"] = render(report.witness_pair[1])
+    cert = report.certificate
+    if cert is not None:
+        out["certificate"] = {
+            "shared": list(cert.shared),
+            "upper_envelope": " ".join(cert.upper.value_names(lat)),
+            "lower_envelope": " ".join(cert.lower.value_names(lat)),
+            "points": [dict(p) for p in cert.points],
+            "relation": [f"({a}, {b})" for a, b in cert.relation],
+        }
     if report.sample_interpolant is not None:
         out["sample_interpolant"] = render(report.sample_interpolant)
     if report.notes:

@@ -10,8 +10,9 @@ UNKNOWN rather than being silently truncated.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .propcore import (
     ClosureState,
     EnvelopePair,
     ValueColumn,
+    _decode_valuation,
     _fold_axis,
     constant_values,
     envelopes,
@@ -32,6 +34,9 @@ from .propcore import (
     representable_closure,
 )
 from .syntax import App, Formula, PropVar, conjoin, disjoin, implies, prop_variables, substitute
+
+if TYPE_CHECKING:
+    from .relations import BinaryInvariants
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
@@ -208,9 +213,25 @@ def merge_interpolants_sigma(interpolants: Mapping[tuple[str, ...], Formula],
 
 @dataclass
 class DecideBudget:
-    max_pairs: int = 200_000
+    max_pairs: int = 200_000  # (bucket, U) tests
     closure: ClosureBudget = field(default_factory=lambda: ClosureBudget(
         max_columns=3000, max_apps_per_level=500_000))
+
+
+@dataclass
+class RelationalCertificate:
+    """A NO certificate from values alone.  ``upper`` is an upper envelope
+    U of the bucket and ``lower`` the greatest lower envelope L_U below it,
+    so an interpolant would have to be L_U itself.  The shared valuations
+    ``points`` (p, q) take L_U to a pair outside ``relation``, the
+    subuniverse of A² their coordinate pairs generate, so L_U is not the
+    column of any word."""
+
+    shared: tuple[str, ...]
+    upper: ValueColumn
+    lower: ValueColumn
+    points: tuple[dict[str, str], dict[str, str]]
+    relation: tuple[tuple[str, str], ...]
 
 
 @dataclass
@@ -220,11 +241,18 @@ class DecisionReport:
     constant_values: tuple[str, ...]
     k: int
     complete: bool
-    pairs_checked: int = 0
+    pairs_checked: int = 0  # (bucket, U) tests
     witness_pair: Optional[tuple[Formula, Formula]] = None
     pair_verdict: Optional[InterpolationVerdict] = None
     sample_interpolant: Optional[Formula] = None
     notes: list[str] = field(default_factory=list)
+    bucket: Optional[tuple[int, int, int]] = None  # (left, shared, right) that failed or stopped
+    certificate: Optional[RelationalCertificate] = None  # a NO without witness words
+
+
+# upper envelopes a bucket may enumerate outright, as every function over
+# its shared valuations; beyond this it needs a complete right-side closure
+CANDIDATE_LIMIT = 20_000
 
 
 def _left_vars(l: int) -> list[str]:
@@ -303,28 +331,36 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
     Quick paths: no representable constant values means NO (witnessed by
     x <= y -> y, whose only interpolant would be a closed word for the top
     element); all values representable means YES with constructive
-    interpolants.  Otherwise candidate implications are enumerated as pairs of
-    representable columns over at most k left, shared and right variables
-    (k = |L| suffices for completeness; a negative k is an input error); the
-    first valid pair without a representable column between its envelopes is
-    a NO witness.  YES is only reported when the complete enumeration
-    finished; exhausted budgets and bounded runs return UNKNOWN.
+    interpolants.  Otherwise candidate implications are grouped in buckets
+    of (left, shared, right) variable counts, at most k each (k = |L|
+    suffices for completeness; a negative k is an input error), taken by
+    total size.  YES is only reported when every bucket passed with
+    k >= |L|; a bounded run that passes returns UNKNOWN.
 
-    Pairs come in buckets of (left, shared, right) variable counts, taken by
-    total size.  Each bucket is decided with array operations: its columns
-    are folded to envelope rows, the distinct rows are compared, and a
-    boolean matrix product over the shared closure tells which valid pairs
-    have a column between their envelopes.  The NO witness is the first
-    failing pair in the enumeration order (A column, then B column).  The
-    pair budget counts pairs in that order: a failing pair is reported only
-    when its position is within ``max_pairs``, and a bucket that crosses the
-    budget first ends the run as UNKNOWN with ``pairs_checked == max_pairs``.
+    A bucket fails exactly when some upper envelope U has a greatest lower
+    envelope L_U below it that is not representable.  Buckets without left
+    or without right variables pass outright: there the lower or the upper
+    envelope is itself a representable shared column.  In the others the
+    candidates for U are every function over the shared valuations when
+    there are at most CANDIDATE_LIMIT of them, otherwise the distinct upper
+    envelopes of a complete right-side closure; when neither is at hand the
+    run stops UNKNOWN and names the bucket and its candidate count.  Each
+    candidate is tested with the binary invariants of the lattice
+    (``BinaryInvariants``), without pairing closure columns.
+
+    The first failing bucket gives the NO witness: the first failing pair of
+    its closures in enumeration order (A column, then B column), when its
+    closures complete within ``budget.closure``; otherwise a
+    ``RelationalCertificate``.  ``pairs_checked`` counts (bucket, U) tests
+    in order, and ``max_pairs`` bounds it: a failing U counts only when its
+    position is within the budget, and a bucket that crosses the budget
+    first ends the run as UNKNOWN with ``pairs_checked == max_pairs``.
+    ``bucket`` names the bucket that failed or stopped the run.
     """
     _check_k(k)
     budget = budget or DecideBudget()
     n = lat.m
     kk = n if k is None else k
-    complete_requested = kk >= n
     values = constant_values(lat)
     vals = tuple(values)
 
@@ -346,9 +382,12 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
             notes=["every value is a closed word; the constructive interpolant applies"],
         )
 
-    pairs_checked = 0
-    all_complete = True
-    notes: list[str] = []
+    # imported here, so that only decisions reaching the buckets compile it
+    from .relations import all_functions, binary_invariants, first_failing_upper
+
+    inv = binary_invariants(lat)
+    m = lat.m
+    tests = 0
     closures: dict[tuple[str, ...], ClosureResult] = {}  # one per variable list
 
     def closure_for(var_list: tuple[str, ...]) -> ClosureResult:
@@ -356,61 +395,95 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
             closures[var_list] = representable_closure(lat, var_list, budget=budget.closure)
         return closures[var_list]
 
+    def stop(bucket, note: str) -> DecisionReport:
+        return DecisionReport(UNKNOWN, "enumeration", vals, kk, False,
+                              pairs_checked=tests, bucket=bucket, notes=[note])
+
     buckets = sorted(
         itertools.product(range(kk + 1), repeat=3),
         key=lambda t: (sum(t), t),
     )
-    for l, s, r in buckets:
-        a_vars = tuple(_left_vars(l) + _shared_vars(s))
+    for bucket in buckets:
+        l, s, r = bucket
+        if not (l and r):
+            continue
         b_vars = tuple(_shared_vars(s) + _right_vars(r))
-        a_clo, b_clo = closure_for(a_vars), closure_for(b_vars)
-        s_clo = closure_for(tuple(_shared_vars(s)))
-        if not (a_clo.complete and b_clo.complete and s_clo.complete):
-            all_complete = False
-            notes.append(f"closure budget hit at sizes (left={l}, shared={s}, right={r})")
-            if not s_clo.complete:
-                continue  # cannot trust a NO for this bucket
-        a_cols, b_cols = a_clo.columns, b_clo.columns
-        m, m_s = lat.m, lat.m ** s
-        lower = _envelope_rows(a_cols, (m ** l, m_s), lat.flat(JOIN), m, fold_first=True)
-        upper = _envelope_rows(b_cols, (m_s, m ** r), lat.flat(MEET), m, fold_first=False)
-        shared = np.stack([c.values for c in s_clo.columns])
-        hit = _first_failing_pair(lower, upper, shared, lat.leq)
-        remaining = budget.max_pairs - pairs_checked
-        if hit is not None and hit[0] * len(b_cols) + hit[1] < remaining:
+        points = m ** s
+        where = (f"bucket (left={l}, shared={s}, right={r}) with {m}^{points} "
+                 f"upper-envelope candidates")
+        if not inv.available:
+            return stop(bucket, f"{where}: the binary invariants of a {m}-element lattice "
+                                f"are too large to generate")
+        if points * math.log(m) <= math.log(CANDIDATE_LIMIT):
+            uppers, closed = all_functions(m, points), False
+        else:
+            b_clo = closure_for(b_vars)
+            if not b_clo.complete:
+                return stop(bucket, f"{where}: more than {CANDIDATE_LIMIT} to enumerate, and the "
+                                    f"closure over {', '.join(b_vars)} is incomplete "
+                                    f"({b_clo.budget_note})")
+            rows = _envelope_rows(b_clo.columns, (m ** s, m ** r), lat.flat(MEET), m,
+                                  fold_first=False)
+            _, first = np.unique(rows, axis=0, return_index=True)
+            uppers, closed = rows[np.sort(first)], True
+        remaining = max(0, budget.max_pairs - tests)
+        hit = first_failing_upper(inv, l, s, r, uppers[:remaining], closed)
+        if hit is not None:
+            index, lower = hit
+            return _no_report(lat, inv, bucket, uppers[index], lower, closure_for,
+                              DecisionReport(NO, "enumeration", vals, kk, True,
+                                             pairs_checked=tests + index + 1, bucket=bucket))
+        if len(uppers) > remaining:
+            return DecisionReport(
+                UNKNOWN, "budget", vals, kk, False, pairs_checked=budget.max_pairs,
+                bucket=bucket, notes=[f"budget of {budget.max_pairs} (bucket, U) tests exhausted"],
+            )
+        tests += len(uppers)
+
+    if kk >= n:
+        return DecisionReport(YES, "enumeration", vals, kk, True, pairs_checked=tests)
+    return DecisionReport(UNKNOWN, "enumeration", vals, kk, False, pairs_checked=tests,
+                          notes=[f"no failing bucket with at most {kk} variables per group; "
+                                 f"completeness needs {n}"])
+
+
+def _no_report(lat: Lattice, inv: BinaryInvariants, bucket: tuple[int, int, int],
+               upper: np.ndarray, lower: np.ndarray, closure_for,
+               report: DecisionReport) -> DecisionReport:
+    """Complete the NO ``report`` of a failing bucket with the first failing
+    pair of its closures, or else with a value-level certificate for the
+    failing U and L_U."""
+    l, s, r = bucket
+    m = lat.m
+    s_vars = tuple(_shared_vars(s))
+    s_clo = closure_for(s_vars)
+    if s_clo.complete:
+        a_clo = closure_for(tuple(_left_vars(l)) + s_vars)
+        b_clo = closure_for(s_vars + tuple(_right_vars(r)))
+        lows = _envelope_rows(a_clo.columns, (m ** l, m ** s), lat.flat(JOIN), m, fold_first=True)
+        ups = _envelope_rows(b_clo.columns, (m ** s, m ** r), lat.flat(MEET), m, fold_first=False)
+        hit = _first_failing_pair(lows, ups, np.stack([c.values for c in s_clo.columns]), lat.leq)
+        if hit is not None:
             ia, ib = hit
-            verdict = InterpolationVerdict(
-                NO, None, None, tuple(_shared_vars(s)),
-                ValueColumn(tuple(_shared_vars(s)), lower[ia]),
-                ValueColumn(tuple(_shared_vars(s)), upper[ib]),
+            report.witness_pair = (a_clo.columns[ia].witness, b_clo.columns[ib].witness)
+            report.pair_verdict = InterpolationVerdict(
+                NO, None, None, s_vars,
+                ValueColumn(s_vars, lows[ia]), ValueColumn(s_vars, ups[ib]),
                 closure_columns=s_clo.columns, closure_complete=True,
                 closure_cumulative=s_clo.cumulative,
             )
-            return DecisionReport(
-                NO, "enumeration", vals, kk, True,
-                pairs_checked=pairs_checked + ia * len(b_cols) + ib + 1,
-                witness_pair=(a_cols[ia].witness, b_cols[ib].witness),
-                pair_verdict=verdict,
-                notes=notes,
-            )
-        if len(a_cols) * len(b_cols) > remaining:
-            notes.append(f"pair budget {budget.max_pairs} exhausted")
-            return DecisionReport(
-                UNKNOWN, "budget", vals, kk, False,
-                pairs_checked=budget.max_pairs, notes=notes,
-            )
-        pairs_checked += len(a_cols) * len(b_cols)
-
-    if complete_requested and all_complete:
-        return DecisionReport(YES, "enumeration", vals, kk, True,
-                              pairs_checked=pairs_checked, notes=notes)
-    if not all_complete:
-        notes.append("enumeration incomplete under the closure budget")
-    else:
-        notes.append(f"no failing pair with at most {kk} variables per group; "
-                     f"completeness needs {n}")
-    return DecisionReport(UNKNOWN, "enumeration", vals, kk, False,
-                          pairs_checked=pairs_checked, notes=notes)
+            return report
+    p, q = inv.violation(lower, s)
+    relation = inv.ids(s)[p, q]
+    report.certificate = RelationalCertificate(
+        s_vars, ValueColumn(s_vars, upper), ValueColumn(s_vars, lower),
+        (_decode_valuation(p, s_vars, lat), _decode_valuation(q, s_vars, lat)),
+        tuple((lat.elements[a], lat.elements[b])
+              for a, b in np.argwhere(inv.relations[relation])),
+    )
+    report.notes.append("the bucket's closures within the closure budget show no failing "
+                        "pair; the certificate is value-level")
+    return report
 
 
 # ---------------------------------------------------------------------------

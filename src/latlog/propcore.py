@@ -306,9 +306,6 @@ class ClosureResult:
     connectives: tuple[str, ...]
     budget_note: Optional[str] = None
 
-    def value_sets(self, lat: Lattice) -> set[tuple[str, ...]]:
-        return {c.value_names(lat) for c in self.columns}
-
 
 @dataclass
 class ClosureBudget:
@@ -461,12 +458,13 @@ class ClosureState:
         return join_args(conn, [f"({self.words[t]})" if p else self.words[t]
                                 for t, p in zip(tup, parens)])
 
-    def _candidates(self, blocks, inside=None) -> dict[bytes, tuple]:
+    def _candidates(self, blocks, inside=None, limit=None) -> dict[bytes, tuple]:
         """Evaluate (connective, argument tuples) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
         least (length, word, values, connective, tuple).  Lengths come from
         the arguments' word lengths and precedences; words are joined only
-        for the shortest applications of a column."""
+        for the shortest applications of a column.  Evaluation stops after
+        the block that takes the count of new columns past ``limit``."""
         best: dict[bytes, tuple] = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
@@ -499,13 +497,20 @@ class ClosureState:
                 entry = (int(length[row]), word, vals[row].copy(), conn.name, tuple(tup[row]))
                 if old is None or entry[:2] < old[:2]:
                     best[key] = entry
+            if limit is not None and len(best) > limit:
+                break
         return best
 
-    def grow(self) -> int:
-        """Materialise the next level fully; returns the number of new columns."""
+    def grow(self, max_new: Optional[int] = None) -> int:
+        """Materialise the next level fully; returns the number of new columns.
+        When more than ``max_new`` new columns turn up, the level is dropped
+        unfinished and uncommitted, and the count found so far is returned."""
         every = [np.arange(self.total)]
-        best = self._candidates((c, tup) for c in self.conns
-                                for tup in self._tuples(c, [every * c.arity], self.N))
+        blocks = ((c, tup) for c in self.conns
+                  for tup in self._tuples(c, [every * c.arity], self.N))
+        best = self._candidates(blocks, limit=max_new)
+        if max_new is not None and len(best) > max_new:
+            return len(best)
         added = self._commit(
             (length, word, values, App(cname, tuple(self.wits[t] for t in tup)))
             for length, word, values, cname, tup in best.values())
@@ -636,11 +641,14 @@ def grow_closure(state: ClosureState, budget: ClosureBudget,
         if apps > budget.max_apps_per_level:
             return None, (f"next level needs {apps} applications, "
                           f"budget is {budget.max_apps_per_level}")
-        if state.grow() == 0:
+        room = max(0, budget.max_columns - state.total)
+        added = state.grow(room)
+        if added > room:  # the level was not committed
+            return None, (f"column budget {budget.max_columns} exceeded at "
+                          f"{state.total + added} columns")
+        if added == 0:
             return None, None
         level += 1
-        if state.total > budget.max_columns:
-            return None, f"column budget {budget.max_columns} exceeded at {state.total} columns"
 
 
 def representable_closure(lat: Lattice, var_list: Sequence[str],
@@ -692,3 +700,4 @@ def envelopes(a: Formula, b: Formula, lat: Lattice,
             countervaluation=_implication_counter(parts, lat),
         )
     return parts.envelope_pair()
+

@@ -40,6 +40,16 @@ def test_validate_broken_lattice(tmp_path, capsys):
     assert report["details"]["witness"] == ["1", "0"]
 
 
+def test_lattice_beyond_256_elements_is_an_input_error(tmp_path, capsys):
+    names = [f"e{i}" for i in range(257)]
+    chain = tmp_path / "chain257.lat"
+    chain.write_text("elements " + " ".join(names) + "\n"
+                     + "".join(f"order {a} < {b}\n" for a, b in zip(names, names[1:])))
+    code, report = run_json(capsys, "validate", "--lattice", str(chain))
+    assert code == 3
+    assert report["code"] == "ERROR" and "at most 256" in report["message"]
+
+
 def test_valid_command_exit_codes(capsys):
     code, _ = run(capsys, "valid", "--lattice", "classical", "--formula", "x -> x")
     assert code == 0
@@ -94,6 +104,32 @@ def test_decide_command(capsys):
     assert report["path"] == "no_constant_values"
     code, report = run_json(capsys, "decide", "--lattice", "three-0a")
     assert code == 0
+
+
+def test_decide_command_names_the_bucket(capsys, monkeypatch):
+    code, report = run_json(capsys, "decide", "--lattice", "three-01")
+    assert code == 1
+    assert report["bucket"] == {"left": 1, "shared": 0, "right": 1}
+    assert report["pairs_checked"] == 2
+    assert report["witness_antecedent"] == "(x1 -> #0) & x1"
+    code, report = run_json(capsys, "decide", "--lattice", "godel3")
+    assert code == 2
+    assert report["bucket"] == {"left": 1, "shared": 3, "right": 1}
+    # closures too small for witness words: the value-level certificate
+    import functools
+
+    from latlog import cli
+    from latlog.interp import DecideBudget, decide_interpolation
+    from latlog.propcore import ClosureBudget
+
+    small = DecideBudget(closure=ClosureBudget(max_columns=4))
+    monkeypatch.setattr(cli, "decide_interpolation",
+                        functools.partial(decide_interpolation, budget=small))
+    code, report = run_json(capsys, "decide", "--lattice", "mc")
+    assert code == 1 and "witness_antecedent" not in report
+    cert = report["certificate"]
+    assert cert["shared"] == ["y1"] and len(cert["points"]) == 2
+    assert cert["lower_envelope"] == "0 u1 u2 0 0"
 
 
 def test_spectrum_command(capsys):

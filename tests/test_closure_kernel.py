@@ -12,6 +12,7 @@ from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded
 from latlog.propcore import (
+    ClosureBudget,
     ClosureState,
     _fold_axis,
     column_of,
@@ -19,6 +20,7 @@ from latlog.propcore import (
     eval_prop,
     representable_closure,
 )
+from latlog.relations import binary_invariants
 from latlog.syntax import prop_variables
 
 from closure_reference import reference_closure
@@ -75,6 +77,39 @@ def test_extra_connectives_match_reference(lat, connectives, var_list):
     cap = 2 if len(var_list) == 2 else None
     got = representable_closure(lat, var_list, level_cap=cap, connectives=connectives)
     assert _summary(got) == reference_closure(lat, var_list, cap, connectives)
+
+
+@pytest.mark.parametrize("lat", [
+    _lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])),
+    _lattice(RawConnective("Mid", (), ["h"])),
+    _median_lattice(),
+], ids=["unary", "nullary", "ternary"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_relations_decide_membership_with_extra_connectives(lat, n):
+    """The binary invariants see unary, nullary and ternary connectives:
+    a function over n variables is representable exactly when the complete
+    closure holds it."""
+    m = lat.m
+    idx = np.arange(m ** (m ** n))
+    every = np.stack([(idx // m ** (m ** n - 1 - j)) % m for j in range(m ** n)], axis=1)
+    closure = representable_closure(lat, tuple(f"v{i + 1}" for i in range(n)))
+    assert closure.complete
+    members = {c.values.tobytes() for c in closure.columns}
+    want = np.array([row.astype(np.uint8).tobytes() in members for row in every])
+    assert (binary_invariants(lat).is_representable(every, n) == want).all()
+
+
+def test_column_budget_holds_inside_a_level():
+    """A level that would cross the column budget is dropped before it is
+    committed: the closure stays a prefix of the canonical order."""
+    lat = bundled_lattice("three-01")
+    var_list = ("z1", "z2", "z3")
+    got = representable_closure(lat, var_list, budget=ClosureBudget(3000, None, 500_000))
+    assert not got.complete and len(got.columns) <= 3000
+    assert got.budget_note.startswith("column budget 3000 exceeded at ")
+    levels = len(got.cumulative) - 1
+    prefix = representable_closure(lat, var_list, level_cap=levels)
+    assert [c.word for c in got.columns] == [c.word for c in prefix.columns]
 
 
 def _first_new_fit(state, lower, upper):
