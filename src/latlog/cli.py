@@ -6,15 +6,13 @@ in the same order.  Exit codes: 0 for YES/valid/success (and ``--help``), 1
 for NO/invalid, 2 for UNKNOWN (budget), 3 for input errors (usage errors
 such as an unknown flag or a missing option included), 4 for internal errors
 (any exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
-can also be set through environment variables (LATLOG_VAR_CAP,
-LATLOG_LEVEL_CAP, LATLOG_MAX_N, LATLOG_DOMAIN_CAP); explicit flags win.
+are flags, accepted only by the commands that read them.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,16 +79,6 @@ class RunConfig:
     out_lattice: Optional[str] = None
     output: Optional[str] = None
     fmt: str = "text"
-
-
-def _env_int(name: str, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise LatlogError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _load_lattice_arg(spec: str) -> Lattice:
@@ -195,8 +183,8 @@ def cmd_valid(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_closure(config: RunConfig) -> tuple[int, dict]:
     lat = _load_lattice_arg(config.lattice)
-    clo = representable_closure(lat, config.variables, level_cap=config.level_cap,
-                                budget=ClosureBudget(),
+    clo = representable_closure(lat, config.variables,
+                                budget=ClosureBudget(max_levels=config.level_cap),
                                 connectives=config.connectives)
     rows = [
         {"values": " ".join(c.value_names(lat)), "witness": c.word, "level": c.level}
@@ -508,15 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, lattice: bool = True):
+    def add(name: str, help_text: str, lattice: bool = True, var_cap: bool = False):
         p = sub.add_parser(name, help=help_text)
         if lattice:
             p.add_argument("--lattice", required=True,
                            help="lattice file path or bundled name")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report to this file")
-        p.add_argument("--var-cap", type=int, default=None,
-                       help="validity sweep variable cap (default 10)")
+        if var_cap:
+            p.add_argument("--var-cap", type=int, default=None,
+                           help="validity sweep variable cap (default 10)")
         return p
 
     add("validate", "check every lattice axiom")
@@ -526,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", required=True,
                    help="comma-separated assignment, e.g. x=1,y=a")
 
-    p = add("valid", "exhaustive validity check")
+    p = add("valid", "exhaustive validity check", var_cap=True)
     p.add_argument("--formula", required=True)
 
     p = add("closure", "representable-function closure")
@@ -537,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("constants", "values of closed words")
 
-    p = add("interpolate", "propositional interpolant search")
+    p = add("interpolate", "propositional interpolant search", var_cap=True)
     p.add_argument("antecedent")
     p.add_argument("succedent")
 
@@ -552,15 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("skolemize", "replace strong quantifiers")
     p.add_argument("--formula", required=True)
 
-    p = add("expand", "n-th expansion of the weak quantifiers")
+    p = add("expand", "n-th expansion of the weak quantifiers", var_cap=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("herbrand", "search for a valid expansion")
+    p = add("herbrand", "search for a valid expansion", var_cap=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-n", type=int, default=None)
 
-    p = add("fo-interpolate", "first-order interpolation pipeline")
+    p = add("fo-interpolate", "first-order interpolation pipeline", var_cap=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--domain-cap", type=int, default=None)
@@ -582,18 +571,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.frame = getattr(args, "frame", None)
     cfg.out_lattice = getattr(args, "out_lattice", None)
     cfg.mode = getattr(args, "mode", "godel")
-    cfg.var_cap = (getattr(args, "var_cap", None)
-                   if getattr(args, "var_cap", None) is not None
-                   else _env_int("LATLOG_VAR_CAP", 10))
-    cfg.level_cap = (getattr(args, "level_cap", None)
-                     if getattr(args, "level_cap", None) is not None
-                     else _env_int("LATLOG_LEVEL_CAP", None))
-    cfg.max_n = (getattr(args, "max_n", None)
-                 if getattr(args, "max_n", None) is not None
-                 else _env_int("LATLOG_MAX_N", 8))
-    cfg.domain_cap = (getattr(args, "domain_cap", None)
-                      if getattr(args, "domain_cap", None) is not None
-                      else _env_int("LATLOG_DOMAIN_CAP", 2))
+    for budget in ("var_cap", "level_cap", "max_n", "domain_cap"):
+        if getattr(args, budget, None) is not None:  # else RunConfig's default
+            setattr(cfg, budget, getattr(args, budget))
     cfg.k = getattr(args, "k", None)
     cfg.n = getattr(args, "n", 1)
     if getattr(args, "formula", None) is not None:

@@ -42,21 +42,23 @@ from .syntax import (
     Var,
     all_identifiers,
     atoms_of,
-    children,
     classify_quantifiers,
     conjoin,
     disjoin,
     ensure_object_constant,
     free_object_vars,
+    fold,
     fresh_name,
     functions_of,
     implies,
     inferred_language,
     is_quantifier_free,
+    nodes,
     predicates_of,
     render,
     substitute,
     term_vars,
+    with_children,
 )
 
 # ---------------------------------------------------------------------------
@@ -318,37 +320,25 @@ def abstract_ground_atoms(phi: Formula, naming: Optional[dict[str, str]] = None
                 raise LatlogError(f"atom {render(a)} is not ground")
     naming = naming if naming is not None else {}
 
-    def var_for(a: Atom) -> str:
-        key = render(a)
-        if key not in naming:
-            naming[key] = f"a{len(naming) + 1}"
-        return naming[key]
-
-    def walk(f: Formula) -> Formula:
+    def abstract(f: Formula, kids) -> Formula:
         if isinstance(f, Atom):
-            return PropVar(var_for(f))
-        if isinstance(f, App):
-            return App(f.conn, tuple(walk(x) for x in f.args))
+            key = render(f)
+            if key not in naming:
+                naming[key] = f"a{len(naming) + 1}"
+            return PropVar(naming[key])
         if isinstance(f, Quant):
             raise LatlogError("cannot abstract under a quantifier")
-        return f
+        return with_children(f, kids)
 
-    return walk(phi), naming
+    return fold(phi, abstract), naming
 
 
 def concretize(word: Formula, naming: Mapping[str, str],
                atom_tab: Mapping[str, Atom]) -> Formula:
     """Inverse of the abstraction: propositional variables back to atoms."""
     rev = {v: k for k, v in naming.items()}
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, PropVar):
-            return atom_tab[rev[f.name]]
-        if isinstance(f, App):
-            return App(f.conn, tuple(walk(x) for x in f.args))
-        return f
-
-    return walk(word)
+    return fold(word, lambda f, kids: (atom_tab[rev[f.name]] if isinstance(f, PropVar)
+                                       else with_children(f, kids)))
 
 
 def check_valid_expansion(phi: Formula, lat: Lattice,
@@ -433,52 +423,16 @@ class GeneralizationStep:
 def _terms_preorder(phi: Formula) -> list[Term]:
     """Every function-headed term occurrence, outer before inner, left before
     right, deduplicated keeping the first occurrence."""
-    seen: dict[Term, None] = {}
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Func):
-            seen.setdefault(t)
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            for t in f.args:
-                walk_term(t)
-        else:
-            for c in children(f):
-                walk(c)
-
-    walk(phi)
-    return list(seen)
+    return list(dict.fromkeys(t for t in nodes(phi) if isinstance(t, Func)))
 
 
 def _is_subterm(small: Term, big: Term) -> bool:
-    if small == big:
-        return True
-    if isinstance(big, Func):
-        return any(_is_subterm(small, a) for a in big.args)
-    return False
+    return any(t == small for t in nodes(big))
 
 
 def _replace_term(phi: Formula, old: Term, new: Term) -> Formula:
-    def rt(t: Term) -> Term:
-        if t == old:
-            return new
-        if isinstance(t, Func):
-            return Func(t.name, tuple(rt(a) for a in t.args))
-        return t
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(rt(t) for t in f.args))
-        if isinstance(f, App):
-            return App(f.conn, tuple(walk(a) for a in f.args))
-        if isinstance(f, Quant):
-            return Quant(f.kind, f.var, walk(f.body))
-        return f
-
-    return walk(phi)
+    return fold(phi, lambda f, kids: (new if isinstance(f, (Var, Func)) and f == old
+                                      else with_children(f, kids)))
 
 
 def generalize_interpolant(istar: Formula, sk_a: Formula, sk_b: Formula,

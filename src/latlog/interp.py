@@ -383,7 +383,7 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
         )
 
     # imported here, so that only decisions reaching the buckets compile it
-    from .relations import all_functions, binary_invariants, first_failing_upper
+    from .relations import _points, binary_invariants, first_failing_upper
 
     inv = binary_invariants(lat)
     m = lat.m
@@ -415,7 +415,7 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
             return stop(bucket, f"{where}: the binary invariants of a {m}-element lattice "
                                 f"are too large to generate")
         if points * math.log(m) <= math.log(CANDIDATE_LIMIT):
-            uppers, closed = all_functions(m, points), False
+            uppers, closed = _points(m, points), False
         else:
             b_clo = closure_for(b_vars)
             if not b_clo.complete:

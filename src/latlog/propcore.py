@@ -44,6 +44,7 @@ from .syntax import (
     Formula,
     PropVar,
     arg_parens,
+    fold,
     is_prop_word,
     join_args,
     precedence,
@@ -76,9 +77,8 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     return flat[idx]
 
 
-def require_prop_word(phi: Formula) -> None:
-    if not is_prop_word(phi):
-        raise LatlogError(f"not a propositional word: {render(phi)}")
+def _not_a_word(phi: Formula) -> LatlogError:
+    return LatlogError(f"not a propositional word: {render(phi)}")
 
 
 def _projection(m: int, n: int, k: int) -> np.ndarray:
@@ -93,14 +93,15 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
     Internally the valuation grid is an n-dimensional broadcast: each variable
     occupies one axis, so subformulas touching few variables stay small and
     the full m**n layout is materialised only once at the end."""
-    require_prop_word(phi)
     var_list = tuple(var_list)
     m = lat.m
     n = len(var_list)
     pos = {v: k for k, v in enumerate(var_list)}
     base = np.arange(m, dtype=np.uint8)
 
-    def ev(f: Formula) -> np.ndarray:
+    def value(f: Formula, args) -> np.ndarray:
+        if isinstance(f, App):
+            return apply_connective(lat.flat(f.conn), m, args)
         if isinstance(f, PropVar):
             if f.name not in pos:
                 raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
@@ -111,9 +112,9 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
             return np.full((), lat.constants[f.name], dtype=np.uint8)
-        return apply_connective(lat.flat(f.conn), m, [ev(a) for a in f.args])
+        raise _not_a_word(phi)
 
-    out = ev(phi)
+    out = fold(phi, value)
     if out.shape != (m,) * n:  # a full-shape result is already a fresh array
         out = np.broadcast_to(out, (m,) * n).copy()
     return out.reshape(-1)
@@ -121,9 +122,11 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray
 
 def eval_prop(phi: Formula, lat: Lattice, valuation: Mapping[str, str]) -> str:
     """Value of a propositional word under one valuation (element names)."""
-    require_prop_word(phi)
 
-    def ev(f: Formula) -> int:
+    def value(f: Formula, args) -> int:
+        if isinstance(f, App):
+            table = lat.tables[f.conn]
+            return int(table[tuple(args)] if args else table[()])
         if isinstance(f, PropVar):
             if f.name not in valuation:
                 raise UnboundVariable(f"variable {f.name!r} unassigned", variable=f.name)
@@ -132,10 +135,9 @@ def eval_prop(phi: Formula, lat: Lattice, valuation: Mapping[str, str]) -> str:
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
             return lat.constants[f.name]
-        table = lat.tables[f.conn]
-        return int(table[tuple(ev(a) for a in f.args)] if f.args else table[()])
+        raise _not_a_word(phi)
 
-    return lat.elements[ev(phi)]
+    return lat.elements[fold(phi, value)]
 
 
 def _decode_valuation(index: int, var_list: tuple[str, ...], lat: Lattice) -> dict[str, str]:
@@ -248,7 +250,8 @@ def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> 
     variable count exceeds the cap, a top-level implication falls back to the
     factored check, whose valid report carries the envelope pair; anything
     else raises BUDGET_EXCEEDED."""
-    require_prop_word(phi)
+    if not is_prop_word(phi):
+        raise _not_a_word(phi)
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
     variables = tuple(sorted(prop_variables(phi)))
     if len(variables) <= cap:
@@ -617,8 +620,7 @@ class ClosureState:
         )
 
 
-def grow_closure(state: ClosureState, budget: ClosureBudget,
-                 level_cap: Optional[int] = None, scan=None):
+def grow_closure(state: ClosureState, budget: ClosureBudget, scan=None):
     """The level loop: grow ``state`` until its fixpoint or a budget.
 
     ``scan``, when given, runs before every level; a result other than None
@@ -634,8 +636,6 @@ def grow_closure(state: ClosureState, budget: ClosureBudget,
             if found is not None:
                 return found, None
         apps = state.app_count_next_level()
-        if level_cap is not None and level >= level_cap:
-            return None, f"level cap {level_cap} reached"
         if budget.max_levels is not None and level >= budget.max_levels:
             return None, f"level budget {budget.max_levels} reached"
         if apps > budget.max_apps_per_level:
@@ -652,17 +652,16 @@ def grow_closure(state: ClosureState, budget: ClosureBudget,
 
 
 def representable_closure(lat: Lattice, var_list: Sequence[str],
-                          level_cap: Optional[int] = None,
                           budget: Optional[ClosureBudget] = None,
                           connectives: Optional[Sequence[str]] = None) -> ClosureResult:
     """Level-wise closure of the representable functions over ``var_list``.
 
-    Runs to the fixpoint by default; ``level_cap`` bounds the number of grown
-    levels and the budget bounds columns and per-level applications.  A
-    truncated run is returned with ``complete=False`` and a budget note.
+    Runs to the fixpoint by default; the budget bounds the number of grown
+    levels, the columns and the applications per level.  A truncated run is
+    returned with ``complete=False`` and a budget note.
     """
     state = ClosureState(lat, var_list, connectives)
-    _, note = grow_closure(state, budget or ClosureBudget(), level_cap)
+    _, note = grow_closure(state, budget or ClosureBudget())
     return state.result(note is None, note)
 
 

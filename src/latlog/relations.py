@@ -251,14 +251,6 @@ def binary_invariants(lat: Lattice) -> BinaryInvariants:
     return inv
 
 
-def all_functions(m: int, points: int) -> np.ndarray:
-    """Every function on ``points`` points as a row of values, in
-    lexicographic order (the first point most significant)."""
-    idx = np.arange(m ** points)
-    return np.stack([(idx // m ** (points - 1 - j)) % m for j in range(points)],
-                    axis=1).astype(np.uint8)
-
-
 def point_solutions(inv: BinaryInvariants, l: int, s: int, r: int, left: bool) -> np.ndarray:
     """Extreme columns for the point bounds of a bucket, shape (m**s, m, grid).
 

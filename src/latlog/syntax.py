@@ -22,12 +22,24 @@ distinct namespaces; using a bound object variable in formula position is a
 parse error.  In term position an identifier that is not bound by a
 quantifier is read as an object constant when no explicit predicate language
 is supplied.
+
+The parser is one operator-precedence loop over an explicit stack of the
+infix connectives waiting for a right argument and the groups still open
+(brackets, connective calls, quantifiers); a quantifier with no bracket after
+its dot closes when its group does.  Terms are read by a second loop that
+keeps the open function applications on a stack.  Walks over a formula share
+one traversal on an explicit stack: ``nodes`` yields every subformula and
+term in pre-order, ``fold`` combines values bottom-up, left to right; and
+``render`` is a loop of its own.  Parsing, printing, evaluation and the
+collectors therefore handle any nesting depth.  The walkers that carry a
+binding environment or walk two trees at once (substitution, alpha-equality,
+free variables, quantifier classification) stay recursive.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .algebra import PolaritySignature, default_signature
 from .errors import (
@@ -56,9 +68,7 @@ class Func:
     args: tuple = ()
 
     def __str__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
+        return render(self)
 
 
 Term = Union[Var, Func]
@@ -135,6 +145,64 @@ def implies(a: Formula, b: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# traversal
+
+
+def children(node) -> tuple:
+    """Immediate parts of a formula or term: the arguments of an App, Atom or
+    Func, the body of a Quant, nothing for a variable or constant."""
+    if isinstance(node, Quant):
+        return (node.body,)
+    return getattr(node, "args", ())
+
+
+def with_children(node, kids):
+    """``node`` with its parts replaced by ``kids`` (as ``children`` lists
+    them); variables and constants are returned as they are."""
+    if isinstance(node, App):
+        return App(node.conn, tuple(kids))
+    if isinstance(node, Atom):
+        return Atom(node.pred, tuple(kids))
+    if isinstance(node, Func):
+        return Func(node.name, tuple(kids))
+    if isinstance(node, Quant):
+        return Quant(node.kind, node.var, kids[0])
+    return node
+
+
+def nodes(root) -> Iterator:
+    """``root`` and every subformula and term below it in pre-order, left to
+    right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = children(node)
+        if kids:
+            stack.extend(reversed(kids))
+
+
+def fold(root, combine):
+    """Post-order fold, left to right: ``combine(node, values)`` receives the
+    values of ``children(node)`` in order and returns the value of ``node``."""
+    # pre-order with the children taken right to left is, reversed, the
+    # post-order with the children taken left to right
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    values: list = []
+    for node, n in reversed(order):
+        args = values[len(values) - n:]
+        del values[len(values) - n:]
+        values.append(combine(node, args))
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
 # predicate languages
 
 
@@ -177,25 +245,11 @@ def inferred_language(phi: Formula) -> PredicateLanguage:
     predicate, every term application head a function symbol."""
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Func):
-            _record_arity(funcs, t.name, len(t.args), "function")
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            _record_arity(preds, f.pred, len(f.args), "predicate")
-            for t in f.args:
-                walk_term(t)
-        elif isinstance(f, App):
-            for a in f.args:
-                walk(a)
-        elif isinstance(f, Quant):
-            walk(f.body)
-
-    walk(phi)
+    for node in nodes(phi):
+        if isinstance(node, Atom):
+            _record_arity(preds, node.pred, len(node.args), "predicate")
+        elif isinstance(node, Func):
+            _record_arity(funcs, node.name, len(node.args), "function")
     return PredicateLanguage(preds, funcs)
 
 
@@ -215,26 +269,24 @@ def ensure_object_constant(lang: PredicateLanguage) -> tuple[PredicateLanguage, 
 # ---------------------------------------------------------------------------
 # tokenizer and parser
 
-_TOKEN_RE = re.compile(r"->|[()&|.,#]|[A-Za-z0-9_]+")
-_WS_RE = re.compile(r"\s+")
+# a token, a run of whitespace, or any other character (an error)
+_TOKEN_RE = re.compile(r"(->|[()&|.,#]|[A-Za-z0-9_]+)|\s+|(.)", re.S)
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*").fullmatch
+_VAR = re.compile(r"[a-z][A-Za-z0-9_]*").fullmatch
+_WORD = re.compile(r"[A-Za-z0-9_]+").fullmatch
+# open groups on the parser's operator stack
+_PAREN, _SCOPED, _OPEN, _CALL = ("(",), "scoped", "open", "call"
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ws = _WS_RE.match(text, i)
-        if ws:
-            i = ws.end()
-            continue
-        if i >= n:
-            break
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r} at position {i}", position=i)
-        out.append((m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        tok, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r} at position {m.start()}",
+                             position=m.start())
+        if tok is not None:
+            out.append((tok, m.start()))
     return out
 
 
@@ -278,114 +330,99 @@ class _Parser:
         return ParseError(f"{msg} at position {self.pos()}", position=self.pos())
 
     def parse(self) -> Formula:
-        f = self.formula()
-        if self.peek() is not None:
-            raise self.error(f"unexpected token {self.peek()!r}")
-        return f
+        """One operator-precedence loop.  ``values`` holds finished
+        subformulas; ``ops`` holds the infix connectives still waiting for
+        their right argument and the groups still open: brackets,
+        connective calls and quantifiers.  A quantifier with no bracket
+        right after its dot stays open until its group ends."""
+        values: list = []
+        ops: list = []
+        while True:
+            unit = self.unit(ops)
+            if unit is None:
+                continue  # a group opened: read its first unit
+            values.append(unit)
+            while True:  # after a unit: an infix connective or a group's end
+                tok = self.peek()
+                need = _NEED.get(tok)
+                if need is not None:
+                    while ops and type(ops[-1]) is str and _PREC[ops[-1]] >= need[0]:
+                        self._reduce(ops.pop(), values)
+                    ops.append(self.advance())
+                    break
+                while ops and (type(ops[-1]) is str or ops[-1][0] == _OPEN):
+                    self._reduce(ops.pop(), values)
+                if not ops:
+                    if tok is not None:
+                        raise self.error(f"unexpected token {tok!r}")
+                    return values[0]
+                frame = ops[-1]
+                if frame[0] == _CALL and tok == ",":
+                    frame[3].append(values.pop())
+                    self.advance()
+                    break
+                self.expect(")")
+                ops.pop()
+                if frame[0] == _SCOPED:
+                    self._reduce(frame, values)
+                elif frame[0] == _CALL:
+                    frame[3].append(values.pop())
+                    values.append(self.call(frame[1], frame[2], frame[3]))
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.advance()
-            return App("->", (left, self.formula()))
-        return left
+    def _reduce(self, op, values: list) -> None:
+        """Close an infix connective or a quantifier over the values on top."""
+        if type(op) is str:
+            right = values.pop()
+            values[-1] = App(op, (values[-1], right))
+        else:
+            self.bound.pop()
+            values[-1] = Quant(op[1], op[2], values[-1])
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.advance()
-            f = App("|", (f, self.conjunction()))
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unit()
-        while self.peek() == "&":
-            self.advance()
-            f = App("&", (f, self.unit()))
-        return f
-
-    def unit(self) -> Formula:
+    def unit(self, ops: list) -> Optional[Formula]:
+        """A formula read whole, or None after opening a group on ``ops``."""
         tok = self.peek()
         if tok is None:
             raise self.error("expected a formula")
         if tok == "(":
             self.advance()
-            f = self.formula()
-            self.expect(")")
-            return f
+            ops.append(_PAREN)
+            return None
         if tok == "#":
             self.advance()
             name = self.peek()
-            if name is None or not re.fullmatch(r"[A-Za-z0-9_]+", name):
+            if name is None or not _WORD(name):
                 raise self.error("expected a constant name after '#'")
             self.advance()
             return Const(name)
         if tok in (FORALL, EXISTS):
-            return self.quantifier()
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
-            return self.name_unit()
-        raise self.error(f"unexpected token {tok!r}")
-
-    def quantifier(self) -> Formula:
-        kind = self.advance()
-        var = self.peek()
-        if var is None or not re.fullmatch(r"[a-z][A-Za-z0-9_]*", var):
-            raise self.error("quantifiers bind object variables (lowercase names)")
-        if var in self.funcs:
-            raise self.error(f"cannot bind {var!r}: it is a function symbol")
-        self.advance()
-        self.expect(".")
-        self.bound.append(var)
-        try:
+            kind = self.advance()
+            var = self.peek()
+            if var is None or not _VAR(var):
+                raise self.error("quantifiers bind object variables (lowercase names)")
+            if var in self.funcs:
+                raise self.error(f"cannot bind {var!r}: it is a function symbol")
+            self.advance()
+            self.expect(".")
+            self.bound.append(var)
             if self.peek() == "(":
                 self.advance()
-                body = self.formula()
-                self.expect(")")
+                ops.append((_SCOPED, kind, var))
             else:
-                body = self.formula()
-        finally:
-            self.bound.pop()
-        return Quant(kind, var, body)
-
-    def name_unit(self) -> Formula:
+                ops.append((_OPEN, kind, var))
+            return None
+        if not _NAME(tok):
+            raise self.error(f"unexpected token {tok!r}")
         name = self.advance()
         conn = self.sig.get(name)
-        if conn is not None and conn.name not in ("|", "&", "->"):
+        if conn is not None and conn.name not in _PREC:
             self.expect("(")
-            args = []
             if self.peek() != ")":
-                args.append(self.formula())
-                while self.peek() == ",":
-                    self.advance()
-                    args.append(self.formula())
-            self.expect(")")
-            if len(args) != conn.arity:
-                raise ArityMismatchError(
-                    f"connective {name!r} expects {conn.arity} arguments, got {len(args)}",
-                    symbol=name, arities=(conn.arity, len(args)),
-                )
-            return App(name, tuple(args))
+                ops.append((_CALL, name, conn, []))
+                return None
+            self.advance()
+            return self.call(name, conn, [])
         if name[0].isupper():
-            args: tuple = ()
-            if self.peek() == "(":
-                self.advance()
-                terms = [self.term()]
-                while self.peek() == ",":
-                    self.advance()
-                    terms.append(self.term())
-                self.expect(")")
-                args = tuple(terms)
-            if self.infer:
-                _record_arity(self.preds, name, len(args), "predicate")
-            else:
-                if name not in self.preds:
-                    raise UnknownSymbolError(f"unknown predicate {name!r}", symbol=name)
-                if self.preds[name] != len(args):
-                    raise ArityMismatchError(
-                        f"predicate {name!r} expects {self.preds[name]} arguments, got {len(args)}",
-                        symbol=name, arities=(self.preds[name], len(args)),
-                    )
-            return Atom(name, args)
+            return self.atom(name)
         # lowercase name in formula position
         if self.peek() == "(":
             raise self.error(f"function application {name!r}(...) cannot appear in formula position")
@@ -397,46 +434,77 @@ class _Parser:
             raise self.error(f"term symbol {name!r} used in formula position")
         return PropVar(name)
 
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok is None or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
-            raise self.error("expected a term")
-        if tok[0].isupper():
-            raise self.error(f"predicate symbol {tok!r} in term position")
-        if tok in (FORALL, EXISTS):
-            raise self.error("quantifier keyword in term position")
-        name = self.advance()
+    def call(self, name: str, conn, args: list) -> Formula:
+        if len(args) != conn.arity:
+            raise _arity_error("connective", name, conn.arity, len(args))
+        return App(name, tuple(args))
+
+    def atom(self, name: str) -> Formula:
+        args: tuple = ()
         if self.peek() == "(":
             self.advance()
-            args = [self.term()]
-            while self.peek() == ",":
+            args = self.terms()
+        self.use(self.preds, name, len(args), "predicate")
+        return Atom(name, args)
+
+    def terms(self) -> tuple:
+        """Comma-separated terms through the closing bracket.  Each function
+        application still open keeps its name and arguments on ``pending``;
+        the bottom entry collects the atom's own arguments."""
+        pending: list = [(None, [])]
+        while True:
+            tok = self.peek()
+            if tok is None or not _NAME(tok):
+                raise self.error("expected a term")
+            if tok[0].isupper():
+                raise self.error(f"predicate symbol {tok!r} in term position")
+            if tok in (FORALL, EXISTS):
+                raise self.error("quantifier keyword in term position")
+            name = self.advance()
+            if self.peek() == "(":
                 self.advance()
-                args.append(self.term())
-            self.expect(")")
-            if self.infer:
-                _record_arity(self.funcs, name, len(args), "function")
-            else:
-                if name not in self.funcs:
-                    raise UnknownSymbolError(f"unknown function symbol {name!r}", symbol=name)
-                if self.funcs[name] != len(args):
-                    raise ArityMismatchError(
-                        f"function {name!r} expects {self.funcs[name]} arguments, got {len(args)}",
-                        symbol=name, arities=(self.funcs[name], len(args)),
-                    )
-            return Func(name, tuple(args))
+                pending.append((name, []))
+                continue
+            term = self.constant_or_var(name)
+            while True:
+                pending[-1][1].append(term)
+                if self.peek() == ",":
+                    self.advance()
+                    break
+                self.expect(")")
+                name, args = pending.pop()
+                if name is None:
+                    return tuple(args)
+                self.use(self.funcs, name, len(args), "function")
+                term = Func(name, tuple(args))
+
+    def constant_or_var(self, name: str) -> Term:
         if name in self.bound:
             return Var(name)
         if name in self.funcs:
             if self.funcs[name] != 0:
-                raise ArityMismatchError(
-                    f"function {name!r} expects {self.funcs[name]} arguments, got 0",
-                    symbol=name, arities=(self.funcs[name], 0),
-                )
+                raise _arity_error("function", name, self.funcs[name], 0)
             return Func(name, ())
         if self.infer:
             _record_arity(self.funcs, name, 0, "function")
             return Func(name, ())
         return Var(name)  # free object variable under an explicit language
+
+    def use(self, table: dict[str, int], name: str, arity: int, kind: str) -> None:
+        """Record a predicate or function symbol's arity, or check it against
+        the given language."""
+        if self.infer:
+            _record_arity(table, name, arity, kind)
+        elif name not in table:
+            what = "function symbol" if kind == "function" else kind
+            raise UnknownSymbolError(f"unknown {what} {name!r}", symbol=name)
+        elif table[name] != arity:
+            raise _arity_error(kind, name, table[name], arity)
+
+
+def _arity_error(kind: str, name: str, want: int, got: int) -> ArityMismatchError:
+    return ArityMismatchError(f"{kind} {name!r} expects {want} arguments, got {got}",
+                              symbol=name, arities=(want, got))
 
 
 def parse_formula(text: str, signature: Optional[PolaritySignature] = None,
@@ -462,6 +530,9 @@ def parse_formula(text: str, signature: Optional[PolaritySignature] = None,
 # rendering
 
 _PREC = {"->": 1, "|": 2, "&": 3}
+# least precedence each argument of an infix connective takes without
+# brackets: ``->`` associates to the right, ``&`` and ``|`` to the left
+_NEED = {conn: (p + 1, p) if conn == "->" else (p, p + 1) for conn, p in _PREC.items()}
 _ATOMIC = 5  # precedence of a word that never needs parentheses
 
 
@@ -475,12 +546,11 @@ def precedence(f: Formula) -> int:
 
 def arg_parens(conn: str, precs):
     """Which arguments of ``conn`` are parenthesised, given the precedence of
-    each argument's top symbol (elementwise on arrays).  ``->`` associates to
-    the right, ``&`` and ``|`` to the left; prefix arguments stay bare."""
-    prec = _PREC.get(conn)
-    if prec is None:
+    each argument's top symbol (elementwise on arrays); prefix arguments stay
+    bare."""
+    need = _NEED.get(conn)
+    if need is None:
         return [False] * len(precs)
-    need = (prec + 1, prec) if conn == "->" else (prec, prec + 1)
     return [p < q for p, q in zip(precs, need)]
 
 
@@ -491,52 +561,65 @@ def join_args(conn: str, parts) -> str:
     return f"{conn}({', '.join(parts)})"
 
 
-def render(f: Formula) -> str:
-    """Canonical string form; parse(render(f)) == f."""
-    return _render(f)
+def _opens_with_paren(f: Formula) -> bool:
+    """Whether the text of ``f`` starts with '(': some leftmost infix
+    argument is bracketed."""
+    while isinstance(f, App) and f.conn in _NEED:
+        if precedence(f.args[0]) < _NEED[f.conn][0]:
+            return True
+        f = f.args[0]
+    return False
 
 
-def _render(f: Formula) -> str:
-    if isinstance(f, PropVar):
-        return f.name
-    if isinstance(f, Const):
-        return "#" + f.name
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(str(t) for t in f.args)})"
-    if isinstance(f, Quant):
-        body = _render(f.body)
-        if body.startswith("("):
-            body = f"({body})"
-        return f"{f.kind} {f.var}. {body}"
-    if isinstance(f, App):
-        parens = arg_parens(f.conn, [precedence(a) for a in f.args])
-        return join_args(f.conn, [f"({_render(a)})" if p else _render(a)
-                                  for a, p in zip(f.args, parens)])
-    raise LatlogError(f"cannot render {f!r}")
+def _push_call(stack: list, head: str, args: tuple) -> None:
+    """Push ``head(arg, ..., arg)`` onto a render stack, last piece first."""
+    stack.append(")")
+    for i in range(len(args) - 1, -1, -1):
+        stack.append(args[i])
+        if i:
+            stack.append(", ")
+    stack.append(head + "(")
+
+
+def render(f) -> str:
+    """Canonical string form of a formula or term; parse(render(f)) == f.
+
+    Pieces of text and nodes still to render share one stack, so the text
+    comes out left to right at any depth."""
+    out: list[str] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, (PropVar, Var)):
+            out.append(node.name)
+        elif isinstance(node, Const):
+            out.append("#" + node.name)
+        elif isinstance(node, App) and node.conn in _NEED:
+            (a, b), need = node.args, _NEED[node.conn]
+            stack.extend((")", b, "(") if precedence(b) < need[1] else (b,))
+            stack.append(f" {node.conn} ")
+            stack.extend((")", a, "(") if precedence(a) < need[0] else (a,))
+        elif isinstance(node, App):
+            _push_call(stack, node.conn, node.args)
+        elif isinstance(node, (Atom, Func)):
+            head = node.pred if isinstance(node, Atom) else node.name
+            if node.args:
+                _push_call(stack, head, node.args)
+            else:
+                out.append(head)
+        elif isinstance(node, Quant):
+            out.append(f"{node.kind} {node.var}. ")
+            body = node.body
+            stack.extend((")", body, "(") if _opens_with_paren(body) else (body,))
+        else:
+            raise LatlogError(f"cannot render {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # structural helpers
-
-
-def children(f: Formula) -> tuple:
-    if isinstance(f, App):
-        return f.args
-    if isinstance(f, Quant):
-        return (f.body,)
-    return ()
-
-
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    node = f
-    for step in path:
-        kids = children(node)
-        if step < 0 or step >= len(kids):
-            raise BadPathError(f"path {path} leaves the formula at step {step}", path=path)
-        node = kids[step]
-    return node
 
 
 def polarity_of(f: Formula, path: tuple[int, ...],
@@ -601,41 +684,21 @@ def classify_quantifiers(f: Formula,
     return out
 
 
-def has_strong_quantifiers(f: Formula, signature=None) -> bool:
-    return any(o.strength == "strong" for o in classify_quantifiers(f, signature))
-
-
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, Quant):
-        return False
-    return all(is_quantifier_free(c) for c in children(f))
+    return not any(isinstance(node, Quant) for node in nodes(f))
 
 
 def is_prop_word(f: Formula) -> bool:
     """True when the formula contains no atoms, terms or quantifiers."""
-    if isinstance(f, (PropVar, Const)):
-        return True
-    if isinstance(f, App):
-        return all(is_prop_word(a) for a in f.args)
-    return False
+    return all(isinstance(node, (PropVar, Const, App)) for node in nodes(f))
 
 
 def prop_variables(f: Formula) -> set[str]:
-    if isinstance(f, PropVar):
-        return {f.name}
-    out: set[str] = set()
-    for c in children(f):
-        out |= prop_variables(c)
-    return out
+    return {node.name for node in nodes(f) if isinstance(node, PropVar)}
 
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    return {node.name for node in nodes(t) if isinstance(node, Var)}
 
 
 def free_object_vars(f: Formula) -> set[str]:
@@ -654,16 +717,7 @@ def free_object_vars(f: Formula) -> set[str]:
 
 def atoms_of(f: Formula) -> list[Atom]:
     """Distinct atoms in pre-order of first occurrence."""
-    seen: dict[Atom, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Atom):
-            seen.setdefault(node)
-        for c in children(node):
-            walk(c)
-
-    walk(f)
-    return list(seen)
+    return list(dict.fromkeys(node for node in nodes(f) if isinstance(node, Atom)))
 
 
 def predicates_of(f: Formula) -> dict[str, int]:
@@ -677,31 +731,15 @@ def functions_of(f: Formula) -> dict[str, int]:
 def all_identifiers(f: Formula) -> set[str]:
     """Every name occurring anywhere (variables, symbols, constants)."""
     out: set[str] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Var):
-            out.add(t.name)
-        else:
-            out.add(t.name)
-            for a in t.args:
-                walk_term(a)
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, PropVar) or isinstance(node, Const):
-            out.add(node.name)
-        elif isinstance(node, Atom):
+    for node in nodes(f):
+        if isinstance(node, Atom):
             out.add(node.pred)
-            for t in node.args:
-                walk_term(t)
         elif isinstance(node, App):
             out.add(node.conn)
-            for a in node.args:
-                walk(a)
         elif isinstance(node, Quant):
             out.add(node.var)
-            walk(node.body)
-
-    walk(f)
+        else:
+            out.add(node.name)
     return out
 
 

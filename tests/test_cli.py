@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from latlog import cli
 from latlog.cli import main
 
 
@@ -221,6 +222,7 @@ def test_negative_k_is_an_input_error(capsys):
 def test_usage_errors_are_input_errors(capsys):
     for argv in (["valid", "--lattice", "classical", "--formula", "x -> x", "--bogus"],
                  ["valid", "--lattice", "classical"],
+                 ["decide", "--lattice", "classical", "--var-cap", "3"],  # read by 5 commands
                  []):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -248,14 +250,12 @@ def test_report_written_to_file(tmp_path, capsys):
     assert data["status"] == "valid"
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("LATLOG_VAR_CAP", "1")
+def test_var_cap_budget_exceeded(capsys):
     code, report = run_json(capsys, "valid", "--lattice", "classical",
-                            "--formula", "x & y & x")
-    assert code == 2  # two variables exceed the overridden cap: UNKNOWN
+                            "--formula", "x & y & x", "--var-cap", "1")
+    assert code == 2  # two variables exceed the cap: UNKNOWN
     assert report["code"] == "BUDGET_EXCEEDED"
-    monkeypatch.setenv("LATLOG_VAR_CAP", "abc")
-    code, _ = run(capsys, "valid", "--lattice", "classical", "--formula", "x")
+    code, _ = run(capsys, "valid", "--lattice", "classical", "--formula", "x", "--var-cap", "0")
     assert code == 3
 
 
@@ -267,10 +267,33 @@ def test_determinism_of_reports(capsys):
     assert first == second
 
 
-def test_internal_error_is_not_a_verdict(capsys):
-    """A formula nested beyond the interpreter's recursion limit ends with
-    exit code 4 and an INTERNAL_ERROR report, never 1 (NO) or a traceback."""
-    formula = " -> ".join(["x"] * 3000)
-    code, report = run_json(capsys, "valid", "--lattice", "classical", "--formula", formula)
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    """A handler failing with an exception that is not a LatlogError ends
+    with exit code 4 and an INTERNAL_ERROR report, never 1 (NO) or a traceback."""
+    def broken(config):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "valid", broken)
+    code, report = run_json(capsys, "valid", "--lattice", "classical", "--formula", "x")
     assert code == 4
     assert report["code"] == "INTERNAL_ERROR"
+    assert report["message"] == "RuntimeError: broken handler"
+
+
+ARROWS_3000 = " -> ".join(["x"] * 3001)
+PARENS_600 = "(" * 600 + "x -> x" + ")" * 600
+
+
+@pytest.mark.parametrize("formula", [ARROWS_3000, PARENS_600], ids=["3000-arrows", "600-parens"])
+def test_deep_formula_gets_a_verdict(capsys, formula):
+    code, report = run_json(capsys, "valid", "--lattice", "classical", "--formula", formula)
+    assert code == 0
+    assert report["status"] == "valid"
+
+
+def test_interpolate_deep_antecedent(capsys):
+    antecedent = "x" + " & y" * 3000  # left-nested 3000 deep
+    code, report = run_json(capsys, "interpolate", "--lattice", "three-01", antecedent, "x | z")
+    assert code == 0
+    assert report["interpolant"] == "x"
+    assert report["antecedent"] == antecedent

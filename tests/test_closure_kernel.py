@@ -60,7 +60,7 @@ def test_closure_matches_reference_on_bundled_lattices(name, var_list):
                                        ("godel3", None)])
 def test_two_variable_closure_matches_reference(name, cap):
     lat = bundled_lattice(name)
-    got = representable_closure(lat, ("x", "y"), level_cap=cap)
+    got = representable_closure(lat, ("x", "y"), budget=ClosureBudget(max_levels=cap))
     assert _summary(got) == reference_closure(lat, ("x", "y"), level_cap=cap)
 
 
@@ -75,7 +75,8 @@ def test_two_variable_closure_matches_reference(name, cap):
 @pytest.mark.parametrize("var_list", [(), ("x",), ("x", "y")])
 def test_extra_connectives_match_reference(lat, connectives, var_list):
     cap = 2 if len(var_list) == 2 else None
-    got = representable_closure(lat, var_list, level_cap=cap, connectives=connectives)
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap),
+                                connectives=connectives)
     assert _summary(got) == reference_closure(lat, var_list, cap, connectives)
 
 
@@ -108,7 +109,7 @@ def test_column_budget_holds_inside_a_level():
     assert not got.complete and len(got.columns) <= 3000
     assert got.budget_note.startswith("column budget 3000 exceeded at ")
     levels = len(got.cumulative) - 1
-    prefix = representable_closure(lat, var_list, level_cap=levels)
+    prefix = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=levels))
     assert [c.word for c in got.columns] == [c.word for c in prefix.columns]
 
 

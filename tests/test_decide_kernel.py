@@ -21,7 +21,7 @@ from latlog.interp import (
 )
 from latlog.propcore import ClosureBudget, _fold_axis, column_of, representable_closure
 from latlog.relations import (
-    all_functions,
+    _points,
     binary_invariants,
     first_failing_upper,
     fold_points,
@@ -214,7 +214,7 @@ def test_relational_bucket_test_matches_complete_closures(name, bucket):
     assert a_clo.complete and b_clo.complete and s_clo.complete
     lows = _envelope_rows(a_clo.columns, (m ** l, S), lat.flat("|"), m, fold_first=True)
     ups = _envelope_rows(b_clo.columns, (S, m ** r), lat.flat("&"), m, fold_first=False)
-    every = all_functions(m, S)
+    every = _points(m, S)
     least = fold_points(point_solutions(inv, l, s, r, left=False), every, inv.join, m)
     closed = (_fold_axis(least.reshape(len(every), S, m ** r), inv.meet, m + 1) == every).all(1)
     assert {u.tobytes() for u in every[closed]} == {u.tobytes() for u in ups}

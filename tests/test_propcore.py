@@ -14,6 +14,7 @@ from latlog.errors import (
     UndeclaredConstant,
 )
 from latlog.propcore import (
+    ClosureBudget,
     column_of,
     constant_values,
     envelopes,
@@ -136,7 +137,8 @@ def test_classical_unary_closure_is_all_four_functions(classical_01):
 
 
 def test_closure_level_cap_marks_incomplete(luka3):
-    clo = representable_closure(luka3, ("x",), level_cap=1, connectives=("->",))
+    clo = representable_closure(luka3, ("x",), budget=ClosureBudget(max_levels=1),
+                                connectives=("->",))
     assert not clo.complete
     assert clo.cumulative == [2, 4]
     assert clo.budget_note
@@ -172,7 +174,8 @@ def test_closure_monotone_and_stable(godel3):
     clo = representable_closure(godel3, ("x",))
     assert all(b >= a for a, b in zip(clo.cumulative, clo.cumulative[1:]))
     # fixpoint reached: growing one more level adds nothing
-    again = representable_closure(godel3, ("x",), level_cap=len(clo.added) + 3)
+    again = representable_closure(godel3, ("x",),
+                                  budget=ClosureBudget(max_levels=len(clo.added) + 3))
     assert len(again.columns) == len(clo.columns)
 
 

@@ -160,7 +160,7 @@ def test_positive_positions_are_monotone_negative_antitone(rng):
     one never lowers the whole formula's value; dually at negative positions.
     Exhaustive over all valuations of up to three variables."""
     from genutil import random_word
-    from latlog.syntax import children, subformula_at
+    from latlog.syntax import children
 
     def rebuild(f, path, replacement):
         if not path:
@@ -184,7 +184,9 @@ def test_positive_positions_are_monotone_negative_antitone(rng):
             all_paths = list(paths(f))
             path = all_paths[rng.randrange(len(all_paths))]
             sign = polarity_of(f, path)
-            sub = subformula_at(f, path)
+            sub = f
+            for step in path:
+                sub = children(sub)[step]
             bigger = App("|", (sub, random_word(rng, list(variables), lat, depth=1)))
             g = rebuild(f, path, bigger)
             col_f = column_of(f, lat, variables)
