@@ -6,7 +6,9 @@ in the same order.  Exit codes: 0 for YES/valid/success (and ``--help``), 1
 for NO/invalid, 2 for UNKNOWN (budget), 3 for input errors (usage errors
 such as an unknown flag or a missing option included), 4 for internal errors
 (any exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
-are flags, accepted only by the commands that read them.
+are flags, accepted only by the commands that read them.  The first-order
+commands reject a formula nested deeper than ``folift.MAX_DEPTH`` as an input
+error.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .errors import (
 )
 from .folift import (
     FoBudgets,
+    check_depth,
     check_valid_expansion,
     expand_n,
     find_herbrand_expansion,
@@ -297,6 +300,7 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict]:
 def cmd_skolemize(config: RunConfig) -> tuple[int, dict]:
     lat = _load_lattice_arg(config.lattice)
     phi = parse_formula(config.formulas[0], lat.signature)
+    check_depth(phi)
     result, record = skolemize(phi, lat)
     return EXIT_YES, {
         "command": "skolemize",
@@ -314,6 +318,7 @@ def cmd_skolemize(config: RunConfig) -> tuple[int, dict]:
 def cmd_expand(config: RunConfig) -> tuple[int, dict]:
     lat = _load_lattice_arg(config.lattice)
     phi = parse_formula(config.formulas[0], lat.signature)
+    check_depth(phi)
     expansion = expand_n(phi, config.n, signature=lat.signature)
     check = check_valid_expansion(expansion, lat, config.var_cap)
     return (EXIT_YES if check.valid else EXIT_NO), {
@@ -329,6 +334,7 @@ def cmd_expand(config: RunConfig) -> tuple[int, dict]:
 def cmd_herbrand(config: RunConfig) -> tuple[int, dict]:
     lat = _load_lattice_arg(config.lattice)
     phi = parse_formula(config.formulas[0], lat.signature)
+    check_depth(phi)
     search = find_herbrand_expansion(phi, lat, max_n=config.max_n, var_cap=config.var_cap)
     out = {
         "command": "herbrand", "input": render(phi),

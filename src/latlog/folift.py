@@ -26,7 +26,7 @@ from .errors import (
     UnknownValidity,
 )
 from .interp import YES, InterpolationVerdict, find_prop_interpolant
-from .propcore import ClosureBudget, EnvelopePair, ValidityReport, is_valid_prop
+from .propcore import ClosureBudget, ValidityReport, is_valid_prop
 from .syntax import (
     App,
     Atom,
@@ -60,6 +60,21 @@ from .syntax import (
     term_vars,
     with_children,
 )
+
+# Nesting depth (formula and term nodes on the longest path) a first-order
+# command accepts: skolemization, expansion and substitution recurse, two
+# Python frames a level, so deeper input would end in a RecursionError.
+MAX_DEPTH = 400
+
+
+def check_depth(phi: Formula) -> None:
+    """Raise a LatlogError when ``phi`` is nested deeper than MAX_DEPTH."""
+    depth = fold(phi, lambda f, kids: 1 + max(kids, default=0))
+    if depth > MAX_DEPTH:
+        raise LatlogError(
+            f"formula nesting depth {depth} exceeds the limit of {MAX_DEPTH} "
+            "for first-order commands", depth=depth, limit=MAX_DEPTH)
+
 
 # ---------------------------------------------------------------------------
 # finite structures and evaluation
@@ -368,7 +383,7 @@ class HerbrandSearch:
     exhausted_at: Optional[int] = None
     reason: Optional[str] = None
     added_constant: Optional[str] = None
-    envelopes: Optional[EnvelopePair] = None  # from the valid check, when factored
+    check: Optional[ExpansionCheck] = None  # the valid check of ``expansion``
 
 
 def find_herbrand_expansion(phi: Formula, lat: Lattice, max_n: int = 8,
@@ -402,7 +417,7 @@ def find_herbrand_expansion(phi: Formula, lat: Lattice, max_n: int = 8,
         if check.valid:
             return HerbrandSearch("FOUND", n, expansion, checks, terms,
                                   exhausted_at=exhausted, added_constant=added,
-                                  envelopes=check.report.envelopes)
+                                  check=check)
     reason = ("all closed terms exhausted" if exhausted is not None
               else f"no valid expansion up to n={max_n}")
     return HerbrandSearch("UNKNOWN", None, None, checks, terms,
@@ -610,6 +625,7 @@ def fo_interpolate(phi: Formula, lat: Lattice,
     """
     budgets = budgets or FoBudgets()
     trace = PipelineTrace(original=phi)
+    check_depth(phi)
     if not isinstance(phi, App) or phi.conn != "->":
         raise LatlogError("input must be an implication A -> B")
     if free_object_vars(phi):
@@ -628,17 +644,17 @@ def fo_interpolate(phi: Formula, lat: Lattice,
             f"no valid expansion found: {search.reason}", trace=trace)
 
     exp_a, exp_b = search.expansion.args
-    naming: dict[str, str] = {}
-    prop_a, naming = abstract_ground_atoms(exp_a, naming)
-    prop_b, naming = abstract_ground_atoms(exp_b, naming)
+    # the sides of the valid check's word, so that its envelope pair (when
+    # the check was factored) is the pair of prop_a -> prop_b
+    prop_a, prop_b = search.check.word.args
+    naming = search.check.atom_names
     trace.abstraction = dict(naming)
     trace.prop_antecedent = prop_a
     trace.prop_succedent = prop_b
 
-    # one naming over exp_a then exp_b reproduces the word of the valid check,
-    # so its envelope pair (when the check was factored) is that of prop_a -> prop_b
     verdict = find_prop_interpolant(prop_a, prop_b, lat, budget=budgets.closure,
-                                    var_cap=budgets.var_cap, env=search.envelopes)
+                                    var_cap=budgets.var_cap,
+                                    env=search.check.report.envelopes)
     trace.verdict = verdict
     if verdict.status != YES:
         raise PropInterpolationFailed(

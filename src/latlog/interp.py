@@ -3,9 +3,9 @@
 The interpolant search is semantic: compute the envelope columns an
 interpolant must lie between, then walk the closure of representable
 functions over the shared variables until a column fits.  YES answers are
-re-verified by exhaustive validity checks, NO answers carry the complete
-closure as a re-checkable certificate, and exhausted budgets surface as
-UNKNOWN rather than being silently truncated.
+re-verified by evaluating the witness word between the envelopes, NO
+answers carry the complete closure as a re-checkable certificate, and
+exhausted budgets surface as UNKNOWN rather than being silently truncated.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .propcore import (
     ValueColumn,
     _decode_valuation,
     _fold_axis,
+    column_of,
     constant_values,
     envelopes,
     grow_closure,
@@ -65,9 +66,17 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     level, then witness length, then lexicographic); the first column inside
     the envelopes wins.  NO only when the closure reached its fixpoint with no
     fitting column; UNKNOWN when a budget was hit first.  The envelopes may
-    come from the caller as ``env``, the pair a valid factored check of
-    a -> b carries (``ValidityReport.envelopes``); otherwise they are built
-    here, which raises NOT_VALID when a -> b fails.
+    come from the caller as ``env``, which must be the envelope pair of this
+    very a -> b: the one a valid factored check of it carries
+    (``ValidityReport.envelopes``).  Otherwise they are built here, which
+    raises NOT_VALID when a -> b fails.
+
+    A YES is re-verified from the envelopes, without building the grids of
+    a and b again: the witness word is evaluated afresh over the shared
+    variables and must lie between ``lower`` and ``upper`` at every shared
+    valuation, else a LatlogError says this is a bug.  As the witness
+    mentions shared variables only, a -> I is valid exactly when the lower
+    envelope lies below I, and I -> b exactly when I lies below the upper one.
     """
     budget = budget or ClosureBudget()
     if env is None:
@@ -75,31 +84,37 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     lower, upper = env.lower.values, env.upper.values
     state = ClosureState(lat, env.shared)
 
-    def verdict_yes(values: np.ndarray, word: str, wit: Formula) -> InterpolationVerdict:
-        for lhs, rhs in ((a, wit), (wit, b)):
-            check = is_valid_implication(lhs, rhs, lat, var_cap)
-            if not check.valid:
-                raise LatlogError(
-                    "interpolant failed re-verification; this is a bug",
-                    countervaluation=check.countervaluation,
-                )
+    def verdict_yes(word: str, wit: Formula) -> InterpolationVerdict:
+        bad = envelope_violation(wit, env, lat)
+        if bad is not None:
+            raise LatlogError("interpolant failed re-verification; this is a bug",
+                              countervaluation=bad)
         cum = list(itertools.accumulate(state.added))
         return InterpolationVerdict(YES, wit, word, env.shared, env.lower, env.upper,
                                     closure_cumulative=cum)
 
     hit = state.scan_existing(lower, upper)
     if hit is not None:
-        col = state.column(hit)
-        return verdict_yes(col.values, col.word, col.witness)
+        return verdict_yes(state.words[hit], state.wits[hit])
     found, note = grow_closure(state, budget, scan=lambda: state.stream_scan(lower, upper))
     if found is not None:
-        return verdict_yes(*found)
+        _, word, wit = found
+        return verdict_yes(word, wit)
     closure = state.result(note is None, note)
     return InterpolationVerdict(
         UNKNOWN if note else NO, None, None, env.shared, env.lower, env.upper,
         closure_columns=closure.columns, closure_complete=closure.complete,
         closure_cumulative=closure.cumulative, budget_note=note,
     )
+
+
+def envelope_violation(word: Formula, env: EnvelopePair,
+                       lat: Lattice) -> Optional[dict[str, str]]:
+    """The first shared valuation at which the word over ``env.shared`` lies
+    outside the envelopes, or None when it lies between them everywhere."""
+    col = column_of(word, lat, env.shared)
+    bad = np.flatnonzero(~(lat.leq[env.lower.values, col] & lat.leq[col, env.upper.values]))
+    return _decode_valuation(int(bad[0]), env.shared, lat) if len(bad) else None
 
 
 def recheck_no_certificate(verdict: InterpolationVerdict, lat: Lattice) -> bool:

@@ -5,15 +5,20 @@ order over element indices, first variable most significant).  One kernel,
 ``apply_connective``, applies a connective to arrays of argument values in
 validity grids, folds and the closure.  Values, tables and table indices are
 uint8 while ``m ** arity <= 256``; beyond that the kernel widens the index to
-intp.  A valid factored implication check keeps only its two envelope
-columns, not its grids.  The closure of representable
-functions grows level by level: level 0 holds the projection and constant
-columns, level k+1 every connective application with an argument from level
-k, evaluated in blocks of about ``BLOCK_CELLS`` cells.  Each column keeps its
-canonical witness, the least (rendered length, word) over the applications
-producing it; lengths come from the arguments, and only the shortest words
-are joined.  Columns are ordered by level, then length, then word, which
-keeps interpolants deterministic.
+intp.  The kernel gathers table entries with ``take``, which is faster than
+fancy indexing with a uint8 index; ``take`` first casts its index to intp,
+8 bytes a cell, so an index of more than ``BLOCK_CELLS`` cells is gathered
+one block at a time into a preallocated output, and a 5^10-cell grid never
+holds a 5^10-cell intp copy.  Folds over an axis combine its contiguous
+first and second halves, round by round.  A valid factored implication
+check keeps only its two envelope columns, not its grids.  The closure of
+representable functions grows level by level: level 0 holds the projection
+and constant columns, level k+1 every connective application with an
+argument from level k, evaluated in blocks of about ``BLOCK_CELLS`` cells.
+Each column keeps its canonical witness, the least (rendered length, word)
+over the applications producing it; lengths come from the arguments, and
+only the shortest words are joined.  Columns are ordered by level, then
+length, then word, which keeps interpolants deterministic.
 
 An envelope scan searches the next level for a column between two bounds
 without growing it, in three stages: tuples of probe-group representatives
@@ -53,7 +58,7 @@ from .syntax import (
 )
 
 DEFAULT_VAR_CAP = 10
-BLOCK_CELLS = 1 << 16  # applications x valuations evaluated per closure block
+BLOCK_CELLS = 1 << 16  # cells per closure block and per gather of the kernel
 MAX_SURVIVORS = 500_000  # applications an envelope scan may keep after its probe groups
 PROBES = 16  # probe positions whose values group the columns in an envelope scan
 SCREEN_WIDTH = 64  # positions an envelope scan checks before the full width
@@ -66,7 +71,8 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     The table index of a tuple is a1*m**(k-1) + ... + ak.  While
     ``m ** arity <= 256`` it is at most 255, so uint8 arguments with a
     Python-int ``m`` compute it exactly in uint8; otherwise the first
-    argument is widened to intp before the arithmetic."""
+    argument is widened to intp before the arithmetic.  Indices of more than
+    BLOCK_CELLS cells are gathered one block at a time into the output."""
     if not len(args):
         return flat[0]
     idx = args[0]
@@ -74,7 +80,14 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.intp)
     for a in args[1:]:
         idx = idx * m + a
-    return flat[idx]
+    if idx.size <= BLOCK_CELLS:
+        return flat.take(idx)
+    src = idx.reshape(-1)  # contiguous: a copy when idx is a strided view
+    out = np.empty(idx.shape, dtype=flat.dtype)
+    dst = out.reshape(-1)
+    for i in range(0, src.size, BLOCK_CELLS):
+        np.take(flat, src[i:i + BLOCK_CELLS], out=dst[i:i + BLOCK_CELLS])
+    return out
 
 
 def _not_a_word(phi: Formula) -> LatlogError:
@@ -163,15 +176,19 @@ class ValidityReport:
 
 
 def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
-    """Reduce the last axis of an index grid with a binary table (pairwise
-    tree; the tables reduced this way are associative, so the shape is
-    immaterial)."""
+    """Reduce the last axis of an index grid with a binary table that is
+    associative and commutative (a join or a meet), as a pairwise tree: each
+    round combines the first half of the axis with the second, position by
+    position, and carries an odd last entry to the next round.  The order
+    in which entries meet differs from a left-to-right reduction, which the
+    two laws make immaterial."""
     acc = grid
     while acc.shape[-1] > 1:
         width = acc.shape[-1]
-        red = apply_connective(flat, m, (acc[..., 0:width - 1:2], acc[..., 1:width:2]))
+        h = width // 2
+        red = apply_connective(flat, m, (acc[..., :h], acc[..., h:2 * h]))
         if width % 2:
-            red = np.concatenate([red, acc[..., width - 1:]], axis=-1)
+            red = np.concatenate([red, acc[..., 2 * h:]], axis=-1)
         acc = red
     return acc[..., 0].astype(np.uint8)  # a copy: a view would keep acc alive
 

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from latlog import (
     RawConnective,
@@ -16,9 +17,11 @@ from latlog import (
     upset_lattice,
     validate_lattice,
 )
+from latlog.bundled import BUNDLED
 from latlog.errors import (
     FrameViolation,
     ImplicationLawViolation,
+    LatlogError,
     LatticeAxiomViolation,
     MissingMandatoryConnective,
     ParseError,
@@ -127,6 +130,36 @@ def test_parse_errors():
         parse_lattice_source("elements 0 1\nmeet\n0 0 0\n")  # table truncated
     with pytest.raises(ParseError):
         parse_lattice_source("elements 0 1\norder 0 << 1\n")
+
+
+LATTICE_TOKENS = ["elements", "order", "meet", "join", "connective", "constant",
+                  "0", "a", "b", "1", "<", "=", ",", "0<a", "->", "&", "|", "-+", "+-",
+                  "++", "+", "-", "()", "#", "2", "300", "x"]
+
+
+def _load_or_reject(text):
+    """Parse and validate; a LatlogError is a rejection, anything else fails."""
+    try:
+        validate_lattice(parse_lattice_source(text))
+    except LatlogError:
+        pass
+
+
+@given(st.lists(st.lists(st.sampled_from(LATTICE_TOKENS), max_size=8), max_size=10))
+def test_token_lines_load_or_raise_latlog_errors(lines):
+    _load_or_reject("\n".join(" ".join(line) for line in lines))
+
+
+@given(st.sampled_from(sorted(BUNDLED)),
+       st.lists(st.tuples(st.integers(0, 200), st.sampled_from(LATTICE_TOKENS + [""])),
+                min_size=1, max_size=4))
+def test_edited_bundled_sources_load_or_raise_latlog_errors(name, edits):
+    """A bundled source with a few tokens replaced or deleted gets past the
+    parser more often, so validation sees tables that break one law."""
+    tokens = bundled_source(name).replace("\n", " \n ").split(" ")
+    for position, token in edits:
+        tokens[position % len(tokens)] = token
+    _load_or_reject(" ".join(tokens))
 
 
 # ---------------------------------------------------------------------------

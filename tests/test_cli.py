@@ -4,6 +4,7 @@ import pytest
 
 from latlog import cli
 from latlog.cli import main
+from latlog.folift import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -297,3 +298,24 @@ def test_interpolate_deep_antecedent(capsys):
     assert code == 0
     assert report["interpolant"] == "x"
     assert report["antecedent"] == antecedent
+
+
+def _fo_chain(depth):
+    """P(c) -> ... -> P(c), ``depth`` nodes deep: depth - 2 arrows over an
+    atom and its term."""
+    return " -> ".join(["P(c)"] * (depth - 1))
+
+
+@pytest.mark.parametrize("command", [["skolemize"], ["expand", "--n", "1"], ["herbrand"],
+                                     ["fo-interpolate"]], ids=lambda c: c[0])
+def test_first_order_depth_limit(capsys, command):
+    """A 3,001-term chain is an input error naming its depth and the limit;
+    a chain at the limit gets its answer."""
+    code, report = run_json(capsys, command[0], "--lattice", "mc",
+                            "--formula", _fo_chain(3002), *command[1:])
+    assert code == 3
+    assert report["details"] == {"depth": 3002, "limit": MAX_DEPTH}
+    assert "3002" in report["message"] and str(MAX_DEPTH) in report["message"]
+    code, report = run_json(capsys, command[0], "--lattice", "mc",
+                            "--formula", _fo_chain(MAX_DEPTH), *command[1:])
+    assert code == 0

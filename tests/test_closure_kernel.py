@@ -12,9 +12,11 @@ from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded
 from latlog.propcore import (
+    BLOCK_CELLS,
     ClosureBudget,
     ClosureState,
     _fold_axis,
+    apply_connective,
     column_of,
     envelopes,
     eval_prop,
@@ -281,7 +283,10 @@ def test_column_of_matches_eval_prop_across_index_widths(case, var_list):
 def test_fold_axis_matches_sequential_reduction(name):
     lat = WIDTH_CASES[name][0]() if name in WIDTH_CASES else bundled_lattice(name)
     rng = np.random.default_rng(20240801)
-    for shape in [(5, 1), (7, 13), (2, 3, 16)]:
+    # halves fold against each other and odd tails are carried, which for a
+    # join or a meet equals the left-to-right reduction, also on a
+    # non-contiguous grid like the transposed views some callers fold
+    for shape in [(5, 1), (3, 2), (3, 3), (7, 13), (2, 3, 16), (2, 5 ** 5)]:
         grid = rng.integers(0, lat.m, size=shape).astype(np.uint8)
         for conn in (JOIN, MEET):
             got = _fold_axis(grid, lat.flat(conn), lat.m)
@@ -290,3 +295,56 @@ def test_fold_axis_matches_sequential_reduction(name):
             expected = functools.reduce(lambda acc, k: table[acc, grid[..., k]],
                                         range(1, shape[-1]), grid[..., 0])
             assert np.array_equal(got, expected), (shape, conn)
+            strided = _fold_axis(np.asfortranarray(grid), lat.flat(conn), lat.m)
+            assert np.array_equal(strided, expected), (shape, conn)
+
+
+# ---------------------------------------------------------------------------
+# the gather in apply_connective against plain fancy indexing
+
+
+def _plain(flat, m, args):
+    """flat[idx] with the table index computed in intp."""
+    idx = np.zeros((), dtype=np.intp)
+    for a in args:
+        idx = idx * m + np.asarray(a, dtype=np.intp)
+    return flat[idx]
+
+
+SIZES = [BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 7]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("m, arity", [(5, 2), (5, 4), (17, 2), (3, 1)])
+def test_apply_connective_matches_fancy_indexing(size, m, arity):
+    """uint8 indices (5 ** 2 and 3 entries), widened ones (5 ** 4 = 625 and
+    17 ** 2 = 289 entries) and a unary gather, at and around the block size."""
+    rng = np.random.default_rng(size + m + arity)
+    flat = rng.integers(0, m, m ** arity).astype(np.uint8)
+    args = [rng.integers(0, m, size).astype(np.uint8) for _ in range(arity)]
+    got = apply_connective(flat, m, args)
+    assert got.dtype == np.uint8 and got.shape == (size,)
+    assert np.array_equal(got, _plain(flat, m, args))
+
+
+@pytest.mark.parametrize("m, arity", [(5, 2), (5, 4)])
+@pytest.mark.parametrize("depth", [1, 300])
+def test_apply_connective_broadcasts_n_dimensional_arguments(m, arity, depth):
+    """Arguments of different shapes broadcast, as in ``column_of``, to
+    7 * 11 * depth * 5 cells (385 and 115,500), also from non-contiguous
+    views."""
+    rng = np.random.default_rng(m * arity * depth)
+    flat = rng.integers(0, m, m ** arity).astype(np.uint8)
+    shapes = [(7, 1, depth, 1), (1, 11, 1, 5), (7, 1, 1, 5), (1, 11, depth, 1)][:arity]
+    args = [rng.integers(0, m, s).astype(np.uint8) for s in shapes]
+    for case in (args, [a.swapaxes(0, 2) for a in args]):
+        got = apply_connective(flat, m, case)
+        assert got.shape == np.broadcast_shapes(*(a.shape for a in case))
+        assert np.array_equal(got, _plain(flat, m, case))
+
+
+def test_apply_connective_on_a_scalar_and_nullary():
+    flat = np.arange(5, dtype=np.uint8)[::-1].copy()
+    scalar = apply_connective(flat, 5, [np.full((), 3, dtype=np.uint8)])
+    assert scalar.shape == () and scalar == flat[3]
+    assert apply_connective(flat[:1], 5, []) == flat[0]

@@ -22,6 +22,7 @@ from latlog.errors import (
     UnknownValidity,
 )
 from latlog.folift import (
+    MAX_DEPTH,
     FoBudgets,
     FoStructure,
     PipelineTrace,
@@ -451,7 +452,7 @@ def test_pipeline_builds_the_herbrand_grids_once(mc, monkeypatch):
 
     monkeypatch.setattr(propcore, "_implication_parts", counting)
     trace = fo_interpolate(parse_formula(README_SENTENCE), mc).trace
-    assert trace.herbrand.envelopes is not None
+    assert trace.herbrand.check.report.envelopes is not None
     assert built.count((10, 10)) == 1
 
 
@@ -472,8 +473,19 @@ def test_herbrand_envelopes_give_the_verdict_of_a_fresh_search(name, text):
     assert trace.verdict.status == fresh.status == "YES"
     assert trace.verdict.interpolant_word == fresh.interpolant_word
     assert trace.verdict.lower == fresh.lower and trace.verdict.upper == fresh.upper
-    if trace.herbrand.envelopes is not None:
-        assert trace.verdict.lower is trace.herbrand.envelopes.lower
+    assert (trace.prop_antecedent, trace.prop_succedent) == trace.herbrand.check.word.args
+    if trace.herbrand.check.report.envelopes is not None:
+        assert trace.verdict.lower is trace.herbrand.check.report.envelopes.lower
+
+
+@pytest.mark.parametrize("text", [
+    " -> ".join(["P(c)"] * 3001),
+    "P(" + "f(" * MAX_DEPTH + "c" + ")" * MAX_DEPTH + ") -> P(c)",
+], ids=["3001-term-chain", "deep-term"])
+def test_fo_interpolate_rejects_input_past_the_depth_limit(mc, text):
+    with pytest.raises(LatlogError, match="exceeds the limit") as info:
+        fo_interpolate(parse_formula(text), mc)
+    assert info.value.details["limit"] == MAX_DEPTH
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from latlog import (
     render,
 )
 from latlog import interp
-from latlog.errors import NotValidError, PreconditionFailed
+from latlog.bundled import bundled_lattice
+from latlog.errors import LatlogError, NotValidError, PreconditionFailed
 from latlog.interp import (
     collapse_word,
     constructive_interpolant_all_constants,
     decide_interpolation,
+    envelope_violation,
     find_prop_interpolant,
     merge_interpolants_sigma,
     recheck_no_certificate,
@@ -22,12 +24,15 @@ from latlog.interp import (
 )
 from latlog.propcore import (
     ClosureBudget,
+    ClosureState,
     column_of,
+    envelopes,
     eval_prop,
     is_valid_implication,
     representable_closure,
 )
 
+from genutil import random_valid_pair, random_word
 from property_checks import check_lemmas_123
 
 
@@ -91,6 +96,77 @@ def test_mc_propositional_interpolant(mc):
     col = column_of(v.interpolant, mc, v.shared)
     want = column_of(parse_formula("b1 | b2 | b3 | b4 | b5"), mc, v.shared)
     assert (col == want).all()
+
+
+# ---------------------------------------------------------------------------
+# re-verification of a YES from the envelopes
+
+
+@pytest.mark.parametrize("name", ["classical-1", "godel3", "lukasiewicz3", "three-0a",
+                                  "diamond", "mc"])
+def test_envelope_check_agrees_with_both_implications(name, rng):
+    """A word over the shared variables lies between the envelopes exactly
+    when a -> I and I -> b are both valid: on seeded valid pairs, for random
+    shared words (most of them no interpolant) and the interpolant found."""
+    lat = bundled_lattice(name)
+    outcomes = set()
+    pairs = 0
+    while pairs < 5:
+        a, b = random_valid_pair(rng, lat, ["x1"], ["y1", "y2"], ["z1"])
+        env = envelopes(a, b, lat)
+        if not env.shared:
+            continue
+        pairs += 1
+        words = [random_word(rng, list(env.shared), lat, depth=3) for _ in range(12)]
+        verdict = find_prop_interpolant(a, b, lat)
+        if verdict.status == "YES":
+            words.append(verdict.interpolant)
+        for w in words:
+            valid = (is_valid_implication(a, w, lat).valid
+                     and is_valid_implication(w, b, lat).valid)
+            bad = envelope_violation(w, env, lat)
+            assert (bad is None) == valid, (render(a), render(w), render(b))
+            if bad is not None:
+                assert set(bad) == set(env.shared)
+            outcomes.add(valid)
+    assert outcomes == {True, False}
+
+
+def _corrupt_values(monkeypatch, env):
+    """Store the lower envelope as the values of the first closure column."""
+    original = ClosureState.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.values[0] = env.lower.values
+
+    monkeypatch.setattr(ClosureState, "__init__", init)
+
+
+def _corrupt_scan(monkeypatch, env):
+    """Hand back the scan's column with the witness of another column."""
+    original = ClosureState.stream_scan
+
+    def scan(self, lower, upper):
+        found = original(self, lower, upper)
+        return found and (found[0], found[1], self.wits[0])
+
+    monkeypatch.setattr(ClosureState, "stream_scan", scan)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_values, _corrupt_scan])
+def test_yes_whose_word_leaves_the_envelopes_is_a_bug(three_0a, corrupt, monkeypatch):
+    """The only interpolant, y1 & y2, comes from the scan of level 1.  When
+    the values of a level-0 column or the scan's witness are corrupted, the
+    stored values say the column fits while its word y1 does not, and the
+    re-verification evaluates the word."""
+    a, b = parse_formula("x & y1 & y2"), parse_formula("y1 & y2 | z")
+    assert find_prop_interpolant(a, b, three_0a).interpolant_word == "y1 & y2"
+    env = envelopes(a, b, three_0a)
+    corrupt(monkeypatch, env)
+    with pytest.raises(LatlogError, match="this is a bug") as info:
+        find_prop_interpolant(a, b, three_0a)
+    assert set(info.value.details["countervaluation"]) == set(env.shared)
 
 
 # ---------------------------------------------------------------------------
