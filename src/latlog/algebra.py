@@ -121,6 +121,7 @@ class Lattice:
     constants: dict[str, int]
     leq: np.ndarray
     top: int
+    bottom: int
 
     def __post_init__(self):
         self._flat: dict[str, np.ndarray] = {}
@@ -165,7 +166,8 @@ class Lattice:
             if name in consts:
                 raise LatticeAxiomViolation(f"constant {name!r} already declared", constant=name)
             consts[name] = self.index(elt)
-        return Lattice(self.elements, self.signature, self.tables, consts, self.leq, self.top)
+        return Lattice(self.elements, self.signature, self.tables, consts, self.leq, self.top,
+                       self.bottom)
 
 
 def _decode_index(flat_index: int, m: int, arity: int) -> tuple[int, ...]:
@@ -341,6 +343,7 @@ def validate_lattice(raw: RawLattice) -> Lattice:
             candidates=[elements[int(t)] for t in tops],
         )
     top = int(tops[0])
+    bottom = int(np.flatnonzero(leq.all(axis=1))[0])  # the meet of all elements
 
     leq_flat = leq.reshape(-1)
     for name, pol in polarities.items():
@@ -386,7 +389,7 @@ def validate_lattice(raw: RawLattice) -> Lattice:
             raise LatticeAxiomViolation(f"constant {cname!r} declared twice", constant=cname)
         constants[cname] = to_index(elt, f"constant {cname}")
 
-    return Lattice(elements, signature, tables, constants, leq, top)
+    return Lattice(elements, signature, tables, constants, leq, top, bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .algebra import JOIN, MEET, Lattice, PolaritySignature
 from .errors import (
     BudgetExceeded,
@@ -90,71 +92,103 @@ class FoStructure:
     functions: dict[str, Mapping[tuple, object]] = field(default_factory=dict)
 
 
+_UNSET = object()  # the value of an unassigned variable in a memo key
+
+
 def fo_eval(phi: Formula, lat: Lattice, structure: FoStructure,
             assignment: Optional[Mapping[str, object]] = None) -> str:
     """Evaluate a first-order formula: universal quantifiers take the meet and
-    existential quantifiers the join over the domain."""
-    env = dict(assignment or {})
+    existential quantifiers the join over the domain.  A quantifier's body is
+    evaluated once per assignment of its free object variables, so a chain of
+    quantifiers whose bodies ignore or rebind the outer variables costs the
+    domain size per quantifier, not its power."""
+    return lat.elements[_evaluator(phi, lat)(structure, assignment)]
+
+
+def _evaluator(phi: Formula, lat: Lattice):
+    """``fo_eval`` of ``phi`` as a function of the structure and the
+    assignment, returning an element index; the free variables of the
+    quantifier bodies are collected once, for every structure."""
     join_t, meet_t = lat.tables[JOIN], lat.tables[MEET]
+    free: dict[int, tuple[str, ...]] = {}  # free variables of each quantifier body
 
-    def ev_term(t: Term, env: dict) -> object:
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise UninterpretedSymbol(f"object variable {t.name!r} unassigned",
-                                          symbol=t.name)
-            return env[t.name]
-        table = structure.functions.get(t.name)
-        if table is None:
-            raise UninterpretedSymbol(f"function symbol {t.name!r} uninterpreted",
-                                      symbol=t.name)
-        args = tuple(ev_term(a, env) for a in t.args)
-        try:
-            return table[args]
-        except KeyError:
-            raise UninterpretedSymbol(
-                f"function {t.name!r} undefined at {args!r}", symbol=t.name) from None
+    def free_vars(f, kids) -> frozenset:
+        if isinstance(f, Var):
+            return frozenset((f.name,))
+        if isinstance(f, Quant):
+            free[id(f.body)] = tuple(sorted(kids[0]))
+            return kids[0] - {f.var}
+        return frozenset().union(*kids)
 
-    def ev(f: Formula, env: dict) -> int:
-        if isinstance(f, Atom):
-            table = structure.predicates.get(f.pred)
+    fold(phi, free_vars)
+
+    def evaluate(structure: FoStructure, assignment: Optional[Mapping[str, object]]) -> int:
+        memo: dict[tuple, int] = {}  # (body, values of its free variables) -> value
+
+        def ev_term(t: Term, env: dict) -> object:
+            if isinstance(t, Var):
+                if t.name not in env:
+                    raise UninterpretedSymbol(f"object variable {t.name!r} unassigned",
+                                              symbol=t.name)
+                return env[t.name]
+            table = structure.functions.get(t.name)
             if table is None:
-                raise UninterpretedSymbol(f"predicate {f.pred!r} uninterpreted",
-                                          symbol=f.pred)
-            args = tuple(ev_term(t, env) for t in f.args)
+                raise UninterpretedSymbol(f"function symbol {t.name!r} uninterpreted",
+                                          symbol=t.name)
+            args = tuple(ev_term(a, env) for a in t.args)
             try:
                 return table[args]
             except KeyError:
                 raise UninterpretedSymbol(
-                    f"predicate {f.pred!r} undefined at {args!r}", symbol=f.pred) from None
-        if isinstance(f, Const):
-            if f.name not in lat.constants:
-                raise UninterpretedSymbol(f"constant {f.name!r} not declared", symbol=f.name)
-            return lat.constants[f.name]
-        if isinstance(f, PropVar):
-            raise UninterpretedSymbol(
-                f"propositional variable {f.name!r} has no first-order meaning",
-                symbol=f.name,
-            )
-        if isinstance(f, App):
-            table = lat.tables[f.conn]
-            if not f.args:
-                return int(table[()])
-            vals = tuple(ev(a, env) for a in f.args)
-            return int(table[vals])
-        if isinstance(f, Quant):
-            fold = meet_t if f.kind == FORALL else join_t
-            acc = None
-            for d in structure.domain:
-                env2 = dict(env)
-                env2[f.var] = d
-                v = ev(f.body, env2)
-                acc = v if acc is None else int(fold[acc, v])
-            if acc is None:
-                raise LatlogError("empty domain")
-            return acc
-        raise LatlogError(f"cannot evaluate {f!r}")
+                    f"function {t.name!r} undefined at {args!r}", symbol=t.name) from None
 
-    return lat.elements[ev(phi, env)]
+        def ev(f: Formula, env: dict) -> int:
+            if isinstance(f, Atom):
+                table = structure.predicates.get(f.pred)
+                if table is None:
+                    raise UninterpretedSymbol(f"predicate {f.pred!r} uninterpreted",
+                                              symbol=f.pred)
+                args = tuple(ev_term(t, env) for t in f.args)
+                try:
+                    return table[args]
+                except KeyError:
+                    raise UninterpretedSymbol(
+                        f"predicate {f.pred!r} undefined at {args!r}", symbol=f.pred) from None
+            if isinstance(f, Const):
+                if f.name not in lat.constants:
+                    raise UninterpretedSymbol(f"constant {f.name!r} not declared", symbol=f.name)
+                return lat.constants[f.name]
+            if isinstance(f, PropVar):
+                raise UninterpretedSymbol(
+                    f"propositional variable {f.name!r} has no first-order meaning",
+                    symbol=f.name,
+                )
+            if isinstance(f, App):
+                table = lat.tables[f.conn]
+                if not f.args:
+                    return int(table[()])
+                vals = tuple(ev(a, env) for a in f.args)
+                return int(table[vals])
+            if isinstance(f, Quant):
+                op = meet_t if f.kind == FORALL else join_t
+                names = free[id(f.body)]
+                acc = None
+                for d in structure.domain:
+                    env2 = dict(env)
+                    env2[f.var] = d
+                    key = (id(f.body),) + tuple(env2.get(v, _UNSET) for v in names)
+                    v = memo.get(key)
+                    if v is None:
+                        v = memo[key] = ev(f.body, env2)
+                    acc = v if acc is None else int(op[acc, v])
+                if acc is None:
+                    raise LatlogError("empty domain")
+                return acc
+            raise LatlogError(f"cannot evaluate {f!r}")
+
+        return ev(phi, dict(assignment or {}))
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +573,9 @@ def _interpretation_space(lat: Lattice, domain: tuple, lang: PredicateLanguage) 
 class _Interpretations:
     """Every interpretation of a language over a domain, in a deterministic
     exhaustive order.  An interpretation is a combo: one value tuple per
-    symbol, predicates then functions, each in name order; ``structure``
-    builds its tables."""
+    symbol (a slot), predicates then functions, each in name order, with the
+    slots' ``choices`` varying last-slot-fastest; ``structure`` builds its
+    tables."""
 
     def __init__(self, lat: Lattice, domain: tuple, lang: PredicateLanguage):
         self.domain = domain
@@ -549,7 +584,9 @@ class _Interpretations:
                       for p in self.preds]
                      + [list(itertools.product(domain, repeat=lang.functions[f]))
                         for f in self.funcs])
-        self.spaces = [range(lat.m)] * len(self.preds) + [domain] * len(self.funcs)
+        spaces = [range(lat.m)] * len(self.preds) + [domain] * len(self.funcs)
+        self.choices = [list(itertools.product(space, repeat=len(keys)))
+                        for space, keys in zip(spaces, self.keys)]
 
     def slots(self, lang: PredicateLanguage) -> list[int]:
         """Combo positions of the symbols of a sub-language."""
@@ -557,15 +594,28 @@ class _Interpretations:
                 + [len(self.preds) + j for j, f in enumerate(self.funcs)
                    if f in lang.functions])
 
-    def combos(self):
-        return itertools.product(*(itertools.product(space, repeat=len(keys))
-                                   for space, keys in zip(self.spaces, self.keys)))
-
     def structure(self, combo: tuple) -> FoStructure:
         tables = [dict(zip(keys, values)) for keys, values in zip(self.keys, combo)]
         n = len(self.preds)
         return FoStructure(self.domain, dict(zip(self.preds, tables[:n])),
                            dict(zip(self.funcs, tables[n:])))
+
+    def values(self, phi: Formula, lat: Lattice) -> np.ndarray:
+        """Element index of ``phi`` under every combo, as an array with one
+        axis per slot indexing its choices, of length 1 at the slots of
+        symbols ``phi`` does not mention: ``phi`` is evaluated once per
+        interpretation of its own symbols."""
+        choices = self.choices
+        slots = self.slots(inferred_language(phi))
+        evaluate = _evaluator(phi, lat)
+        combo = [c[0] for c in choices]  # the other slots do not affect phi
+        out = []
+        for own in itertools.product(*(choices[i] for i in slots)):
+            for i, v in zip(slots, own):
+                combo[i] = v
+            out.append(evaluate(self.structure(tuple(combo)), None))
+        shape = [len(c) if i in slots else 1 for i, c in enumerate(choices)]
+        return np.array(out, dtype=np.intp).reshape(shape)
 
 
 def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
@@ -583,33 +633,21 @@ def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                 f"{space} interpretations exceed the budget")
             break
         interps = _Interpretations(lat, domain, lang)
-        # each formula's value depends only on its own symbols' slice of the combo
-        sides = [(f, interps.slots(inferred_language(f)), {}) for f in (a, interpolant, b)]
-
-        def value(side, combo: tuple) -> int:
-            f, slots, memo = side
-            key = tuple(combo[i] for i in slots)
-            if key not in memo:
-                memo[key] = lat.index(fo_eval(f, lat, interps.structure(combo)))
-            return memo[key]
-
-        for combo in interps.combos():
-            checked += 1
-            va, vi, vb = [value(side, combo) for side in sides]
-            if not lat.leq[va, vi]:
-                raise SmokeTestFailed(
-                    "antecedent -> interpolant fails on a finite structure",
-                    domain=list(domain),
-                    predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
-                    values=(lat.elements[va], lat.elements[vi]),
-                )
-            if not lat.leq[vi, vb]:
-                raise SmokeTestFailed(
-                    "interpolant -> succedent fails on a finite structure",
-                    domain=list(domain),
-                    predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
-                    values=(lat.elements[vi], lat.elements[vb]),
-                )
+        va, vi, vb = np.broadcast_arrays(*(interps.values(f, lat) for f in (a, interpolant, b)))
+        low, high = ~lat.leq[va, vi], ~lat.leq[vi, vb]
+        bad = np.flatnonzero(low | high)
+        if len(bad):
+            at = np.unravel_index(bad[0], va.shape)
+            combo = tuple(c[k] for c, k in zip(interps.choices, at))
+            message, values = (("antecedent -> interpolant", (va[at], vi[at])) if low[at]
+                               else ("interpolant -> succedent", (vi[at], vb[at])))
+            raise SmokeTestFailed(
+                f"{message} fails on a finite structure",
+                domain=list(domain),
+                predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
+                values=tuple(lat.elements[v] for v in values),
+            )
+        checked += space
         domains_done.append(d)
     trace.smoke = {"domains": domains_done, "structures": checked}
 

@@ -10,14 +10,29 @@ fancy indexing with a uint8 index; ``take`` first casts its index to intp,
 8 bytes a cell, so an index of more than ``BLOCK_CELLS`` cells is gathered
 one block at a time into a preallocated output, and a 5^10-cell grid never
 holds a 5^10-cell intp copy.  Folds over an axis combine its contiguous
-first and second halves, round by round.  A valid factored implication
-check keeps only its two envelope columns, not its grids.  The closure of
-representable functions grows level by level: level 0 holds the projection
-and constant columns, level k+1 every connective application with an
-argument from level k, evaluated in blocks of about ``BLOCK_CELLS`` cells.
-Each column keeps its canonical witness, the least (rendered length, word)
-over the applications producing it; lengths come from the arguments, and
-only the shortest words are joined.  Columns are ordered by level, then
+first and second halves, round by round.
+
+The factored implication check a -> b needs the join of a over its private
+variables and the meet of b over its own, per shared valuation.  Every
+connective is monotone or antitone in each argument, as its declared
+polarity says, so a word is monotone in a variable whose occurrences all
+sit at positive positions and antitone in one whose occurrences all sit at
+negative ones; the join over such a variable is reached at the top or the
+bottom element, and the meet at the other end.  The check holds each such
+private variable there, and only private variables of mixed sign get a
+grid axis to fold; on the first-order README query on mc (5 shared and 5
+private variables a side) each side's column has 5^5 cells.  A failing
+check evaluates a and b over their private variables at the first shared
+valuation where the envelopes cross.  ``checked`` counts the valuations of
+a's variables plus those of b's, m**(s+l) + m**(s+r), held or not.  A valid
+check keeps only its two envelope columns.
+
+The closure of representable functions grows level by level: level 0 holds
+the projection and constant columns, level k+1 every connective application
+with an argument from level k, evaluated in blocks of about ``BLOCK_CELLS``
+cells.  Each column keeps its canonical witness, the least (rendered length,
+word) over the applications producing it; lengths come from the arguments,
+and only the shortest words are joined.  Columns are ordered by level, then
 length, then word, which keeps interpolants deterministic.
 
 An envelope scan searches the next level for a column between two bounds
@@ -49,6 +64,7 @@ from .syntax import (
     Formula,
     PropVar,
     arg_parens,
+    children,
     fold,
     is_prop_word,
     join_args,
@@ -100,27 +116,33 @@ def _projection(m: int, n: int, k: int) -> np.ndarray:
     return ((np.arange(N) // m ** (n - 1 - k)) % m).astype(np.uint8)
 
 
-def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str]) -> np.ndarray:
-    """Evaluate a propositional word on every valuation of ``var_list``.
+def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str],
+              fixed: Optional[Mapping[str, int]] = None) -> np.ndarray:
+    """Evaluate a propositional word on every valuation of ``var_list``, with
+    each variable of ``fixed`` held at the element index it maps to.
 
     Internally the valuation grid is an n-dimensional broadcast: each variable
-    occupies one axis, so subformulas touching few variables stay small and
-    the full m**n layout is materialised only once at the end."""
+    of ``var_list`` occupies one axis and a fixed variable is a scalar, so
+    subformulas touching few variables stay small and the full m**n layout is
+    materialised only once at the end."""
     var_list = tuple(var_list)
     m = lat.m
     n = len(var_list)
     pos = {v: k for k, v in enumerate(var_list)}
+    held = {v: np.full((), i, dtype=np.uint8) for v, i in (fixed or {}).items()}
     base = np.arange(m, dtype=np.uint8)
 
     def value(f: Formula, args) -> np.ndarray:
         if isinstance(f, App):
             return apply_connective(lat.flat(f.conn), m, args)
         if isinstance(f, PropVar):
-            if f.name not in pos:
-                raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
-                                      variable=f.name)
-            k = pos[f.name]
-            return base.reshape((1,) * k + (m,) + (1,) * (n - 1 - k))
+            k = pos.get(f.name)
+            if k is not None:
+                return base.reshape((1,) * k + (m,) + (1,) * (n - 1 - k))
+            if f.name in held:
+                return held[f.name]
+            raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
+                                  variable=f.name)
         if isinstance(f, Const):
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
@@ -193,6 +215,50 @@ def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
     return acc[..., 0].astype(np.uint8)  # a copy: a view would keep acc alive
 
 
+POS, NEG = 1, 2  # sign bits of a variable: it occurs positively, negatively
+# signs of an argument from those of its application, by the argument's
+# polarity; "?" marks a connective with no polarity to go by
+_BELOW = {"+": (0, POS, NEG, POS | NEG), "-": (0, NEG, POS, POS | NEG),
+          "?": (0, POS | NEG, POS | NEG, POS | NEG)}
+
+
+def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
+    """Each propositional variable of ``phi`` with the signs of its
+    occurrences: POS where the polarities of the connectives above it
+    multiply to +, NEG where to -, both (mixed) when it has occurrences of
+    each.  Below a connective outside the signature, or applied to a wrong
+    number of arguments, every sign is mixed."""
+    polarity = {c.name: c.polarity for c in lat.signature.connectives}
+    signs: dict[str, int] = {}
+    stack = [(phi, POS)]
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, PropVar):
+            signs[node.name] = signs.get(node.name, 0) | sign
+        elif isinstance(node, App):
+            pol = polarity.get(node.conn)
+            if pol is None or len(pol) != len(node.args):
+                pol = "?" * len(node.args)
+            stack.extend((kid, _BELOW[p][sign]) for kid, p in zip(node.args, pol))
+        else:
+            stack.extend((kid, sign) for kid in children(node))
+    return signs
+
+
+def _envelope(phi: Formula, lat: Lattice, shared: tuple[str, ...], private: tuple[str, ...],
+              signs: Mapping[str, int], at: Mapping[int, int], conn: str) -> np.ndarray:
+    """The fold of ``phi`` with ``conn`` over every valuation of its private
+    variables, per valuation of the shared ones.  ``phi`` is monotone in a
+    private variable of sign POS and antitone in one of sign NEG, so the fold
+    over it is its value at one end of the order, ``at[sign]``; such a
+    variable is held there and only the mixed ones get an axis to fold."""
+    fixed = {v: at[signs[v]] for v in private if signs[v] in at}
+    mixed = tuple(v for v in private if v not in fixed)
+    m = lat.m
+    grid = column_of(phi, lat, shared + mixed, fixed)
+    return _fold_axis(grid.reshape(m ** len(shared), m ** len(mixed)), lat.flat(conn), m)
+
+
 @dataclass
 class ImplicationParts:
     shared: tuple[str, ...]
@@ -200,8 +266,6 @@ class ImplicationParts:
     right: tuple[str, ...]
     lower: np.ndarray  # join over left extensions of the antecedent
     upper: np.ndarray  # meet over right extensions of the succedent
-    a_grid: np.ndarray  # shape (m^s, m^l)
-    b_grid: np.ndarray  # shape (m^s, m^r)
 
     def envelope_pair(self) -> EnvelopePair:
         return EnvelopePair(self.shared, ValueColumn(self.shared, self.lower),
@@ -211,34 +275,38 @@ class ImplicationParts:
 def _implication_parts(a: Formula, b: Formula, lat: Lattice,
                        var_cap: Optional[int] = None) -> ImplicationParts:
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
-    va, vb = prop_variables(a), prop_variables(b)
-    shared = tuple(sorted(va & vb))
-    left = tuple(sorted(va - vb))
-    right = tuple(sorted(vb - va))
-    m = lat.m
+    sa, sb = _variable_signs(a, lat), _variable_signs(b, lat)
+    shared = tuple(sorted(sa.keys() & sb.keys()))
+    left = tuple(sorted(sa.keys() - sb.keys()))
+    right = tuple(sorted(sb.keys() - sa.keys()))
     if max(len(shared) + len(left), len(shared) + len(right)) > cap:
         raise BudgetExceeded(
             f"implication check needs grids over {len(shared) + len(left)} and "
             f"{len(shared) + len(right)} variables, cap is {cap}",
             cap=cap,
         )
-    a_col = column_of(a, lat, shared + left).reshape(m ** len(shared), m ** len(left))
-    b_col = column_of(b, lat, shared + right).reshape(m ** len(shared), m ** len(right))
-    lower = _fold_axis(a_col, lat.flat(JOIN), m)
-    upper = _fold_axis(b_col, lat.flat(MEET), m)
-    return ImplicationParts(shared, left, right, lower, upper, a_col, b_col)
+    top, bottom = lat.top, lat.bottom
+    lower = _envelope(a, lat, shared, left, sa, {POS: top, NEG: bottom}, JOIN)
+    upper = _envelope(b, lat, shared, right, sb, {POS: bottom, NEG: top}, MEET)
+    return ImplicationParts(shared, left, right, lower, upper)
 
 
-def _implication_counter(parts: ImplicationParts, lat: Lattice) -> dict[str, str]:
+def _implication_counter(a: Formula, b: Formula, parts: ImplicationParts,
+                         lat: Lattice) -> dict[str, str]:
+    """The first countervaluation of a -> b in lexicographic order (shared,
+    then left, then right variables): the first shared valuation s where the
+    envelopes cross, then the first left and right valuations on which a and
+    b, evaluated with the shared variables held at s, fail the order."""
     leq = lat.leq
-    bad_shared = np.nonzero(~leq[parts.lower, parts.upper])[0]
-    s = int(bad_shared[0])
-    arow = parts.a_grid[s]
-    brow = parts.b_grid[s]
-    bad = ~leq[arow[:, None], brow[None, :]]
-    l, r = (int(x) for x in np.argwhere(bad)[0])
-    out = {}
-    out.update(_decode_valuation(s, parts.shared, lat))
+    s = int(np.flatnonzero(~leq[parts.lower, parts.upper])[0])
+    at_s = _decode_valuation(s, parts.shared, lat)
+    held = {v: lat.index(e) for v, e in at_s.items()}
+    arow = column_of(a, lat, parts.left, held)
+    brow = column_of(b, lat, parts.right, held)
+    above = ~leq[:, brow]  # above[v, r]: element v is not below b's value at r
+    l = int(np.flatnonzero(above.any(axis=1)[arow])[0])
+    r = int(above[arow[l]].argmax())
+    out = dict(at_s)
     out.update(_decode_valuation(l, parts.left, lat))
     out.update(_decode_valuation(r, parts.right, lat))
     return dict(sorted(out.items()))
@@ -248,16 +316,20 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
                          var_cap: Optional[int] = None) -> ValidityReport:
     """Validity of a -> b via the shared-variable factorisation: valid iff for
     every shared valuation, the join over antecedent-only extensions stays
-    below the meet over succedent-only extensions.  Observationally identical
-    to the full valuation sweep.  A valid report carries that join and meet
-    as the envelope pair of a -> b (the grids themselves are not kept)."""
+    below the meet over succedent-only extensions.  A private variable of one
+    sign is held at the end of the order where the join or meet is reached
+    (see ``_envelope``), so only variables of mixed sign get a grid axis.
+    Observationally identical to the full valuation sweep; ``checked``
+    counts the valuations of a's variables plus those of b's.  A valid
+    report carries the join and meet as the envelope pair of a -> b."""
     parts = _implication_parts(a, b, lat, var_cap)
     variables = tuple(sorted(set(parts.shared) | set(parts.left) | set(parts.right)))
-    checked = parts.a_grid.size + parts.b_grid.size
+    m, s = lat.m, len(parts.shared)
+    checked = m ** (s + len(parts.left)) + m ** (s + len(parts.right))
     if lat.leq[parts.lower, parts.upper].all():
         return ValidityReport(True, None, variables, checked, method="factored",
                               envelopes=parts.envelope_pair())
-    return ValidityReport(False, _implication_counter(parts, lat), variables, checked,
+    return ValidityReport(False, _implication_counter(a, b, parts, lat), variables, checked,
                           method="factored")
 
 
@@ -707,13 +779,15 @@ def envelopes(a: Formula, b: Formula, lat: Lattice,
               var_cap: Optional[int] = None) -> EnvelopePair:
     """Tightest bounds an interpolant for a -> b must fall between, as columns
     over the shared variables: the join of the antecedent over all extensions
-    of its private variables, and the meet of the succedent likewise.
+    of its private variables, and the meet of the succedent likewise.  A
+    private variable of one sign is held at the end of the order where the
+    join or meet is reached, so only those of mixed sign are folded.
     Raises NOT_VALID when a -> b fails."""
     parts = _implication_parts(a, b, lat, var_cap)
     if not lat.leq[parts.lower, parts.upper].all():
         raise NotValidError(
             "the implication is not valid",
-            countervaluation=_implication_counter(parts, lat),
+            countervaluation=_implication_counter(a, b, parts, lat),
         )
     return parts.envelope_pair()
 

@@ -69,7 +69,6 @@ class BinaryInvariants:
         self._widest = max([(m * m) ** c.arity for c in lat.signature.connectives] + [1])
         self.available = self._widest <= MAX_RELATION_CELLS
         self.relations = np.zeros((0, m, m), dtype=bool)
-        self.bottom = int(np.flatnonzero(lat.leq.all(axis=1))[0])
         self.join = _with_sentinel(lat.flat(JOIN), m)
         self.meet = _with_sentinel(lat.flat(MEET), m)
         self._by_mask: dict[bytes, int] = {}
@@ -260,7 +259,7 @@ def point_solutions(inv: BinaryInvariants, l: int, s: int, r: int, left: bool) -
     column over the shared and right variables above the bound that is a at
     y0 and bottom elsewhere.  Rows without one hold the sentinel m."""
     m, S = inv.m, inv.m ** s
-    bounds = np.full((S, m, S), inv.lat.top if left else inv.bottom, dtype=np.uint8)
+    bounds = np.full((S, m, S), inv.lat.top if left else inv.lat.bottom, dtype=np.uint8)
     bounds[np.arange(S), :, np.arange(S)] = np.arange(m, dtype=np.uint8)
     if left:  # grid [x, y]
         grid = np.broadcast_to(bounds[:, :, None, :], (S, m, m ** l, S))

@@ -44,6 +44,8 @@ def test_bundled_lattices_all_validate():
                  "godel3", "lukasiewicz3", "three-01", "three-0a", "mc", "diamond"):
         lat = load_lattice(bundled_source(name))
         assert lat.elements[lat.top] == "1"
+        assert lat.elements[lat.bottom] == "0" and lat.leq[lat.bottom].all()
+        assert lat.with_constants({"fresh": "1"}).bottom == lat.bottom
 
 
 def test_mc_lattice_shape(mc):

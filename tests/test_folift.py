@@ -7,6 +7,7 @@ from latlog import (
     Atom,
     Func,
     Quant,
+    Var,
     alpha_equal,
     bundled_lattice,
     parse_formula,
@@ -38,6 +39,8 @@ from latlog.folift import (
 )
 from latlog.interp import find_prop_interpolant
 from latlog.syntax import PredicateLanguage, classify_quantifiers, functions_of, predicates_of
+
+from folift_reference import plain_fo_eval, reference_smoke
 
 from genutil import all_unary_structures
 from property_checks import check_lemma_alpha, check_skolem_witness
@@ -439,9 +442,9 @@ README_SENTENCE = "exists x.(B(x) & forall y. C(y)) -> exists x.(A(x) | B(x))"
 def test_pipeline_builds_the_herbrand_grids_once(mc, monkeypatch):
     """On mc the README sentence's valid expansion (n=5) abstracts to 15
     atoms, over the variable cap of 10, so its validity check is factored
-    into grids over 5 shared + 5 private variables per side.  The check's
-    envelope pair feeds the propositional search, so those grids are built
-    once, not again by ``envelopes``."""
+    over 5 shared + 5 private variables per side.  The check's envelope
+    pair feeds the propositional search, so the factored check runs once,
+    not again in ``envelopes``."""
     built = []
     original = propcore._implication_parts
 
@@ -529,3 +532,91 @@ def test_smoke_test_reports_the_first_failing_structure(classical, interpolant, 
         _smoke(classical, "P(c) & R(c,d)", interpolant, "R(c,d) | P(d)")
     assert exc.value.message == message
     assert exc.value.details == {"domain": domain, "predicates": predicates, "values": values}
+
+
+@pytest.mark.parametrize("name, a, interpolant, b", [
+    ("classical", "P(c) & R(c,d)", "R(c,d)", "R(c,d) | P(d)"),
+    ("classical", "P(c) & R(c,d)", "R(d,c)", "R(c,d) | P(d)"),
+    ("classical", "P(c) & R(c,d)", "R(c,d) & P(d)", "R(c,d) | P(d)"),
+    ("godel3", "forall x. P(x)", "P(f(c))", "P(f(c)) | Q(c)"),
+    ("godel3", "forall x. P(x)", "P(f(c)) & Q(c)", "P(f(c)) | Q(c)"),
+    ("godel3", "forall x. P(x)", "P(f(c)) -> Q(c)", "P(f(c)) | Q(c)"),
+    ("mc", "exists x. B(x) & C(c)", "exists x. B(x)", "exists x. A(x) | B(x)"),
+    ("mc", "exists x. B(x) & C(c)", "B(c)", "exists x. A(x) | B(x)"),
+    # both implications fail on the first failing structure
+    ("mc", "(B(c) -> #0) -> #0", "B(c)", "A(c)"),
+    ("three-0a", "forall x. (P(x) -> #0)", "P(c) -> #0", "P(c) -> Q(c)"),
+])
+def test_smoke_test_matches_structure_by_structure_reference(name, a, interpolant, b):
+    """The broadcast comparison gives the record, or the first failing
+    structure, of evaluating every structure in turn."""
+    lat = bundled_lattice(name)
+    a, interpolant, b = (parse_formula(t) for t in (a, interpolant, b))
+    try:
+        expected = reference_smoke(a, interpolant, b, lat, FoBudgets())
+    except SmokeTestFailed as exc:
+        with pytest.raises(SmokeTestFailed) as got:
+            _smoke_test(a, interpolant, b, lat, FoBudgets(), PipelineTrace())
+        assert (got.value.message, got.value.details) == (exc.message, exc.details)
+    else:
+        trace = PipelineTrace()
+        _smoke_test(a, interpolant, b, lat, FoBudgets(), trace)
+        assert trace.smoke == expected
+
+
+def _random_fo_formula(rng, depth):
+    """Random formula over x and y (free or bound, often rebound), P/1, R/2,
+    the constant c and the unary function f."""
+    def term(d):
+        if d > 0 and rng.random() < 0.2:
+            return Func("f", (term(d - 1),))
+        return rng.choice([Var("x"), Var("y"), Func("c", ())])
+
+    def go(d):
+        if d <= 0 or rng.random() < 0.2:
+            return (Atom("P", (term(2),)) if rng.random() < 0.5
+                    else Atom("R", (term(2), term(2))))
+        if rng.random() < 0.4:
+            return Quant(rng.choice(["forall", "exists"]), rng.choice("xy"), go(d - 1))
+        return App(rng.choice(["&", "|", "->"]), (go(d - 1), go(d - 1)))
+
+    return go(depth)
+
+
+@pytest.mark.parametrize("name", ["godel3", "mc", "diamond"])
+def test_fo_eval_matches_plain_recursion(name, rng):
+    lat = bundled_lattice(name)
+    for _ in range(60):
+        domain = tuple(range(rng.randint(1, 3)))
+        structure = FoStructure(
+            domain,
+            {"P": {(d,): rng.randrange(lat.m) for d in domain},
+             "R": {k: rng.randrange(lat.m) for k in itertools.product(domain, repeat=2)}},
+            {"c": {(): rng.choice(domain)}, "f": {(d,): rng.choice(domain) for d in domain}},
+        )
+        phi = _random_fo_formula(rng, 6)
+        assignment = {"x": rng.choice(domain), "y": rng.choice(domain)}
+        assert (fo_eval(phi, lat, structure, assignment)
+                == plain_fo_eval(phi, lat, structure, assignment))
+
+
+@pytest.mark.parametrize("depth", [20, 200])
+def test_fo_eval_on_shadowing_quantifier_chains(godel3, depth):
+    """Each quantifier rebinds x, so its body is evaluated once per value of
+    x, not once per assignment of every enclosing quantifier."""
+    chain = parse_formula("exists x. forall x. " * (depth // 2) + "P(x)")
+    mixed = parse_formula("forall x. exists y. " * (depth // 2) + "R(x, y)")
+    two = FoStructure((0, 1), {"P": {(0,): 2, (1,): 1},
+                               "R": {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 1}})
+    assert fo_eval(chain, godel3, two) == godel3.elements[1]  # the meet of P
+    # forall x. exists y. R(x, y): the meet over x of the join over y
+    assert fo_eval(mixed, godel3, two) == godel3.elements[1]
+    one = FoStructure((0,), {"P": {(0,): 1}, "R": {(0, 0): 2}})  # plain recursion is linear
+    for phi in (chain, mixed):
+        assert fo_eval(phi, godel3, one) == plain_fo_eval(phi, godel3, one)
+
+
+def test_pipeline_on_a_shadowing_quantifier_chain(classical):
+    result = fo_interpolate(parse_formula("(" + "forall x. " * 20 + "P(x)) -> P(c)"), classical)
+    assert render(result.interpolant) == "forall z1. P(z1)"
+    assert result.trace.smoke == {"domains": [1, 2], "structures": 2 + 8}
