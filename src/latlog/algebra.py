@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -48,18 +50,27 @@ class Connective:
 
 @dataclass(frozen=True)
 class PolaritySignature:
-    """Connective names with arities and per-argument polarities."""
+    """Connective names with arities and per-argument polarities.
+    ``by_name`` maps each name to its connective (the first one declared
+    under a name that ``check`` rejects as a duplicate); it is read-only."""
 
     connectives: tuple[Connective, ...]
+    by_name: Mapping[str, Connective] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_name: dict[str, Connective] = {}
+        for c in self.connectives:
+            by_name.setdefault(c.name, c)
+        object.__setattr__(self, "by_name", MappingProxyType(by_name))
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.connectives)
 
     def get(self, name: str) -> Connective | None:
-        for c in self.connectives:
-            if c.name == name:
-                return c
-        return None
+        return self.by_name.get(name)
+
+    def __reduce__(self):  # the read-only map does not pickle; rebuild it
+        return PolaritySignature, (self.connectives,)
 
     def check(self) -> None:
         names = [c.name for c in self.connectives]
@@ -85,11 +96,21 @@ class PolaritySignature:
                 )
 
 
-def default_signature(extras: tuple[Connective, ...] = ()) -> PolaritySignature:
+def _checked_signature(extras: tuple[Connective, ...]) -> PolaritySignature:
     base = tuple(Connective(n, a, p) for n, a, p in MANDATORY)
     sig = PolaritySignature(base + tuple(extras))
     sig.check()
     return sig
+
+
+_DEFAULT_SIGNATURE = _checked_signature(())
+
+
+def default_signature(extras: tuple[Connective, ...] = ()) -> PolaritySignature:
+    """The mandatory connectives followed by ``extras``, checked.  Without
+    extras this is one shared signature, built and checked at import; it is
+    frozen and its map read-only, so no caller can change it for others."""
+    return _checked_signature(extras) if extras else _DEFAULT_SIGNATURE
 
 
 @dataclass

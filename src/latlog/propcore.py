@@ -5,12 +5,12 @@ order over element indices, first variable most significant).  One kernel,
 ``apply_connective``, applies a connective to arrays of argument values in
 validity grids, folds and the closure.  Values, tables and table indices are
 uint8 while ``m ** arity <= 256``; beyond that the kernel widens the index to
-intp.  The kernel gathers table entries with ``take``, which is faster than
-fancy indexing with a uint8 index; ``take`` first casts its index to intp,
-8 bytes a cell, so an index of more than ``BLOCK_CELLS`` cells is gathered
-one block at a time into a preallocated output, and a 5^10-cell grid never
-holds a 5^10-cell intp copy.  Folds over an axis combine its contiguous
-first and second halves, round by round.
+intp.  A uint8 index of at least ``TRANSLATE_CELLS`` cells is gathered by
+``bytes.translate`` through the table padded to 256 bytes, a byte per cell;
+``take``, which first casts its index to intp, 8 bytes a cell, gathers
+smaller uint8 indices, where the conversion to bytes costs more than it
+saves, and every wide index, which is intp already.  Folds over an axis
+combine its contiguous first and second halves, round by round.
 
 The factored implication check a -> b needs the join of a over its private
 variables and the meet of b over its own, per shared valuation.  Every
@@ -66,15 +66,14 @@ from .syntax import (
     arg_parens,
     children,
     fold,
-    is_prop_word,
     join_args,
     precedence,
-    prop_variables,
     render,
 )
 
 DEFAULT_VAR_CAP = 10
-BLOCK_CELLS = 1 << 16  # cells per closure block and per gather of the kernel
+BLOCK_CELLS = 1 << 16  # cells per closure block
+TRANSLATE_CELLS = 1024  # least uint8 index the kernel gathers by bytes.translate
 MAX_SURVIVORS = 500_000  # applications an envelope scan may keep after its probe groups
 PROBES = 16  # probe positions whose values group the columns in an envelope scan
 SCREEN_WIDTH = 64  # positions an envelope scan checks before the full width
@@ -83,12 +82,15 @@ SCREEN_WIDTH = 64  # positions an envelope scan checks before the full width
 def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     """Values of a connective, given its flattened table, on broadcastable
     integer arrays of argument values; ``flat[0]`` for a nullary connective.
+    The result is a fresh writable array, or a scalar for 0-d arguments.
 
     The table index of a tuple is a1*m**(k-1) + ... + ak.  While
     ``m ** arity <= 256`` it is at most 255, so uint8 arguments with a
     Python-int ``m`` compute it exactly in uint8; otherwise the first
-    argument is widened to intp before the arithmetic.  Indices of more than
-    BLOCK_CELLS cells are gathered one block at a time into the output."""
+    argument is widened to intp before the arithmetic and ``take`` gathers
+    with it.  A uint8 index of at least TRANSLATE_CELLS cells is gathered by
+    ``bytes.translate`` through ``flat`` padded to 256 bytes, built per
+    call: that takes under a tenth of the time of the smallest such gather."""
     if not len(args):
         return flat[0]
     idx = args[0]
@@ -96,14 +98,12 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.intp)
     for a in args[1:]:
         idx = idx * m + a
-    if idx.size <= BLOCK_CELLS:
+    if idx.size < TRANSLATE_CELLS or idx.dtype != np.uint8:
         return flat.take(idx)
-    src = idx.reshape(-1)  # contiguous: a copy when idx is a strided view
-    out = np.empty(idx.shape, dtype=flat.dtype)
-    dst = out.reshape(-1)
-    for i in range(0, src.size, BLOCK_CELLS):
-        np.take(flat, src[i:i + BLOCK_CELLS], out=dst[i:i + BLOCK_CELLS])
-    return out
+    # bytearray copies the cells in C order, from a strided view too; the
+    # translated bytearray is writable, and so is the array over it
+    cells = bytearray(idx).translate(flat.tobytes().ljust(256, b"\0"))
+    return np.frombuffer(cells, dtype=np.uint8).reshape(idx.shape)
 
 
 def _not_a_word(phi: Formula) -> LatlogError:
@@ -124,29 +124,35 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str],
     Internally the valuation grid is an n-dimensional broadcast: each variable
     of ``var_list`` occupies one axis and a fixed variable is a scalar, so
     subformulas touching few variables stay small and the full m**n layout is
-    materialised only once at the end."""
+    materialised only once at the end.  Each variable's axis array is built,
+    and each connective's table fetched, once per call."""
     var_list = tuple(var_list)
     m = lat.m
     n = len(var_list)
-    pos = {v: k for k, v in enumerate(var_list)}
-    held = {v: np.full((), i, dtype=np.uint8) for v, i in (fixed or {}).items()}
     base = np.arange(m, dtype=np.uint8)
+    leaves = {v: base.reshape((1,) * k + (m,) + (1,) * (n - 1 - k))
+              for k, v in enumerate(var_list)}
+    for v, i in (fixed or {}).items():
+        leaves.setdefault(v, base[i])  # a uint8 scalar
+    flats: dict[str, np.ndarray] = {}
 
     def value(f: Formula, args) -> np.ndarray:
-        if isinstance(f, App):
-            return apply_connective(lat.flat(f.conn), m, args)
-        if isinstance(f, PropVar):
-            k = pos.get(f.name)
-            if k is not None:
-                return base.reshape((1,) * k + (m,) + (1,) * (n - 1 - k))
-            if f.name in held:
-                return held[f.name]
-            raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
-                                  variable=f.name)
-        if isinstance(f, Const):
+        kind = type(f)
+        if kind is App:
+            flat = flats.get(f.conn)
+            if flat is None:
+                flat = flats[f.conn] = lat.flat(f.conn)
+            return apply_connective(flat, m, args)
+        if kind is PropVar:
+            leaf = leaves.get(f.name)
+            if leaf is None:
+                raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
+                                      variable=f.name)
+            return leaf
+        if kind is Const:
             if f.name not in lat.constants:
                 raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
-            return np.full((), lat.constants[f.name], dtype=np.uint8)
+            return base[lat.constants[f.name]]  # a uint8 scalar
         raise _not_a_word(phi)
 
     out = fold(phi, value)
@@ -216,10 +222,7 @@ def _fold_axis(grid: np.ndarray, flat: np.ndarray, m: int) -> np.ndarray:
 
 
 POS, NEG = 1, 2  # sign bits of a variable: it occurs positively, negatively
-# signs of an argument from those of its application, by the argument's
-# polarity; "?" marks a connective with no polarity to go by
-_BELOW = {"+": (0, POS, NEG, POS | NEG), "-": (0, NEG, POS, POS | NEG),
-          "?": (0, POS | NEG, POS | NEG, POS | NEG)}
+_FLIP = (0, NEG, POS, POS | NEG)  # signs below an argument of polarity -
 
 
 def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
@@ -228,18 +231,21 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
     multiply to +, NEG where to -, both (mixed) when it has occurrences of
     each.  Below a connective outside the signature, or applied to a wrong
     number of arguments, every sign is mixed."""
-    polarity = {c.name: c.polarity for c in lat.signature.connectives}
+    conns = lat.signature.by_name
     signs: dict[str, int] = {}
     stack = [(phi, POS)]
     while stack:
         node, sign = stack.pop()
-        if isinstance(node, PropVar):
+        kind = type(node)
+        if kind is PropVar:
             signs[node.name] = signs.get(node.name, 0) | sign
-        elif isinstance(node, App):
-            pol = polarity.get(node.conn)
-            if pol is None or len(pol) != len(node.args):
-                pol = "?" * len(node.args)
-            stack.extend((kid, _BELOW[p][sign]) for kid, p in zip(node.args, pol))
+        elif kind is App:
+            conn = conns.get(node.conn)
+            if conn is None or conn.arity != len(node.args):
+                stack.extend((kid, POS | NEG) for kid in node.args)
+            else:
+                for kid, p in zip(node.args, conn.polarity):
+                    stack.append((kid, sign if p == "+" else _FLIP[sign]))
         else:
             stack.extend((kid, sign) for kid in children(node))
     return signs
@@ -333,16 +339,31 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
                           method="factored")
 
 
+def _word_variables(phi: Formula) -> set[str]:
+    """The variables of a propositional word, in one walk that raises on
+    anything else: an atom, a term or a quantifier."""
+    names: set[str] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is App:
+            stack.extend(node.args)
+        elif kind is PropVar:
+            names.add(node.name)
+        elif kind is not Const:
+            raise _not_a_word(phi)
+    return names
+
+
 def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> ValidityReport:
     """Exhaustive validity: true iff the word evaluates to the top element
     under every valuation.  Returns one countervaluation when false.  When the
     variable count exceeds the cap, a top-level implication falls back to the
     factored check, whose valid report carries the envelope pair; anything
     else raises BUDGET_EXCEEDED."""
-    if not is_prop_word(phi):
-        raise _not_a_word(phi)
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
-    variables = tuple(sorted(prop_variables(phi)))
+    variables = tuple(sorted(_word_variables(phi)))
     if len(variables) <= cap:
         col = column_of(phi, lat, variables)
         bad = np.nonzero(col != lat.top)[0]
@@ -483,7 +504,8 @@ class ClosureState:
         seeds = [(_projection(self.m, n, k), PropVar(v)) for k, v in enumerate(self.var_list)]
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
                   for cname, cidx in lat.constants.items()]
-        self._commit((len(render(w)), render(w), values, w) for values, w in seeds)
+        words = [render(w) for _, w in seeds]
+        self._commit((len(word), word, values, w) for (values, w), word in zip(seeds, words))
 
     @property
     def total(self) -> int:

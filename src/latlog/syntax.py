@@ -23,8 +23,11 @@ parse error.  In term position an identifier that is not bound by a
 quantifier is read as an object constant when no explicit predicate language
 is supplied.
 
-The parser is one operator-precedence loop over an explicit stack of the
-infix connectives waiting for a right argument and the groups still open
+The tokenizer checks the text for a character that starts no token with
+one regular-expression match, then lists the tokens with one ``findall``;
+token positions are found again only for an error message.  The parser is
+one operator-precedence loop over an explicit stack of the infix
+connectives waiting for a right argument and the groups still open
 (brackets, connective calls, quantifiers); a quantifier with no bracket after
 its dot closes when its group does.  Terms are read by a second loop that
 keeps the open function applications on a stack.  Walks over a formula share
@@ -184,21 +187,25 @@ def nodes(root) -> Iterator:
 
 def fold(root, combine):
     """Post-order fold, left to right: ``combine(node, values)`` receives the
-    values of ``children(node)`` in order and returns the value of ``node``."""
+    values of ``children(node)`` in order (an empty tuple for a leaf) and
+    returns the value of ``node``."""
     # pre-order with the children taken right to left is, reversed, the
     # post-order with the children taken left to right
     order = []
     stack = [root]
     while stack:
         node = stack.pop()
-        kids = children(node)
+        kids = (node.body,) if type(node) is Quant else getattr(node, "args", ())
         order.append((node, len(kids)))
         stack.extend(kids)
     values: list = []
     for node, n in reversed(order):
-        args = values[len(values) - n:]
-        del values[len(values) - n:]
-        values.append(combine(node, args))
+        if n:
+            args = values[-n:]
+            del values[-n:]
+            values.append(combine(node, args))
+        else:
+            values.append(combine(node, ()))
     return values[0]
 
 
@@ -269,65 +276,71 @@ def ensure_object_constant(lang: PredicateLanguage) -> tuple[PredicateLanguage, 
 # ---------------------------------------------------------------------------
 # tokenizer and parser
 
-# a token, a run of whitespace, or any other character (an error)
-_TOKEN_RE = re.compile(r"(->|[()&|.,#]|[A-Za-z0-9_]+)|\s+|(.)", re.S)
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*").fullmatch
-_VAR = re.compile(r"[a-z][A-Za-z0-9_]*").fullmatch
+_TOKEN = r"->|[()&|.,#]|[A-Za-z0-9_]+"
+_TOKENS = re.compile(_TOKEN).findall
+_TOKEN_MATCHES = re.compile(_TOKEN).finditer
+# the longest prefix of tokens and whitespace: it ends at the first character
+# that starts neither (a '-' starts a token only as part of '->')
+_CLEAN = re.compile(r"(?:[A-Za-z0-9_()&|.,#\s]+|->)*+").match
 _WORD = re.compile(r"[A-Za-z0-9_]+").fullmatch
 # open groups on the parser's operator stack
 _PAREN, _SCOPED, _OPEN, _CALL = ("(",), "scoped", "open", "call"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        tok, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r} at position {m.start()}",
-                             position=m.start())
-        if tok is not None:
-            out.append((tok, m.start()))
-    return out
+def _tokenize(text: str) -> list[Optional[str]]:
+    """The tokens of ``text`` followed by a None sentinel.  Their positions
+    are not kept; ``_position`` finds one again for an error message."""
+    end = _CLEAN(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r} at position {end}",
+                         position=end)
+    toks: list[Optional[str]] = _TOKENS(text)
+    toks.append(None)
+    return toks
+
+
+def _position(text: str, i: int) -> int:
+    """Position in ``text`` of its token number ``i``; ``len(text)`` for the
+    sentinel."""
+    for k, match in enumerate(_TOKEN_MATCHES(text)):
+        if k == i:
+            return match.start()
+    return len(text)
 
 
 class _Parser:
+    """Reads a token list through the cursor ``i``.  Tokens are names
+    (``[A-Za-z0-9_]+``) or punctuation, so a token is a name when its first
+    character is a letter and a lowercase name when that letter is."""
+
     def __init__(self, text: str, signature: PolaritySignature,
                  language: Optional[PredicateLanguage]):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-        self.sig = signature
+        self.conns = signature.by_name
         self.lang = language
         self.infer = language is None
         self.preds: dict[str, int] = dict(language.predicates) if language else {}
         self.funcs: dict[str, int] = dict(language.functions) if language else {}
         self.bound: list[str] = []
-        conn_names = set(signature.names())
-        clash = conn_names & (set(self.preds) | set(self.funcs))
-        if clash:
-            raise UnknownSymbolError(
-                f"names declared both as connective and in the language: {sorted(clash)}",
-                symbols=sorted(clash),
-            )
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def pos(self) -> int:
-        return self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
-
-    def advance(self) -> str:
-        tok = self.toks[self.i][0]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r} at position {self.pos()}", position=self.pos())
-        self.advance()
+        if language is not None:
+            clash = self.conns.keys() & (self.preds.keys() | self.funcs.keys())
+            if clash:
+                raise UnknownSymbolError(
+                    f"names declared both as connective and in the language: {sorted(clash)}",
+                    symbols=sorted(clash),
+                )
 
     def error(self, msg: str) -> ParseError:
-        return ParseError(f"{msg} at position {self.pos()}", position=self.pos())
+        """``msg`` at the position of the token under the cursor."""
+        pos = _position(self.text, self.i)
+        return ParseError(f"{msg} at position {pos}", position=pos)
+
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {tok!r}")
+        self.i += 1
 
     def parse(self) -> Formula:
         """One operator-precedence loop.  ``values`` holds finished
@@ -335,6 +348,7 @@ class _Parser:
         their right argument and the groups still open: brackets,
         connective calls and quantifiers.  A quantifier with no bracket
         right after its dot stays open until its group ends."""
+        toks = self.toks
         values: list = []
         ops: list = []
         while True:
@@ -343,12 +357,13 @@ class _Parser:
                 continue  # a group opened: read its first unit
             values.append(unit)
             while True:  # after a unit: an infix connective or a group's end
-                tok = self.peek()
+                tok = toks[self.i]
                 need = _NEED.get(tok)
                 if need is not None:
                     while ops and type(ops[-1]) is str and _PREC[ops[-1]] >= need[0]:
                         self._reduce(ops.pop(), values)
-                    ops.append(self.advance())
+                    ops.append(tok)
+                    self.i += 1
                     break
                 while ops and (type(ops[-1]) is str or ops[-1][0] == _OPEN):
                     self._reduce(ops.pop(), values)
@@ -359,7 +374,7 @@ class _Parser:
                 frame = ops[-1]
                 if frame[0] == _CALL and tok == ",":
                     frame[3].append(values.pop())
-                    self.advance()
+                    self.i += 1
                     break
                 self.expect(")")
                 ops.pop()
@@ -380,59 +395,60 @@ class _Parser:
 
     def unit(self, ops: list) -> Optional[Formula]:
         """A formula read whole, or None after opening a group on ``ops``."""
-        tok = self.peek()
+        toks, i = self.toks, self.i
+        tok = toks[i]
         if tok is None:
             raise self.error("expected a formula")
         if tok == "(":
-            self.advance()
+            self.i = i + 1
             ops.append(_PAREN)
             return None
         if tok == "#":
-            self.advance()
-            name = self.peek()
+            self.i = i + 1
+            name = toks[i + 1]
             if name is None or not _WORD(name):
                 raise self.error("expected a constant name after '#'")
-            self.advance()
+            self.i = i + 2
             return Const(name)
-        if tok in (FORALL, EXISTS):
-            kind = self.advance()
-            var = self.peek()
-            if var is None or not _VAR(var):
+        if not tok[0].isalpha():
+            raise self.error(f"unexpected token {tok!r}")
+        if tok == FORALL or tok == EXISTS:
+            self.i = i + 1
+            var = toks[i + 1]
+            if var is None or not var[0].islower():
                 raise self.error("quantifiers bind object variables (lowercase names)")
             if var in self.funcs:
                 raise self.error(f"cannot bind {var!r}: it is a function symbol")
-            self.advance()
+            self.i = i + 2
             self.expect(".")
             self.bound.append(var)
-            if self.peek() == "(":
-                self.advance()
-                ops.append((_SCOPED, kind, var))
+            if toks[self.i] == "(":
+                self.i += 1
+                ops.append((_SCOPED, tok, var))
             else:
-                ops.append((_OPEN, kind, var))
+                ops.append((_OPEN, tok, var))
             return None
-        if not _NAME(tok):
-            raise self.error(f"unexpected token {tok!r}")
-        name = self.advance()
-        conn = self.sig.get(name)
+        self.i = i = i + 1
+        conn = self.conns.get(tok)
         if conn is not None and conn.name not in _PREC:
             self.expect("(")
-            if self.peek() != ")":
-                ops.append((_CALL, name, conn, []))
+            if toks[i + 1] != ")":
+                ops.append((_CALL, tok, conn, []))
                 return None
-            self.advance()
-            return self.call(name, conn, [])
-        if name[0].isupper():
-            return self.atom(name)
+            self.i = i + 2
+            return self.call(tok, conn, [])
+        if tok[0].isupper():
+            return self.atom(tok)
         # lowercase name in formula position
-        if self.peek() == "(":
-            raise self.error(f"function application {name!r}(...) cannot appear in formula position")
-        if name in self.bound:
+        if toks[i] == "(":
+            raise self.error(f"function application {tok!r}(...) cannot appear in formula position")
+        if tok in self.bound:
             raise self.error(
-                f"object variable {name!r} used as a propositional variable"
+                f"object variable {tok!r} used as a propositional variable"
             )
-        if name in self.funcs:
-            raise self.error(f"term symbol {name!r} used in formula position")
-        return PropVar(name)
+        if tok in self.funcs:
+            raise self.error(f"term symbol {tok!r} used in formula position")
+        return PropVar(tok)
 
     def call(self, name: str, conn, args: list) -> Formula:
         if len(args) != conn.arity:
@@ -441,8 +457,8 @@ class _Parser:
 
     def atom(self, name: str) -> Formula:
         args: tuple = ()
-        if self.peek() == "(":
-            self.advance()
+        if self.toks[self.i] == "(":
+            self.i += 1
             args = self.terms()
         self.use(self.preds, name, len(args), "predicate")
         return Atom(name, args)
@@ -451,25 +467,26 @@ class _Parser:
         """Comma-separated terms through the closing bracket.  Each function
         application still open keeps its name and arguments on ``pending``;
         the bottom entry collects the atom's own arguments."""
+        toks = self.toks
         pending: list = [(None, [])]
         while True:
-            tok = self.peek()
-            if tok is None or not _NAME(tok):
+            name = toks[self.i]
+            if name is None or not name[0].isalpha():
                 raise self.error("expected a term")
-            if tok[0].isupper():
-                raise self.error(f"predicate symbol {tok!r} in term position")
-            if tok in (FORALL, EXISTS):
+            if name[0].isupper():
+                raise self.error(f"predicate symbol {name!r} in term position")
+            if name == FORALL or name == EXISTS:
                 raise self.error("quantifier keyword in term position")
-            name = self.advance()
-            if self.peek() == "(":
-                self.advance()
+            self.i += 1
+            if toks[self.i] == "(":
+                self.i += 1
                 pending.append((name, []))
                 continue
             term = self.constant_or_var(name)
             while True:
                 pending[-1][1].append(term)
-                if self.peek() == ",":
-                    self.advance()
+                if toks[self.i] == ",":
+                    self.i += 1
                     break
                 self.expect(")")
                 name, args = pending.pop()
@@ -513,8 +530,7 @@ def parse_formula(text: str, signature: Optional[PolaritySignature] = None,
     given, the predicate language (unknown symbols are rejected).  Without a
     language, predicate and function arities are inferred from use and
     unbound lowercase identifiers in term position are read as constants."""
-    sig = signature or default_signature()
-    parser = _Parser(text, sig, language)
+    parser = _Parser(text, signature or default_signature(), language)
     f = parser.parse()
     if parser.infer:
         clash = set(parser.preds) & set(parser.funcs)

@@ -13,6 +13,7 @@ from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded
 from latlog.propcore import (
     BLOCK_CELLS,
+    TRANSLATE_CELLS,
     ClosureBudget,
     ClosureState,
     _fold_axis,
@@ -311,20 +312,43 @@ def _plain(flat, m, args):
     return flat[idx]
 
 
-SIZES = [BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 7]
+SIZES = [1, 16, TRANSLATE_CELLS - 1, TRANSLATE_CELLS, TRANSLATE_CELLS + 1,
+         BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 7]
+
+
+def _check_gather(flat, m, args):
+    """``apply_connective`` gives a fresh writable uint8 array equal to plain
+    indexing, in the broadcast shape of ``args``."""
+    want = _plain(flat, m, args)
+    before = [a.copy() for a in args]
+    got = apply_connective(flat, m, args)
+    assert isinstance(got, np.ndarray) and got.dtype == np.uint8 and got.flags.writeable
+    assert got.shape == np.broadcast_shapes(*(a.shape for a in args))
+    assert np.array_equal(got, want)
+    got[...] = 0  # writable in fact, and sharing no memory with an argument
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("m, arity", [(5, 2), (5, 4), (17, 2), (3, 1)])
+@pytest.mark.parametrize("m, arity", [(5, 2), (5, 4), (17, 2), (3, 1), (16, 2)])
 def test_apply_connective_matches_fancy_indexing(size, m, arity):
-    """uint8 indices (5 ** 2 and 3 entries), widened ones (5 ** 4 = 625 and
-    17 ** 2 = 289 entries) and a unary gather, at and around the block size."""
+    """uint8 indices (5 ** 2, 16 ** 2 = 256 and 3 entries), widened ones
+    (5 ** 4 = 625 and 17 ** 2 = 289 entries) and a unary gather, on both
+    sides of the translate crossover and of the block size."""
     rng = np.random.default_rng(size + m + arity)
     flat = rng.integers(0, m, m ** arity).astype(np.uint8)
-    args = [rng.integers(0, m, size).astype(np.uint8) for _ in range(arity)]
-    got = apply_connective(flat, m, args)
-    assert got.dtype == np.uint8 and got.shape == (size,)
-    assert np.array_equal(got, _plain(flat, m, args))
+    _check_gather(flat, m, [rng.integers(0, m, size).astype(np.uint8) for _ in range(arity)])
+
+
+@pytest.mark.parametrize("size", [16, TRANSLATE_CELLS, BLOCK_CELLS + 1])
+def test_apply_connective_unary_gather_from_strided_views(size):
+    """A unary connective gathers with its argument as the index, which may
+    be a view with steps, a transposed or a reversed one."""
+    rng = np.random.default_rng(size)
+    flat = rng.integers(0, 7, 7).astype(np.uint8)
+    wide = rng.integers(0, 7, (2 * size, 3)).astype(np.uint8)
+    for view in (wide[::2, 1], wide[:size].T, wide[1::2][::-1]):
+        _check_gather(flat, 7, [view])
 
 
 @pytest.mark.parametrize("m, arity", [(5, 2), (5, 4)])
@@ -338,9 +362,7 @@ def test_apply_connective_broadcasts_n_dimensional_arguments(m, arity, depth):
     shapes = [(7, 1, depth, 1), (1, 11, 1, 5), (7, 1, 1, 5), (1, 11, depth, 1)][:arity]
     args = [rng.integers(0, m, s).astype(np.uint8) for s in shapes]
     for case in (args, [a.swapaxes(0, 2) for a in args]):
-        got = apply_connective(flat, m, case)
-        assert got.shape == np.broadcast_shapes(*(a.shape for a in case))
-        assert np.array_equal(got, _plain(flat, m, case))
+        _check_gather(flat, m, case)
 
 
 def test_apply_connective_on_a_scalar_and_nullary():
@@ -348,3 +370,15 @@ def test_apply_connective_on_a_scalar_and_nullary():
     scalar = apply_connective(flat, 5, [np.full((), 3, dtype=np.uint8)])
     assert scalar.shape == () and scalar == flat[3]
     assert apply_connective(flat[:1], 5, []) == flat[0]
+
+
+@pytest.mark.parametrize("m, arity", [(5, 2), (16, 2), (17, 2), (7, 3)])
+def test_apply_connective_on_0d_indices(m, arity):
+    """0-d arguments, as fixed variables and constants are in ``column_of``,
+    give a 0-d uint8 value; a 0-d array must not reach ``bytearray``, which
+    reads it as a length."""
+    flat = (np.arange(m ** arity)[::-1] % m).astype(np.uint8)
+    args = [np.full((), m - 1 - k, dtype=np.uint8) for k in range(arity)]
+    got = apply_connective(flat, m, args)
+    assert np.ndim(got) == 0 and got.dtype == np.uint8
+    assert got == _plain(flat, m, args)

@@ -1,12 +1,15 @@
 """The operator-precedence parser against the recursive-descent reference,
 and parsing and rendering at depths the interpreter's recursion limit would
 not allow."""
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from latlog import App, Atom, Const, Func, PropVar, Quant, Var, parse_formula, render
 from latlog.algebra import Connective, default_signature
-from latlog.errors import LatlogError
+from latlog.errors import LatlogError, ParseError
 from latlog.syntax import PredicateLanguage
 
 import parser_reference
@@ -119,3 +122,74 @@ def test_deep_rendering_matches_the_recursive_shape():
 ], ids=["brackets", "conjunction", "term", "call"])
 def test_deep_input_parses(text, text_out):
     assert render(parse_formula(text, SIGNATURES[1])) == (text_out or text)
+
+
+def _error(parse, text, signature=None):
+    with pytest.raises(ParseError) as exc:
+        parse(text, signature)
+    return exc.value
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x &", 3),                  # end of input: the position is len(text)
+    ("x & ", 4),                 # end of input after trailing whitespace
+    ("  (x", 4),
+    ("x & (y |)", 8),
+    ("x y", 2),                  # the last token
+    ("x -> y z", 7),
+    ("  x & #", 7),              # leading whitespace
+    ("x & #  ", 7),
+    ("\t#(", 2),
+    ("x & (y | @)", 9),          # a bad character after a run of tokens
+    ("x &\t@", 4),               # a tab before a bad character
+    ("x\n& @", 4),               # a newline before a bad character
+    ("x & é", 4),
+    ("é", 0),
+    ("x - > y", 2),              # '-' starts a token only as part of '->'
+    ("x --> y", 2),
+    ("x ->> y", 4),
+    ("forall 1. P(c)", 7),
+    ("forall x P(x)", 9),
+    ("exists x.(P(x)", 14),
+    ("P(c, )", 5),
+    ("P(f(c) -> Q", 7),
+    ("K(x, y", 6),
+    ("K x", 2),
+    ("Mid(", 4),
+    ("x & y(", 5),
+])
+def test_parse_error_positions_match_the_reference(text, position):
+    """Messages and ``details`` agree with the reference, whose tokenizer
+    keeps every token's position; the position is also given explicitly."""
+    got = _error(parse_formula, text, SIGNATURES[1])
+    want = _error(parser_reference.parse_formula, text, SIGNATURES[1])
+    assert (got.message, got.details) == (want.message, want.details)
+    assert got.details == {"position": position}
+    assert got.message.endswith(f" at position {position}")
+
+
+def test_default_signature_is_shared_and_read_only():
+    sig = default_signature()
+    assert default_signature() is sig and default_signature(()) is sig
+    assert sig.names() == ("|", "&", "->")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.connectives = ()
+    with pytest.raises(TypeError):
+        sig.by_name["K"] = Connective("K", 1, ("+",))
+    with pytest.raises(AttributeError):
+        sig.by_name.pop("->")
+    assert sig.names() == ("|", "&", "->") and sig.get("K") is None
+    assert parse_formula("x -> y") == App("->", (PropVar("x"), PropVar("y")))
+
+
+def test_default_signature_with_extras_is_fresh_and_checked():
+    k = Connective("K", 1, ("+",))
+    first, second = default_signature((k,)), default_signature((k,))
+    assert first is not second and first == second
+    assert first.get("K") is k and default_signature().get("K") is None
+    assert first.names() == ("|", "&", "->", "K")
+    with pytest.raises(LatlogError):
+        default_signature((Connective("K", 1, ("+", "+")),))
+    with pytest.raises(LatlogError):
+        default_signature((Connective("&", 2, ("+", "+")),))
+    assert pickle.loads(pickle.dumps(first)) == first

@@ -9,6 +9,7 @@ from latlog import (
 )
 from latlog.errors import (
     BudgetExceeded,
+    LatlogError,
     NotValidError,
     UnboundVariable,
     UndeclaredConstant,
@@ -87,6 +88,20 @@ def test_validity_budget(classical):
     f = parse_formula(" & ".join(f"v{i}" for i in range(12)))
     with pytest.raises(BudgetExceeded):
         is_valid_prop(f, classical, var_cap=10)
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(f"v{i}" for i in range(11)) + " & P(c)",
+    "(" + " | ".join(f"v{i}" for i in range(11)) + ") -> exists x. Q(x)",
+])
+def test_non_word_is_rejected_before_the_variable_cap(classical, text):
+    """A formula with atoms or quantifiers is not a propositional word, and
+    says so, even when its 11 variables are past the cap of 10."""
+    f = parse_formula(text)
+    with pytest.raises(LatlogError) as exc:
+        is_valid_prop(f, classical)
+    assert type(exc.value) is LatlogError
+    assert exc.value.message == f"not a propositional word: {render(f)}"
 
 
 def test_factored_implication_matches_grid(three_01, rng):
