@@ -68,6 +68,7 @@ from .syntax import (
     fold,
     join_args,
     precedence,
+    prop_word_variables,
     render,
 )
 
@@ -101,9 +102,14 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     if idx.size < TRANSLATE_CELLS or idx.dtype != np.uint8:
         return flat.take(idx)
     # bytearray copies the cells in C order, from a strided view too; the
-    # translated bytearray is writable, and so is the array over it
-    cells = bytearray(idx).translate(flat.tobytes().ljust(256, b"\0"))
-    return np.frombuffer(cells, dtype=np.uint8).reshape(idx.shape)
+    # translated bytearray is writable, and so is the array over it.  The
+    # local index goes before the translate, so a binary gather holds two
+    # grids at its peak, not three.
+    shape = idx.shape
+    cells = bytearray(idx)
+    del idx
+    cells = cells.translate(flat.tobytes().ljust(256, b"\0"))
+    return np.frombuffer(cells, dtype=np.uint8).reshape(shape)
 
 
 def _not_a_word(phi: Formula) -> LatlogError:
@@ -339,23 +345,6 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
                           method="factored")
 
 
-def _word_variables(phi: Formula) -> set[str]:
-    """The variables of a propositional word, in one walk that raises on
-    anything else: an atom, a term or a quantifier."""
-    names: set[str] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is App:
-            stack.extend(node.args)
-        elif kind is PropVar:
-            names.add(node.name)
-        elif kind is not Const:
-            raise _not_a_word(phi)
-    return names
-
-
 def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> ValidityReport:
     """Exhaustive validity: true iff the word evaluates to the top element
     under every valuation.  Returns one countervaluation when false.  When the
@@ -363,7 +352,10 @@ def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> 
     factored check, whose valid report carries the envelope pair; anything
     else raises BUDGET_EXCEEDED."""
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
-    variables = tuple(sorted(_word_variables(phi)))
+    names = prop_word_variables(phi)
+    if names is None:
+        raise _not_a_word(phi)
+    variables = tuple(sorted(names))
     if len(variables) <= cap:
         col = column_of(phi, lat, variables)
         bad = np.nonzero(col != lat.top)[0]

@@ -277,11 +277,12 @@ def ensure_object_constant(lang: PredicateLanguage) -> tuple[PredicateLanguage, 
 # tokenizer and parser
 
 _TOKEN = r"->|[()&|.,#]|[A-Za-z0-9_]+"
-_TOKENS = re.compile(_TOKEN).findall
-_TOKEN_MATCHES = re.compile(_TOKEN).finditer
+_TOKEN_RE = re.compile(_TOKEN)
+_TOKENS = _TOKEN_RE.findall
+_TOKEN_MATCHES = _TOKEN_RE.finditer
 # the longest prefix of tokens and whitespace: it ends at the first character
-# that starts neither (a '-' starts a token only as part of '->')
-_CLEAN = re.compile(r"(?:[A-Za-z0-9_()&|.,#\s]+|->)*+").match
+# that starts neither
+_CLEAN = re.compile(rf"(?:{_TOKEN}|\s+)*").match
 _WORD = re.compile(r"[A-Za-z0-9_]+").fullmatch
 # open groups on the parser's operator stack
 _PAREN, _SCOPED, _OPEN, _CALL = ("(",), "scoped", "open", "call"
@@ -704,9 +705,26 @@ def is_quantifier_free(f: Formula) -> bool:
     return not any(isinstance(node, Quant) for node in nodes(f))
 
 
+def prop_word_variables(f: Formula) -> Optional[set[str]]:
+    """The variables of a propositional word, in one walk; None when the
+    formula contains an atom, a term or a quantifier."""
+    names: set[str] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is App:
+            stack.extend(node.args)
+        elif kind is PropVar:
+            names.add(node.name)
+        elif kind is not Const:
+            return None
+    return names
+
+
 def is_prop_word(f: Formula) -> bool:
     """True when the formula contains no atoms, terms or quantifiers."""
-    return all(isinstance(node, (PropVar, Const, App)) for node in nodes(f))
+    return prop_word_variables(f) is not None
 
 
 def prop_variables(f: Formula) -> set[str]:

@@ -26,6 +26,7 @@ from latlog.syntax import (
     free_object_vars,
     inferred_language,
     is_prop_word,
+    prop_word_variables,
 )
 
 imp = lambda a, b: App("->", (a, b))
@@ -245,6 +246,13 @@ def test_is_prop_word():
     assert is_prop_word(parse_formula("x & #0 -> y"))
     assert not is_prop_word(parse_formula("P(c)"))
     assert not is_prop_word(parse_formula("exists x. B(x)"))
+
+
+def test_prop_word_variables():
+    assert prop_word_variables(parse_formula("x & #0 -> (y | x)")) == {"x", "y"}
+    assert prop_word_variables(parse_formula("#0")) == set()
+    assert prop_word_variables(parse_formula("x -> P(c)")) is None
+    assert prop_word_variables(parse_formula("y | exists x. B(x)")) is None
 
 
 def test_alpha_equal():
