@@ -595,8 +595,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if "=" not in part:
                 raise LatlogError(f"bad assignment entry {part!r}")
             k, v = part.split("=", 1)
+            if k.strip() in cfg.assignment:
+                raise LatlogError(f"variable {k.strip()!r} assigned twice", variable=k.strip())
             cfg.assignment[k.strip()] = v.strip()
-    for value in (cfg.var_cap, cfg.max_n, cfg.domain_cap):
+    for value in (cfg.var_cap, cfg.level_cap, cfg.max_n, cfg.domain_cap):
         if value is not None and value <= 0:
             raise LatlogError("budgets must be positive")
     return cfg

@@ -57,6 +57,7 @@ from .syntax import (
     is_quantifier_free,
     nodes,
     predicates_of,
+    prop_variables,
     render,
     substitute,
     term_vars,
@@ -668,6 +669,11 @@ def fo_interpolate(phi: Formula, lat: Lattice,
         raise LatlogError("input must be an implication A -> B")
     if free_object_vars(phi):
         raise LatlogError("input must be a sentence (no free object variables)")
+    names = prop_variables(phi)
+    if names:  # the abstraction names atoms by propositional variables of its own
+        name = min(names)
+        raise UninterpretedSymbol(f"propositional variable {name!r} has no first-order meaning",
+                                  symbol=name)
 
     skolemized, record = skolemize(phi, lat)
     trace.skolemized = skolemized

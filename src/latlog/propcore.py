@@ -31,20 +31,31 @@ The closure of representable functions grows level by level: level 0 holds
 the projection and constant columns, level k+1 every connective application
 with an argument from level k, evaluated in blocks of about ``BLOCK_CELLS``
 cells.  Each column keeps its canonical witness, the least (rendered length,
-word) over the applications producing it; lengths come from the arguments,
-and only the shortest words are joined.  Columns are ordered by level, then
-length, then word, which keeps interpolants deterministic.
+word) over the applications producing it; lengths come from the arguments.
+A level's bookkeeping runs on arrays: argument tuples are enumerated a run
+of blocks at a time, over many small boxes at once; each block sorts its
+applications by column and length, finds its columns new to the closure
+against an argsort of the closure's keys, and hands Python one shortest
+application per new column, whose word is joined, and the others only
+where lengths tie.  Kept values are copies, so no block outlives its turn.
+Columns are ordered by level, then length, then word, which keeps
+interpolants deterministic.
 
 An envelope scan searches the next level for a column between two bounds
 without growing it, in three stages: tuples of probe-group representatives
 at ``PROBES`` positions, then each surviving application at ``SCREEN_WIDTH``
 positions, then the remaining applications over the full valuation grid.
+The first stage evaluates no connective: per probe, a fit table marks the
+connective's table entries that lie inside the bounds there, and the
+kernel applies these tables to the representatives' probe values, for all
+probes in one gather while the tuples are few and one probe at a time
+beyond.  The later stages check a value against its position's bounds
+with the kernel too, through a ternary table of lower <= value <= upper.
 Each stage drops only applications that leave the bounds somewhere, so the
 scan finds what growing the level would.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -446,25 +457,92 @@ def _rechunk(arrays, step: int):
         yield np.concatenate(pending)
 
 
-def _blocks(boxes, cells: int):
-    """Argument tuples of the products of ``boxes`` (one index array per
-    argument position) as (n, arity) arrays of at most about BLOCK_CELLS
-    cells, one tuple evaluating to ``cells`` cells."""
+def _blocks(members: np.ndarray, first: np.ndarray, count: np.ndarray, cells: int):
+    """Argument tuples of boxes as (n, arity) arrays of at most about
+    BLOCK_CELLS cells, one tuple evaluating to ``cells`` cells.  Box b takes
+    at position k the ``count[b, k]`` entries of ``members`` from
+    ``first[b, k]`` on; its tuples are its product in lexicographic order,
+    box after box.  Each box is cut into pieces of a block's tuples, and
+    consecutive pieces share a block while they fit.  A run of blocks, about
+    BLOCK_CELLS bytes of intp a position, is enumerated at once, so many
+    small boxes or blocks cost a few array operations in all."""
     step = _step(cells)
+    sizes = count.prod(axis=1)
+    ends = sizes.cumsum()
+    cuts, pos, pending = [0], 0, 0  # where blocks end; tuples in the open block
+    for size in sizes.tolist():
+        full, rest = divmod(size, step)
+        if full:
+            if pending:
+                cuts.append(pos)
+            cuts.extend(range(pos + step, pos + full * step + 1, step))
+            pos, pending = pos + full * step, 0
+        if rest:
+            if pending + rest > step:
+                cuts.append(pos)
+                pending = 0
+            pos, pending = pos + rest, pending + rest
+    if pending:
+        cuts.append(pos)
+    run = step * max(1, BLOCK_CELLS // (8 * step))
+    i = 0
+    while i + 1 < len(cuts):
+        j = i + 1
+        while j + 1 < len(cuts) and cuts[j + 1] - cuts[i] <= run:
+            j += 1
+        flat = np.arange(cuts[i], cuts[j])
+        box = ends.searchsorted(cuts[i], side="right")
+        if ends[box] < cuts[j]:  # the run spans boxes: each tuple's box
+            box = ends.searchsorted(flat, side="right")
+        flat -= ends[box] - sizes[box]
+        shape, base = count[box], first[box]
+        tup = np.empty((len(flat), count.shape[1]), dtype=np.intp)
+        for k in reversed(range(count.shape[1])):
+            flat, r = np.divmod(flat, shape[..., k])
+            tup[:, k] = members[base[..., k] + r]
+        for start, stop in zip(cuts[i:j], cuts[i + 1:j + 1]):
+            yield tup[start - cuts[i]:stop - cuts[i]]
+        i = j
 
-    def chunks():
-        for box in boxes:
-            shape = [len(s) for s in box]
-            size = math.prod(shape)
-            for start in range(0, size, step):
-                flat = np.arange(start, min(size, start + step))
-                tup = np.empty((len(flat), len(box)), dtype=np.intp)
-                for k in reversed(range(len(box))):
-                    flat, r = np.divmod(flat, shape[k])
-                    tup[:, k] = box[k][r]
-                yield tup
 
-    return _rechunk(chunks(), step)
+def _probe_fits(fit: np.ndarray, m: int, reps: np.ndarray, arity: int) -> np.ndarray:
+    """The argument tuples over the rows of ``reps`` (one row per probe-group
+    representative, one column per probe) whose values fit at every probe,
+    as an (n, arity) array in lexicographic order.  ``fit[p]`` is the
+    connective's flattened table with each value replaced by 1 where it lies
+    inside the bounds at probe p, else 0, so the kernel applied to it gives
+    the fit itself.
+
+    With fewer than TRANSLATE_CELLS tuples one gather serves every probe:
+    the probe number leads the index as an intp argument, which selects the
+    row of ``fit`` (a gather per probe would be too small for the byte
+    table and cost a call per probe).  Otherwise the tuples go in blocks of
+    at most BLOCK_CELLS, the leading argument positions enumerated (as few
+    as keep a block that small) and the others broadcast, and each probe's
+    row is applied in turn, a uint8 gather per probe while
+    ``m ** arity <= 256``."""
+    R, P = reps.shape
+    cols = reps.T  # [probe, representative]
+    if R ** arity < TRANSLATE_CELLS:
+        probe = np.arange(P).reshape((P,) + (1,) * arity)
+        axes = [cols.reshape((P,) + (1,) * k + (R,) + (1,) * (arity - 1 - k))
+                for k in range(arity)]
+        return np.argwhere(apply_connective(fit.ravel(), m, [probe] + axes).all(axis=0))
+    lead = 1
+    while R ** (arity - lead) > BLOCK_CELLS:
+        lead += 1
+    tail = arity - lead
+    step = max(1, BLOCK_CELLS // R ** tail)  # prefixes of the leading positions per block
+    tails = [cols.reshape((P, 1) + (1,) * k + (R,) + (1,) * (tail - 1 - k)) for k in range(tail)]
+    found = []
+    for start in range(0, R ** lead, step):
+        digits = np.unravel_index(np.arange(start, min(R ** lead, start + step)), (R,) * lead)
+        heads = [cols[:, d].reshape((P, -1) + (1,) * tail) for d in digits]
+        ok = True
+        for p in range(P):
+            ok = ok & apply_connective(fit[p], m, [h[p] for h in heads] + [t[p] for t in tails])
+        found.append(start * R ** tail + np.flatnonzero(ok))
+    return np.stack(np.unravel_index(np.concatenate(found), (R,) * arity), axis=-1)
 
 
 class ClosureState:
@@ -475,6 +553,9 @@ class ClosureState:
                  connectives: Optional[Sequence[str]] = None):
         self.lat = lat
         self.var_list = tuple(var_list)
+        repeated = [v for i, v in enumerate(self.var_list) if v in self.var_list[:i]]
+        if repeated:
+            raise LatlogError(f"variable {repeated[0]!r} listed twice", variable=repeated[0])
         names = tuple(connectives) if connectives is not None else lat.signature.names()
         self.conns = [c for c in lat.signature.connectives if c.name in names]
         unknown = set(names) - set(lat.signature.names())
@@ -497,7 +578,11 @@ class ClosureState:
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
                   for cname, cidx in lat.constants.items()]
         words = [render(w) for _, w in seeds]
-        self._commit((len(word), word, values, w) for (values, w), word in zip(seeds, words))
+        least: dict[bytes, tuple] = {}  # two constants may name one element
+        for e in sorted(((len(word), word, values, w) for (values, w), word in zip(seeds, words)),
+                        key=lambda e: e[:2]):
+            least.setdefault(e[2].tobytes(), e)
+        self._commit(least.values())
 
     @property
     def total(self) -> int:
@@ -505,12 +590,9 @@ class ClosureState:
 
     def _commit(self, entries) -> int:
         """Append one level of (length, word, values, witness) entries in
-        canonical order, each column with its least entry; returns their
-        number."""
-        least: dict[bytes, tuple] = {}
-        for e in sorted(entries, key=lambda e: e[:2]):
-            least.setdefault(e[2].tobytes(), e)
-        new = list(least.values())
+        canonical order; returns their number.  The entries hold distinct
+        columns, none of them in the closure yet."""
+        new = sorted(entries, key=lambda e: e[:2])
         self.frontier = self.total
         self.values = np.vstack([self.values] + [e[2] for e in new])
         self.words += [e[1] for e in new]
@@ -534,24 +616,22 @@ class ClosureState:
         return sum(self._count_new(np.full(c.arity, self.total), np.full(c.arity, self.frontier))
                    for c in self.conns)
 
-    def _tuples(self, conn, set_tuples, cells: int):
-        """Blocks enumerating, for each of ``set_tuples`` (one sorted index
-        array per argument position), the argument tuples with an argument
-        from the newest level, sized for ``cells`` cells per tuple; at level 1
-        every tuple counts.  Box k of a set tuple takes older columns before
-        position k and a newest one at k."""
-        frontier = self.frontier
-
-        def boxes():
-            for sets in set_tuples:
-                if len(self.added) == 1:
-                    yield sets
-                    continue
-                for k in range(conn.arity):
-                    yield ([s[s < frontier] for s in sets[:k]]
-                           + [sets[k][sets[k] >= frontier]] + sets[k + 1:])
-
-        return _blocks(boxes(), cells)
+    def _tuples(self, conn, members: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+                olds: np.ndarray, cells: int):
+        """Blocks enumerating, over set tuples, the argument tuples with an
+        argument from the newest level (at level 1, every tuple), sized for
+        ``cells`` cells per tuple.  Set tuple t takes at position k the
+        ``sizes[t, k]`` entries of ``members`` from ``first[t, k]`` on, of
+        which the first ``olds[t, k]`` predate the newest level.  Box k of a
+        set tuple takes older entries before position k and newer ones at k."""
+        if len(self.added) > 1:
+            k = np.arange(conn.arity)
+            before, at = k < k[:, None], k == k[:, None]  # [box, position]
+            f, s, o = first[:, None], sizes[:, None], olds[:, None]
+            shape = (len(first) * conn.arity, conn.arity)
+            first = (f + at * o).reshape(shape)
+            sizes = np.where(before, o, s - at * o).reshape(shape)
+        return _blocks(members, first, sizes, cells)
 
     def _eval(self, flat: np.ndarray, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
         """Kernel values of the argument tuples ``tup`` over ``rows``, shape
@@ -567,42 +647,67 @@ class ClosureState:
     def _candidates(self, blocks, inside=None, limit=None) -> dict[bytes, tuple]:
         """Evaluate (connective, argument tuples) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
-        least (length, word, values, connective, tuple).  Lengths come from
-        the arguments' word lengths and precedences; words are joined only
-        for the shortest applications of a column.  Evaluation stops after
-        the block that takes the count of new columns past ``limit``."""
+        least (length, word, values, connective, tuple) under its key, the
+        column's bytes.  Lengths come from the arguments' word lengths and
+        precedences.  Each block picks its shortest application of every
+        fresh column with array operations, and only those winners reach
+        Python: one word is joined per fresh column, and more only where
+        applications of the column tie at the shortest length.  Evaluation
+        stops after the block that takes the count of new columns past
+        ``limit``."""
         best: dict[bytes, tuple] = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
-        known = np.sort(self.values.view(self._void).ravel())
+        costs: dict[str, tuple] = {}
+        known = self.values.view(self._void).ravel()
+        # argsort moves indices, not N-byte items: far cheaper than a sort
+        known_order = known.argsort()
         for conn, tup in blocks:
-            vals = np.ascontiguousarray(self._eval(self.lat.flat(conn.name), self.values, tup))
+            cname = conn.name
+            vals = np.ascontiguousarray(self._eval(self.lat.flat(cname), self.values, tup))
             if inside is not None:
                 keep = inside(vals)
                 tup, vals = tup[keep], vals[keep]
                 if not len(tup):
                     continue
-            length = np.full(len(tup), len(join_args(conn.name, [""] * conn.arity)))
-            for t, p in zip(tup.T, arg_parens(conn.name, list(precs[tup.T]))):
-                length += lens[t] + 2 * p
+            cost = costs.get(cname)
+            if cost is None:  # the connective's own text, and each argument's with brackets
+                parens = arg_parens(cname, [precs] * conn.arity)
+                cost = costs[cname] = (len(join_args(cname, [""] * conn.arity)),
+                                       [lens + 2 * p for p in parens])
+            length = np.zeros(len(tup), dtype=np.int64) + cost[0]
+            for t, extra in zip(tup.T, cost[1]):
+                length += extra[t]
             uniq, inv = np.unique(vals.view(self._void).ravel(), return_inverse=True)
-            pos = np.minimum(np.searchsorted(known, uniq), len(known) - 1)
-            fresh = np.flatnonzero(known[pos] != uniq) if len(known) else np.arange(len(uniq))
+            # a column is fresh when no key of the closure equals it; this
+            # spares a comparison of void items, which goes byte by byte
+            fresh = (known.searchsorted(uniq, sorter=known_order)
+                     == known.searchsorted(uniq, "right", known_order)).nonzero()[0]
             if not len(fresh):
                 continue
+            # rows by column, then length, then position: the first row of a
+            # fresh column is its shortest application, and the rows up to
+            # ``last`` tie with it
             order = np.lexsort((length, inv))
-            rank = inv[order] * (int(length.max()) + 1) + length[order]
-            first = np.searchsorted(inv[order], fresh)
-            ties = np.searchsorted(rank, rank[first], side="right")
-            for u, s, e in zip(fresh, first, ties):
-                key = uniq[u].tobytes()
+            col, size = inv[order], length[order]
+            rank = col * (int(size.max()) + 1) + size
+            first = col.searchsorted(fresh)
+            last = rank.searchsorted(rank[first], side="right")
+            rows = order[first]
+            for key, n, row, args, s, e in zip(uniq[fresh].tolist(), size[first].tolist(),
+                                               rows.tolist(), tup[rows].tolist(),
+                                               first.tolist(), last.tolist()):
                 old = best.get(key)
-                if old is not None and old[0] < length[order[s]]:
+                if old is not None and old[0] < n:
                     continue
-                word, row = min((self._word(conn.name, tup[r]), r) for r in order[s:e])
-                entry = (int(length[row]), word, vals[row].copy(), conn.name, tuple(tup[row]))
-                if old is None or entry[:2] < old[:2]:
-                    best[key] = entry
+                if e - s > 1:
+                    word, row = min((self._word(cname, tup[r].tolist()), r)
+                                    for r in order[s:e].tolist())
+                    args = tup[row].tolist()
+                else:
+                    word = self._word(cname, args)
+                if old is None or (n, word) < old[:2]:
+                    best[key] = (n, word, vals[row].copy(), cname, tuple(args))
             if limit is not None and len(best) > limit:
                 break
         return best
@@ -611,9 +716,13 @@ class ClosureState:
         """Materialise the next level fully; returns the number of new columns.
         When more than ``max_new`` new columns turn up, the level is dropped
         unfinished and uncommitted, and the count found so far is returned."""
-        every = [np.arange(self.total)]
+        members = np.arange(self.total)
+
+        def every(arity):  # one set tuple, every column at each position: first, size, older
+            return [np.full((1, arity), v, dtype=np.intp) for v in (0, self.total, self.frontier)]
+
         blocks = ((c, tup) for c in self.conns
-                  for tup in self._tuples(c, [every * c.arity], self.N))
+                  for tup in self._tuples(c, members, *every(c.arity), self.N))
         best = self._candidates(blocks, limit=max_new)
         if max_new is not None and len(best) > max_new:
             return len(best)
@@ -636,8 +745,8 @@ class ClosureState:
 
         1. Probe groups: a candidate's values at the ``PROBES`` probe
            positions depend only on the argument values there, so columns are
-           grouped by probe signature and the kernel filters tuples of group
-           representatives.
+           grouped by probe signature, and tuples of group representatives
+           are filtered through per-probe fit tables (``_probe_fits``).
         2. Screen: every application of a surviving group tuple is evaluated
            at ``SCREEN_WIDTH`` positions (skipped when the grid is no wider).
         3. Full width: the applications that fit there are evaluated over the
@@ -660,19 +769,19 @@ class ClosureState:
         olds = np.bincount(group[:self.frontier], minlength=len(reps))
         order, starts = np.argsort(group, kind="stable"), np.cumsum(sizes) - sizes
 
-        def inside(at):
-            allowed = (leq[lower[at]] & leq[:, upper[at]].T).reshape(-1)  # [position, value]
-            offsets = np.arange(len(at)) * self.m
-            return lambda vals: allowed[offsets + vals].all(axis=1)
+        # between[l, u, v] is 1 where l <= v <= u, else 0: a ternary table
+        between = (leq[:, None, :] & leq.T[None, :, :]).view(np.uint8)
 
-        at_probes = inside(probes)
+        def inside(at):
+            bounds = lower[at], upper[at]
+            return lambda vals: apply_connective(between.ravel(), self.m,
+                                                 (*bounds, vals)).all(axis=1)
+
+        allowed = between[lower[probes], upper[probes]]  # [probe, value]
         plan, survivors = [], 0
         for conn in self.conns:
-            flat = self.lat.flat(conn.name)
-            every = [np.arange(len(reps))] * conn.arity
-            fits = np.concatenate([np.empty((0, conn.arity), dtype=np.intp)]
-                                  + [b[at_probes(self._eval(flat, reps, b))]
-                                     for b in _blocks([every], len(probes))])
+            fit = allowed[:, self.lat.flat(conn.name)]  # [probe, table index]
+            fits = _probe_fits(fit, self.m, reps, conn.arity)
             survivors += self._count_new(sizes[fits], olds[fits])
             plan.append((conn, fits))
         if survivors > MAX_SURVIVORS:
@@ -682,13 +791,14 @@ class ClosureState:
             )
 
         def blocks(conn, fits):
-            set_tuples = ([order[starts[i]:starts[i] + sizes[i]] for i in g] for g in fits)
+            # a group's members, in ``order``, come older ones first
+            set_tuples = order, starts[fits], sizes[fits], olds[fits]
             if self.N <= SCREEN_WIDTH:
-                return self._tuples(conn, set_tuples, self.N)
+                return self._tuples(conn, *set_tuples, self.N)
             screen = _spread(SCREEN_WIDTH, self.N)
             flat, rows, at_screen = self.lat.flat(conn.name), self.values[:, screen], inside(screen)
             return _rechunk((tup[at_screen(self._eval(flat, rows, tup))]
-                             for tup in self._tuples(conn, set_tuples, len(screen))),
+                             for tup in self._tuples(conn, *set_tuples, len(screen))),
                             _step(self.N))
 
         best = self._candidates(((conn, tup) for conn, fits in plan

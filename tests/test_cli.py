@@ -205,6 +205,39 @@ def test_fo_interpolate_command(capsys):
     assert report["trace"]["expansion_n"] == 1
 
 
+@pytest.mark.parametrize("formula", ["x -> x", "P(c) & x -> P(c)"])
+def test_fo_interpolate_rejects_propositional_variables(capsys, formula):
+    """A propositional variable has no first-order meaning; an atom-free
+    formula used to crash while the interpolant was turned back into atoms."""
+    code, report = run_json(capsys, "fo-interpolate", "--lattice", "mc", "--formula", formula)
+    assert code == 3
+    assert report["code"] == "UNINTERPRETED_SYMBOL"
+    assert report["message"] == "propositional variable 'x' has no first-order meaning"
+    assert report["details"] == {"symbol": "x"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["closure", "--lattice", "mc", "--vars", "x,y,x"], "variable 'x' listed twice"),
+    (["eval", "--lattice", "mc", "--formula", "x", "--assign", "x=1,x=h"],
+     "variable 'x' assigned twice"),
+])
+def test_repeated_names_are_input_errors(capsys, argv, message):
+    code, report = run_json(capsys, *argv)
+    assert code == 3
+    assert report["message"] == message and report["details"] == {"variable": "x"}
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_level_cap_must_be_positive(capsys, cap):
+    code, report = run_json(capsys, "closure", "--lattice", "mc", "--vars", "x",
+                            "--level-cap", cap)
+    assert code == 3
+    assert report["message"] == "budgets must be positive"
+    code, report = run_json(capsys, "closure", "--lattice", "mc", "--vars", "x",
+                            "--level-cap", "1")
+    assert code == 2 and report["budget_note"] == "level budget 1 reached"
+
+
 def test_input_error_exit_code(capsys):
     code, _ = run(capsys, "valid", "--lattice", "no-such-lattice",
                   "--formula", "x")

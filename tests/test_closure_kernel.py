@@ -10,13 +10,15 @@ import pytest
 from latlog import RawConnective, RawLattice, parse_formula, propcore, validate_lattice
 from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
-from latlog.errors import BudgetExceeded
+from latlog.errors import BudgetExceeded, LatlogError
 from latlog.propcore import (
     BLOCK_CELLS,
     TRANSLATE_CELLS,
     ClosureBudget,
     ClosureState,
+    _blocks,
     _fold_axis,
+    _probe_fits,
     apply_connective,
     column_of,
     envelopes,
@@ -226,6 +228,142 @@ def test_survivor_budget_counts_probe_group_survivors(monkeypatch):
     assert exc.value.details == {"survivors": 65}
     monkeypatch.setattr(propcore, "MAX_SURVIVORS", 65)
     assert state.stream_scan(env.lower.values, env.upper.values)[1] == "s | t & v"
+
+
+def test_repeated_variable_is_rejected():
+    lat = bundled_lattice("mc")
+    for build in (ClosureState, representable_closure):
+        with pytest.raises(LatlogError) as exc:
+            build(lat, ("x", "y", "x"))
+        assert exc.value.message == "variable 'x' listed twice"
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 20])
+def test_grow_breaks_equal_length_ties_like_the_reference(block_cells, monkeypatch):
+    """Applications of one column often tie at the shortest length (x & y and
+    y & x); the least word wins whether the tied applications share a block
+    or, with tiny blocks, fall in different ones."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    lat = bundled_lattice("godel3")
+    x_and_y, y_and_x = (column_of(parse_formula(t), lat, ("x", "y")) for t in ("x & y", "y & x"))
+    assert np.array_equal(x_and_y, y_and_x)
+    got = representable_closure(lat, ("x", "y"), budget=ClosureBudget(max_levels=3))
+    assert _summary(got) == reference_closure(lat, ("x", "y"), level_cap=3)
+    assert "x & y" in [c.word for c in got.columns]
+
+
+def test_committed_and_found_values_own_their_memory():
+    """Each new column's values are copied out of its evaluation block, so
+    no kept row holds a view that keeps a whole block alive."""
+    lat = bundled_lattice("mc")
+    env = envelopes(parse_formula("s & (u -> t) & v"), parse_formula("s | t & (w -> v)"), lat)
+    state = ClosureState(lat, env.shared)
+    committed = []
+    commit = state._commit
+
+    def spy(entries):
+        entries = list(entries)
+        committed.extend(e[2] for e in entries)
+        return commit(entries)
+
+    state._commit = spy
+    for _ in range(2):
+        state.grow()
+    assert len(committed) == state.total - state.added[0]  # levels 1 and 2
+    assert all(values.base is None for values in committed)
+    found = ClosureState(lat, env.shared)
+    found.grow()
+    values, word, _ = found.stream_scan(env.lower.values, env.upper.values)
+    assert word == "s | t & v" and values.base is None
+
+
+def _reference_blocks(members, first, count, cells):
+    """Each box enumerated on its own with itertools.product, cut into
+    pieces of a block's tuples; consecutive pieces share a block while they
+    fit."""
+    step = max(1, propcore.BLOCK_CELLS // cells)
+    blocks, pending = [], []
+    for f, c in zip(first.tolist(), count.tolist()):
+        box = list(itertools.product(*[members[a:a + n].tolist() for a, n in zip(f, c)]))
+        for start in range(0, len(box), step):
+            piece = box[start:start + step]
+            if len(pending) + len(piece) > step:
+                blocks.append(pending)
+                pending = []
+            pending = pending + piece
+    return blocks + [pending] if pending else blocks
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 64, 7])
+def test_blocks_match_per_box_enumeration(block_cells, monkeypatch):
+    """Boxes of every arity up to 3, empty ones among them, cut into the
+    same blocks as a per-box enumeration: the column budget's count after
+    an interrupted level depends on where blocks end."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    rng = random.Random(block_cells)
+    members = np.arange(60)[::-1].copy()
+    for _ in range(300):
+        arity, n = rng.randint(0, 3), rng.randint(0, 7)
+        first = np.array([[rng.randint(0, 30) for _ in range(arity)] for _ in range(n)],
+                         dtype=np.intp).reshape(n, arity)
+        count = np.array([[rng.choice([0, 1, 2, 5, 9, 30]) for _ in range(arity)]
+                          for _ in range(n)], dtype=np.intp).reshape(n, arity)
+        cells = rng.choice([1, 3, 9, 64, 3125])
+        got = [b.tolist() for b in _blocks(members, first, count, cells)]
+        want = _reference_blocks(members, first, count, cells)
+        assert got == [[list(t) for t in b] for b in want]
+
+
+def _kernel_probe_fits(flat, m, reps, allowed, arity):
+    """The probe filter the fit tables replace: every tuple of
+    representatives evaluated by the kernel at each probe, then checked
+    against the bounds there."""
+    tuples = list(itertools.product(range(len(reps)), repeat=arity))
+    tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), arity)
+    values = np.broadcast_to(apply_connective(flat, m, reps[tuples.T]),
+                             (len(tuples), reps.shape[1]))
+    return tuples[allowed[np.arange(reps.shape[1]), values].all(axis=1)]
+
+
+PROBE_LATTICES = {
+    "unary": lambda: _lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])),
+    "nullary": lambda: _lattice(RawConnective("Mid", (), ["h"])),
+    "ternary": _median_lattice,
+    "median7": lambda: _median_chain(7),  # 343 table entries: a widened ternary index
+}
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, *PROBE_LATTICES])
+def test_fit_table_probe_filter_matches_the_kernel_filter(name, monkeypatch):
+    """Tuples of probe-group representatives that fit at every probe, from
+    per-probe fit tables, equal the kernel's evaluate-then-check filter for
+    every connective: with one gather for all probes (few tuples), a gather
+    per probe (at least TRANSLATE_CELLS tuples), and blocks of nine tuples,
+    small enough that every argument position is enumerated."""
+    lat = PROBE_LATTICES[name]() if name in PROBE_LATTICES else bundled_lattice(name)
+    m, leq = lat.m, lat.leq
+    rng = np.random.default_rng(len(name))
+    # the whole lattice at most probes, a random interval at three of them
+    lower, upper = np.full(propcore.PROBES, lat.bottom), np.full(propcore.PROBES, lat.top)
+    pairs = np.argwhere(leq)  # (lower, upper) with lower <= upper
+    lower[:3], upper[:3] = pairs[rng.integers(0, len(pairs), 3)].T
+    allowed = leq[lower] & leq[:, upper].T  # [probe, value]
+    hits = 0
+    for conn in lat.signature.connectives:
+        flat = lat.flat(conn.name)
+        fit = allowed[:, flat].view(np.uint8)
+        sizes = {0: [1], 1: [5, TRANSLATE_CELLS + 3], 2: [7, 35], 3: [4, 12]}[conn.arity]
+        for R in sizes:
+            reps = rng.integers(0, m, (R, propcore.PROBES)).astype(np.uint8)
+            want = _kernel_probe_fits(flat, m, reps, allowed, conn.arity)
+            for block_cells in (BLOCK_CELLS, 9):
+                with monkeypatch.context() as patch:
+                    patch.setattr(propcore, "BLOCK_CELLS", block_cells)
+                    got = _probe_fits(fit, m, reps, conn.arity)
+                assert got.dtype == np.intp and got.shape == (len(want), conn.arity)
+                assert np.array_equal(got, want), (conn.name, R, block_cells)
+            hits += len(want)
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
