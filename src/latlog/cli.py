@@ -8,7 +8,8 @@ such as an unknown flag or a missing option included), 4 for internal errors
 (any exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
 are flags, accepted only by the commands that read them.  The first-order
 commands reject a formula nested deeper than ``folift.MAX_DEPTH`` as an input
-error.
+error.  Handlers read the parsed arguments directly, and each budget flag
+takes its default from the library code that owns the budget.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -52,6 +52,7 @@ from .interp import (
     spectrum,
 )
 from .propcore import (
+    DEFAULT_VAR_CAP,
     ClosureBudget,
     constant_values,
     eval_prop,
@@ -61,27 +62,7 @@ from .propcore import (
 from .syntax import parse_formula, render
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lattice: Optional[str] = None
-    formulas: list[str] = field(default_factory=list)
-    var_cap: int = 10
-    level_cap: Optional[int] = None
-    max_n: int = 8
-    domain_cap: int = 2
-    k: Optional[int] = None
-    mode: str = "godel"
-    connectives: Optional[list[str]] = None
-    variables: list[str] = field(default_factory=list)
-    assignment: dict[str, str] = field(default_factory=dict)
-    n: int = 1
-    frame: Optional[str] = None
-    out_lattice: Optional[str] = None
-    output: Optional[str] = None
-    fmt: str = "text"
+EXIT_CODES = {"YES": EXIT_YES, "NO": EXIT_NO, "UNKNOWN": EXIT_UNKNOWN}
 
 
 def _load_lattice_arg(spec: str) -> Lattice:
@@ -123,13 +104,13 @@ def _render_value(value, indent: int) -> list[str]:
     return [f"{pad}{value}"]
 
 
-def emit(report: dict, config: RunConfig) -> None:
-    if config.fmt == "json":
+def emit(report: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         text = json.dumps(report, indent=2)
     else:
         text = "\n".join(_render_value(report, 0))
-    if config.output:
-        Path(config.output).write_text(text + "\n")
+    if args.output:
+        Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
@@ -138,9 +119,9 @@ def emit(report: dict, config: RunConfig) -> None:
 # command handlers; each returns (exit code, report)
 
 
-def cmd_validate(config: RunConfig) -> tuple[int, dict]:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     try:
-        lat = _load_lattice_arg(config.lattice)
+        lat = _load_lattice_arg(args.lattice)
     except LatlogError as exc:
         if exc.code in ("PARSE_ERROR", "UNKNOWN_SYMBOL", "ERROR"):
             raise
@@ -159,21 +140,22 @@ def cmd_validate(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def cmd_eval(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
-    value = eval_prop(phi, lat, config.assignment)
+def cmd_eval(args: argparse.Namespace) -> tuple[int, dict]:
+    assignment = _assignment(args.assign)
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
+    value = eval_prop(phi, lat, assignment)
     return EXIT_YES, {
         "command": "eval", "formula": render(phi),
-        "assignment": dict(sorted(config.assignment.items())),
+        "assignment": dict(sorted(assignment.items())),
         "value": value,
     }
 
 
-def cmd_valid(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
-    report = is_valid_prop(phi, lat, config.var_cap)
+def cmd_valid(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
+    report = is_valid_prop(phi, lat, args.var_cap)
     out = {
         "command": "valid", "formula": render(phi),
         "status": "valid" if report.valid else "invalid",
@@ -184,17 +166,20 @@ def cmd_valid(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_YES if report.valid else EXIT_NO), out
 
 
-def cmd_closure(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    clo = representable_closure(lat, config.variables,
-                                budget=ClosureBudget(max_levels=config.level_cap),
-                                connectives=config.connectives)
+def cmd_closure(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    variables = _names(args.vars)
+    # "--connectives ''" keeps them all, "--connectives ','" keeps none
+    connectives = _names(args.connectives) if args.connectives else None
+    clo = representable_closure(lat, variables,
+                                budget=ClosureBudget(max_levels=args.level_cap),
+                                connectives=connectives)
     rows = [
         {"values": " ".join(c.value_names(lat)), "witness": c.word, "level": c.level}
         for c in clo.columns
     ]
     out = {
-        "command": "closure", "variables": list(config.variables),
+        "command": "closure", "variables": variables,
         "connectives": list(clo.connectives),
         "complete": clo.complete,
         "columns": len(clo.columns),
@@ -207,8 +192,8 @@ def cmd_closure(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_YES if clo.complete else EXIT_UNKNOWN), out
 
 
-def cmd_constants(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
+def cmd_constants(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
     values = constant_values(lat)
     return EXIT_YES, {
         "command": "constants",
@@ -218,11 +203,11 @@ def cmd_constants(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def cmd_interpolate(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    a = parse_formula(config.formulas[0], lat.signature)
-    b = parse_formula(config.formulas[1], lat.signature)
-    verdict = find_prop_interpolant(a, b, lat, var_cap=config.var_cap)
+def cmd_interpolate(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    a = parse_formula(args.antecedent, lat.signature)
+    b = parse_formula(args.succedent, lat.signature)
+    verdict = find_prop_interpolant(a, b, lat, var_cap=args.var_cap)
     out = {
         "command": "interpolate",
         "antecedent": render(a), "succedent": render(b),
@@ -241,13 +226,12 @@ def cmd_interpolate(config: RunConfig) -> tuple[int, dict]:
         ]
     if verdict.budget_note:
         out["budget_note"] = verdict.budget_note
-    code = {"YES": EXIT_YES, "NO": EXIT_NO, "UNKNOWN": EXIT_UNKNOWN}[verdict.status]
-    return code, out
+    return EXIT_CODES[verdict.status], out
 
 
-def cmd_decide(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    report = decide_interpolation(lat, k=config.k)
+def cmd_decide(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    report = decide_interpolation(lat, k=args.k)
     out = {
         "command": "decide", "status": report.status, "path": report.path,
         "constant_values": list(report.constant_values),
@@ -272,13 +256,12 @@ def cmd_decide(config: RunConfig) -> tuple[int, dict]:
         out["sample_interpolant"] = render(report.sample_interpolant)
     if report.notes:
         out["notes"] = report.notes
-    code = {"YES": EXIT_YES, "NO": EXIT_NO, "UNKNOWN": EXIT_UNKNOWN}[report.status]
-    return code, out
+    return EXIT_CODES[report.status], out
 
 
-def cmd_spectrum(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    report = spectrum(lat, k=config.k)
+def cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    report = spectrum(lat, k=args.k)
     entries = []
     for subset, status in report.entries.items():
         entries.append({
@@ -291,15 +274,15 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict]:
     any_unknown = any(e["status"] == "UNKNOWN" for e in entries)
     out = {
         "command": "spectrum", "elements": list(lat.elements),
-        "k": config.k if config.k is not None else lat.m,
+        "k": args.k if args.k is not None else lat.m,
         "entries": entries,
     }
     return (EXIT_UNKNOWN if any_unknown else EXIT_YES), out
 
 
-def cmd_skolemize(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
+def cmd_skolemize(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
     check_depth(phi)
     result, record = skolemize(phi, lat)
     return EXIT_YES, {
@@ -315,14 +298,14 @@ def cmd_skolemize(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def cmd_expand(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
+def cmd_expand(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
     check_depth(phi)
-    expansion = expand_n(phi, config.n, signature=lat.signature)
-    check = check_valid_expansion(expansion, lat, config.var_cap)
+    expansion = expand_n(phi, args.n, signature=lat.signature)
+    check = check_valid_expansion(expansion, lat, args.var_cap)
     return (EXIT_YES if check.valid else EXIT_NO), {
-        "command": "expand", "n": config.n,
+        "command": "expand", "n": args.n,
         "input": render(phi),
         "expansion": render(expansion),
         "valid": check.valid,
@@ -331,11 +314,11 @@ def cmd_expand(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def cmd_herbrand(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
+def cmd_herbrand(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
     check_depth(phi)
-    search = find_herbrand_expansion(phi, lat, max_n=config.max_n, var_cap=config.var_cap)
+    search = find_herbrand_expansion(phi, lat, max_n=args.max_n, var_cap=args.var_cap)
     out = {
         "command": "herbrand", "input": render(phi),
         "status": search.status,
@@ -354,11 +337,11 @@ def cmd_herbrand(config: RunConfig) -> tuple[int, dict]:
     return EXIT_UNKNOWN, out
 
 
-def cmd_fo_interpolate(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
-    phi = parse_formula(config.formulas[0], lat.signature)
-    budgets = FoBudgets(max_n=config.max_n, var_cap=config.var_cap,
-                        smoke_domain_cap=config.domain_cap)
+def cmd_fo_interpolate(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
+    phi = parse_formula(args.formula, lat.signature)
+    budgets = FoBudgets(max_n=args.max_n, var_cap=args.var_cap,
+                        smoke_domain_cap=args.domain_cap)
     try:
         result = fo_interpolate(phi, lat, budgets)
     except UnknownValidity as exc:
@@ -369,8 +352,7 @@ def cmd_fo_interpolate(config: RunConfig) -> tuple[int, dict]:
         }
     except PropInterpolationFailed as exc:
         status = exc.verdict.status if exc.verdict else "NO"
-        code = EXIT_UNKNOWN if status == "UNKNOWN" else EXIT_NO
-        return code, {
+        return EXIT_CODES[status], {
             "command": "fo-interpolate", "input": render(phi),
             "status": status, "reason": exc.message,
             **_trace_report(exc.trace, lat),
@@ -419,13 +401,13 @@ def _trace_report(trace, lat) -> dict:
     return out
 
 
-def cmd_kripke(config: RunConfig) -> tuple[int, dict]:
-    frame = parse_frame_source(Path(config.frame).read_text())
-    lat = upset_lattice(frame, config.mode)
+def cmd_kripke(args: argparse.Namespace) -> tuple[int, dict]:
+    frame = parse_frame_source(Path(args.frame).read_text())
+    lat = upset_lattice(frame, args.mode)
     disagreements = implication_mode_disagreements(frame)
     out = {
         "command": "kripke", "worlds": list(frame.worlds),
-        "mode": config.mode,
+        "mode": args.mode,
         "elements": list(lat.elements),
         "lattice": format_lattice_source(lat).splitlines(),
         "mode_disagreements": [
@@ -433,14 +415,14 @@ def cmd_kripke(config: RunConfig) -> tuple[int, dict]:
             for u, v, h, g in disagreements
         ],
     }
-    if config.out_lattice:
-        Path(config.out_lattice).write_text(format_lattice_source(lat))
-        out["written"] = config.out_lattice
+    if args.out_lattice:
+        Path(args.out_lattice).write_text(format_lattice_source(lat))
+        out["written"] = args.out_lattice
     return EXIT_YES, out
 
 
-def cmd_residuum(config: RunConfig) -> tuple[int, dict]:
-    lat = _load_lattice_arg(config.lattice)
+def cmd_residuum(args: argparse.Namespace) -> tuple[int, dict]:
+    lat = _load_lattice_arg(args.lattice)
     report = derive_residuum(lat)
     if report.residuated:
         return EXIT_YES, {
@@ -459,6 +441,23 @@ def cmd_residuum(config: RunConfig) -> tuple[int, dict]:
     if report.law_violation:
         out["law_violation"] = {k: _plain(v) for k, v in report.law_violation.items()}
     return EXIT_NO, out
+
+
+def _names(text: str) -> list[str]:
+    """The non-empty entries of a comma-separated list, stripped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _assignment(text: str) -> dict[str, str]:
+    assignment: dict[str, str] = {}
+    for part in text.split(",") if text else ():
+        if "=" not in part:
+            raise LatlogError(f"bad assignment entry {part!r}")
+        name, value = (side.strip() for side in part.split("=", 1))
+        if name in assignment:
+            raise LatlogError(f"variable {name!r} assigned twice", variable=name)
+        assignment[name] = value
+    return assignment
 
 
 def _plain(v):
@@ -502,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, lattice: bool = True, var_cap: bool = False):
+    def add(name: str, help_text: str, lattice: bool = True, var_cap: bool = False,
+            max_n: bool = False):
         p = sub.add_parser(name, help=help_text)
         if lattice:
             p.add_argument("--lattice", required=True,
@@ -510,8 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report to this file")
         if var_cap:
-            p.add_argument("--var-cap", type=int, default=None,
-                           help="validity sweep variable cap (default 10)")
+            p.add_argument("--var-cap", type=int, default=DEFAULT_VAR_CAP,
+                           help="validity sweep variable cap (default %(default)s)")
+        if max_n:
+            p.add_argument("--max-n", type=int, default=FoBudgets.max_n,
+                           help="expansion search depth (default %(default)s)")
         return p
 
     add("validate", "check every lattice axiom")
@@ -526,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("closure", "representable-function closure")
     p.add_argument("--vars", default="", help="comma-separated variable names")
-    p.add_argument("--level-cap", type=int, default=None)
+    p.add_argument("--level-cap", type=int, default=None,
+                   help="closure levels to grow (default: to the fixpoint)")
     p.add_argument("--connectives", default=None,
                    help="restrict to these connectives, comma-separated")
 
@@ -538,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decide", "decide the interpolation property")
     p.add_argument("--k", type=int, default=None,
-                   help="bounded mode: at most k variables per group")
+                   help="at most k variables per group (default |L|)")
 
     p = add("spectrum", "interpolation verdict for every constant extension")
-    p.add_argument("--k", type=int, default=1,
-                   help="bounded mode per subset (default 1)")
+    p.add_argument("--k", type=int, default=None,
+                   help="bounded mode per subset (default |L|)")
 
     p = add("skolemize", "replace strong quantifiers")
     p.add_argument("--formula", required=True)
@@ -551,14 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("herbrand", "search for a valid expansion", var_cap=True)
+    p = add("herbrand", "search for a valid expansion", var_cap=True, max_n=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-n", type=int, default=None)
 
-    p = add("fo-interpolate", "first-order interpolation pipeline", var_cap=True)
+    p = add("fo-interpolate", "first-order interpolation pipeline", var_cap=True, max_n=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--domain-cap", type=int, default=None)
+    p.add_argument("--domain-cap", type=int, default=FoBudgets.smoke_domain_cap,
+                   help="smoke-test domain size (default %(default)s)")
 
     p = add("kripke", "build the up-set lattice of a frame", lattice=False)
     p.add_argument("--frame", required=True, help="frame file path")
@@ -569,57 +572,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.fmt = getattr(args, "format", "text")
-    cfg.output = getattr(args, "output", None)
-    cfg.lattice = getattr(args, "lattice", None)
-    cfg.frame = getattr(args, "frame", None)
-    cfg.out_lattice = getattr(args, "out_lattice", None)
-    cfg.mode = getattr(args, "mode", "godel")
-    for budget in ("var_cap", "level_cap", "max_n", "domain_cap"):
-        if getattr(args, budget, None) is not None:  # else RunConfig's default
-            setattr(cfg, budget, getattr(args, budget))
-    cfg.k = getattr(args, "k", None)
-    cfg.n = getattr(args, "n", 1)
-    if getattr(args, "formula", None) is not None:
-        cfg.formulas.append(args.formula)
-    if getattr(args, "antecedent", None) is not None:
-        cfg.formulas = [args.antecedent, args.succedent]
-    if getattr(args, "vars", None):
-        cfg.variables = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if getattr(args, "connectives", None):
-        cfg.connectives = [c.strip() for c in args.connectives.split(",") if c.strip()]
-    if getattr(args, "assign", None):
-        for part in args.assign.split(","):
-            if "=" not in part:
-                raise LatlogError(f"bad assignment entry {part!r}")
-            k, v = part.split("=", 1)
-            if k.strip() in cfg.assignment:
-                raise LatlogError(f"variable {k.strip()!r} assigned twice", variable=k.strip())
-            cfg.assignment[k.strip()] = v.strip()
-    for value in (cfg.var_cap, cfg.level_cap, cfg.max_n, cfg.domain_cap):
-        if value is not None and value <= 0:
-            raise LatlogError("budgets must be positive")
-    return cfg
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    where = RunConfig(command=args.command, fmt=getattr(args, "format", "text"),
-                      output=getattr(args, "output", None))
 
     def fail(status: str, code: str, message: str, details: dict, exit_code: int) -> int:
         emit({"status": status, "code": code, "message": message,
-              "details": _plain(details)}, where)
+              "details": _plain(details)}, args)
         return exit_code
 
     try:
-        config = _config_from_args(args)
-        code, report = HANDLERS[config.command](config)
+        budgets = (getattr(args, name, None)
+                   for name in ("var_cap", "level_cap", "max_n", "domain_cap"))
+        if any(value is not None and value <= 0 for value in budgets):
+            raise LatlogError("budgets must be positive")
+        code, report = HANDLERS[args.command](args)
         if report is not None:
-            emit(report, config)
+            emit(report, args)
         return code
     except NotValidError as exc:
         return fail("NOT_VALID", exc.code, exc.message, exc.details, EXIT_INPUT)

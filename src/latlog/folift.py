@@ -28,7 +28,7 @@ from .errors import (
     UnknownValidity,
 )
 from .interp import YES, InterpolationVerdict, find_prop_interpolant
-from .propcore import ClosureBudget, ValidityReport, is_valid_prop
+from .propcore import DEFAULT_VAR_CAP, ClosureBudget, ValidityReport, is_valid_prop
 from .syntax import (
     App,
     Atom,
@@ -77,6 +77,18 @@ def check_depth(phi: Formula) -> None:
         raise LatlogError(
             f"formula nesting depth {depth} exceeds the limit of {MAX_DEPTH} "
             "for first-order commands", depth=depth, limit=MAX_DEPTH)
+
+
+@dataclass
+class FoBudgets:
+    """Budgets of the first-order pipeline; ``find_herbrand_expansion`` and
+    the command line take their defaults from here."""
+
+    max_n: int = 8
+    var_cap: int = DEFAULT_VAR_CAP
+    closure: ClosureBudget = field(default_factory=ClosureBudget)
+    smoke_domain_cap: int = 2
+    smoke_structure_cap: int = 30000
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,8 @@ class HerbrandSearch:
     check: Optional[ExpansionCheck] = None  # the valid check of ``expansion``
 
 
-def find_herbrand_expansion(phi: Formula, lat: Lattice, max_n: int = 8,
+def find_herbrand_expansion(phi: Formula, lat: Lattice,
+                            max_n: int = FoBudgets.max_n,
                             var_cap: Optional[int] = None,
                             signature: Optional[PolaritySignature] = None) -> HerbrandSearch:
     """Smallest n whose expansion is valid.  Validity of the input guarantees
@@ -528,15 +541,6 @@ def generalize_interpolant(istar: Formula, sk_a: Formula, sk_b: Formula,
 
 # ---------------------------------------------------------------------------
 # the pipeline
-
-
-@dataclass
-class FoBudgets:
-    max_n: int = 8
-    var_cap: int = 10
-    closure: ClosureBudget = field(default_factory=ClosureBudget)
-    smoke_domain_cap: int = 2
-    smoke_structure_cap: int = 30000
 
 
 @dataclass

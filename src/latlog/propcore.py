@@ -78,6 +78,7 @@ from .syntax import (
     children,
     fold,
     join_args,
+    parse_formula,
     precedence,
     prop_word_variables,
     render,
@@ -871,8 +872,16 @@ def representable_closure(lat: Lattice, var_list: Sequence[str],
 
     Runs to the fixpoint by default; the budget bounds the number of grown
     levels, the columns and the applications per level.  A truncated run is
-    returned with ``complete=False`` and a budget note.
+    returned with ``complete=False`` and a budget note.  A name that does not
+    parse as a propositional variable is an input error.
     """
+    for name in var_list:
+        try:
+            variable = parse_formula(name, lat.signature) == PropVar(name)
+        except LatlogError:
+            variable = False
+        if not variable:
+            raise LatlogError(f"{name!r} is not a propositional variable", variable=name)
     state = ClosureState(lat, var_list, connectives)
     _, note = grow_closure(state, budget or ClosureBudget())
     return state.result(note is None, note)
@@ -907,11 +916,9 @@ def envelopes(a: Formula, b: Formula, lat: Lattice,
     private variable of one sign is held at the end of the order where the
     join or meet is reached, so only those of mixed sign are folded.
     Raises NOT_VALID when a -> b fails."""
-    parts = _implication_parts(a, b, lat, var_cap)
-    if not lat.leq[parts.lower, parts.upper].all():
-        raise NotValidError(
-            "the implication is not valid",
-            countervaluation=_implication_counter(a, b, parts, lat),
-        )
-    return parts.envelope_pair()
+    report = is_valid_implication(a, b, lat, var_cap)
+    if not report.valid:
+        raise NotValidError("the implication is not valid",
+                            countervaluation=report.countervaluation)
+    return report.envelopes
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,15 @@ def test_spectrum_command(capsys):
     assert code == 2  # the {1} entry stays UNKNOWN in bounded mode
 
 
+def test_spectrum_default_k_is_the_lattice_size(capsys):
+    code, out = run(capsys, "spectrum", "--lattice", "classical")
+    assert code == 0
+    assert "k: 2" in out.splitlines()
+    code, report = run_json(capsys, "spectrum", "--lattice", "classical")
+    entries = {e["subset"]: e["status"] for e in report["entries"]}
+    assert code == 0 and entries["{1}"] == "YES"
+
+
 def test_skolemize_command(capsys):
     code, report = run_json(capsys, "skolemize", "--lattice", "mc", "--formula",
                             "(exists x. B(x)) -> exists y. forall z. C(y,z)")
@@ -225,6 +236,16 @@ def test_repeated_names_are_input_errors(capsys, argv, message):
     code, report = run_json(capsys, *argv)
     assert code == 3
     assert report["message"] == message and report["details"] == {"variable": "x"}
+
+
+@pytest.mark.parametrize("name", ["#0", "x y", "1", "_", "forall", "X"])
+def test_closure_rejects_names_that_are_not_variables(capsys, name):
+    """A name the parser does not read as a propositional variable would give
+    witness words that do not parse back to it (``#0`` reads as a constant)."""
+    code, report = run_json(capsys, "closure", "--lattice", "classical-1", "--vars", name)
+    assert code == 3
+    assert report["message"] == f"{name!r} is not a propositional variable"
+    assert report["details"] == {"variable": name}
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -352,3 +373,26 @@ def test_first_order_depth_limit(capsys, command):
     code, report = run_json(capsys, command[0], "--lattice", "mc",
                             "--formula", _fo_chain(MAX_DEPTH), *command[1:])
     assert code == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str) -> str:
+    """The body of the first fenced block under a README heading."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every ``latlog`` line of the README's usage block runs to a verdict or
+    a budget stop (exit 0, 1 or 2), never to an input or internal error."""
+    (tmp_path / "fork.frame").write_text(_readme_block("Frame files"))
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_block("Command line").splitlines()
+             if line.startswith("latlog ")]
+    assert len(lines) == 14
+    for line in lines:
+        code, out = run(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1, 2), (line, out)
+        assert "INTERNAL_ERROR" not in out, line
