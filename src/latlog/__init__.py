@@ -67,8 +67,6 @@ from .interp import (
     constructive_interpolant_all_constants,
     decide_interpolation,
     find_prop_interpolant,
-    merge_interpolants_sigma,
-    sigma_substitutions,
     spectrum,
 )
 from .folift import (

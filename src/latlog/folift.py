@@ -7,6 +7,13 @@ for a valid expansion of the weak quantifiers over the closed terms, find a
 propositional interpolant for the abstracted expansion, re-read it over the
 ground atoms, generalize away every function symbol and constant outside the
 common language, and check the result on small finite structures.
+
+Evaluation applies every connective, and every quantifier's meet or join
+over the domain, with ``propcore.apply_connective``.  Over a finite domain a
+structure's predicate tables are a valuation of the ground atoms, so the
+smoke test gives the A ground atoms of a domain the columns of A
+propositional variables and runs one evaluation per domain and choice of
+function tables, over all predicate interpretations at once.
 """
 from __future__ import annotations
 
@@ -28,7 +35,14 @@ from .errors import (
     UnknownValidity,
 )
 from .interp import YES, InterpolationVerdict, find_prop_interpolant
-from .propcore import DEFAULT_VAR_CAP, ClosureBudget, ValidityReport, is_valid_prop
+from .propcore import (
+    DEFAULT_VAR_CAP,
+    ClosureBudget,
+    ValidityReport,
+    _projection,
+    apply_connective,
+    is_valid_prop,
+)
 from .syntax import (
     App,
     Atom,
@@ -65,8 +79,8 @@ from .syntax import (
 )
 
 # Nesting depth (formula and term nodes on the longest path) a first-order
-# command accepts: skolemization, expansion and substitution recurse, two
-# Python frames a level, so deeper input would end in a RecursionError.
+# command accepts: skolemization and substitution recurse, two Python
+# frames a level, so deeper input would end in a RecursionError.
 MAX_DEPTH = 400
 
 
@@ -98,7 +112,10 @@ class FoBudgets:
 @dataclass
 class FoStructure:
     """Finite interpretation: predicate tables map argument tuples to lattice
-    element indices, function tables to domain elements."""
+    element indices, function tables to domain elements.  A predicate table
+    may hold value columns instead of indices, all of one length: the
+    structure then stands for one interpretation per cell, and evaluation
+    gives a column of values."""
 
     domain: tuple
     predicates: dict[str, Mapping[tuple, int]]
@@ -115,14 +132,23 @@ def fo_eval(phi: Formula, lat: Lattice, structure: FoStructure,
     evaluated once per assignment of its free object variables, so a chain of
     quantifiers whose bodies ignore or rebind the outer variables costs the
     domain size per quantifier, not its power."""
-    return lat.elements[_evaluator(phi, lat)(structure, assignment)]
+    for pred, table in structure.predicates.items():
+        for args, value in table.items():
+            if not 0 <= value < lat.m:
+                raise LatlogError(f"predicate {pred!r} at {args!r} is {value!r}, "
+                                  "not an element index", symbol=pred)
+    return lat.elements[int(_evaluator(phi, lat)(structure, assignment))]
 
 
 def _evaluator(phi: Formula, lat: Lattice):
     """``fo_eval`` of ``phi`` as a function of the structure and the
-    assignment, returning an element index; the free variables of the
-    quantifier bodies are collected once, for every structure."""
-    join_t, meet_t = lat.tables[JOIN], lat.tables[MEET]
+    assignment, returning element indices as an array.  Every connective, and
+    the meet or join of a quantifier over the domain, is applied by
+    ``apply_connective``, so predicate tables may hold value columns (see
+    ``FoStructure``); an index is read as a 0-d array.  The free variables of
+    the quantifier bodies are collected once, for every structure."""
+    m = lat.m
+    base = np.arange(m, dtype=np.uint8)
     free: dict[int, tuple[str, ...]] = {}  # free variables of each quantifier body
 
     def free_vars(f, kids) -> frozenset:
@@ -135,8 +161,8 @@ def _evaluator(phi: Formula, lat: Lattice):
 
     fold(phi, free_vars)
 
-    def evaluate(structure: FoStructure, assignment: Optional[Mapping[str, object]]) -> int:
-        memo: dict[tuple, int] = {}  # (body, values of its free variables) -> value
+    def evaluate(structure: FoStructure, assignment: Optional[Mapping[str, object]]):
+        memo: dict[tuple, np.ndarray] = {}  # (body, values of its free variables) -> value
 
         def ev_term(t: Term, env: dict) -> object:
             if isinstance(t, Var):
@@ -155,7 +181,7 @@ def _evaluator(phi: Formula, lat: Lattice):
                 raise UninterpretedSymbol(
                     f"function {t.name!r} undefined at {args!r}", symbol=t.name) from None
 
-        def ev(f: Formula, env: dict) -> int:
+        def ev(f: Formula, env: dict) -> np.ndarray:
             if isinstance(f, Atom):
                 table = structure.predicates.get(f.pred)
                 if table is None:
@@ -163,27 +189,23 @@ def _evaluator(phi: Formula, lat: Lattice):
                                               symbol=f.pred)
                 args = tuple(ev_term(t, env) for t in f.args)
                 try:
-                    return table[args]
+                    return np.asarray(table[args], dtype=np.uint8)
                 except KeyError:
                     raise UninterpretedSymbol(
                         f"predicate {f.pred!r} undefined at {args!r}", symbol=f.pred) from None
             if isinstance(f, Const):
                 if f.name not in lat.constants:
                     raise UninterpretedSymbol(f"constant {f.name!r} not declared", symbol=f.name)
-                return lat.constants[f.name]
+                return base[lat.constants[f.name]]
             if isinstance(f, PropVar):
                 raise UninterpretedSymbol(
                     f"propositional variable {f.name!r} has no first-order meaning",
                     symbol=f.name,
                 )
             if isinstance(f, App):
-                table = lat.tables[f.conn]
-                if not f.args:
-                    return int(table[()])
-                vals = tuple(ev(a, env) for a in f.args)
-                return int(table[vals])
+                return apply_connective(lat.flat(f.conn), m, [ev(a, env) for a in f.args])
             if isinstance(f, Quant):
-                op = meet_t if f.kind == FORALL else join_t
+                op = lat.flat(MEET if f.kind == FORALL else JOIN)
                 names = free[id(f.body)]
                 acc = None
                 for d in structure.domain:
@@ -193,7 +215,7 @@ def _evaluator(phi: Formula, lat: Lattice):
                     v = memo.get(key)
                     if v is None:
                         v = memo[key] = ev(f.body, env2)
-                    acc = v if acc is None else int(op[acc, v])
+                    acc = v if acc is None else apply_connective(op, m, (acc, v))
                 if acc is None:
                     raise LatlogError("empty domain")
                 return acc
@@ -322,6 +344,24 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _expansion_terms(phi: Formula, k: int, signature: Optional[PolaritySignature],
+                     language: Optional[PredicateLanguage] = None, lazy: bool = False
+                     ) -> tuple[Optional[list[Term]], Optional[str]]:
+    """The first k closed terms to expand ``phi`` over, and the object
+    constant added to the language (``phi``'s own by default) when it has
+    none.  Raises StrongQuantifierPresent at the first strong quantifier;
+    with ``lazy``, a quantifier-free ``phi`` gets no terms (None)."""
+    occurrences = classify_quantifiers(phi, signature)
+    strong = [o for o in occurrences if o.strength == "strong"]
+    if strong:
+        raise StrongQuantifierPresent(
+            f"strong quantifier at path {strong[0].path}", path=strong[0].path)
+    if lazy and not occurrences:
+        return None, None
+    lang, added = ensure_object_constant(language or inferred_language(phi))
+    return enumerate_closed_terms(lang, k), added
+
+
 def expand_n(phi: Formula, n: int, language: Optional[PredicateLanguage] = None,
              signature: Optional[PolaritySignature] = None) -> Formula:
     """The n-th expansion: inside out, every (weak) existential becomes the
@@ -330,30 +370,18 @@ def expand_n(phi: Formula, n: int, language: Optional[PredicateLanguage] = None,
     Quantifier-free input is returned unchanged."""
     if n < 1:
         raise LatlogError("expansion depth must be at least 1", n=n)
-    occurrences = classify_quantifiers(phi, signature)
-    strong = [o for o in occurrences if o.strength == "strong"]
-    if strong:
-        raise StrongQuantifierPresent(
-            f"strong quantifier at path {strong[0].path}", path=strong[0].path)
-    if not occurrences:
-        return phi
-    lang = language or inferred_language(phi)
-    lang, _ = ensure_object_constant(lang)
-    terms = enumerate_closed_terms(lang, n)
-    return _expand_with_terms(phi, terms)
+    terms, _ = _expansion_terms(phi, n, signature, language, lazy=True)
+    return phi if terms is None else _expand_with_terms(phi, terms)
 
 
 def _expand_with_terms(phi: Formula, terms: Sequence[Term]) -> Formula:
-    def ex(f: Formula) -> Formula:
+    def expand(f: Formula, kids) -> Formula:
         if isinstance(f, Quant):
-            body = ex(f.body)
-            instances = [substitute(body, {f.var: t}) for t in terms]
+            instances = [substitute(kids[0], {f.var: t}) for t in terms]
             return disjoin(instances) if f.kind == EXISTS else conjoin(instances)
-        if isinstance(f, App):
-            return App(f.conn, tuple(ex(a) for a in f.args))
-        return f
+        return App(f.conn, tuple(kids)) if isinstance(f, App) else f
 
-    return ex(phi)
+    return fold(phi, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +469,7 @@ def find_herbrand_expansion(phi: Formula, lat: Lattice,
     some expansion is valid in the limit; an invalid input never produces one,
     so the search is bounded by max_n (and by term exhaustion) and reports
     UNKNOWN when the bound is hit."""
-    occurrences = classify_quantifiers(phi, signature)
-    strong = [o for o in occurrences if o.strength == "strong"]
-    if strong:
-        raise StrongQuantifierPresent(
-            f"strong quantifier at path {strong[0].path}", path=strong[0].path)
-    lang = inferred_language(phi)
-    lang, added = ensure_object_constant(lang)
-    terms = enumerate_closed_terms(lang, max_n)
+    terms, added = _expansion_terms(phi, max_n, signature)
     exhausted = len(terms) if len(terms) < max_n else None
     effective = len(terms)
     checks: list[tuple[int, bool]] = []
@@ -566,90 +587,55 @@ class FoInterpolationResult:
     trace: PipelineTrace
 
 
-def _interpretation_space(lat: Lattice, domain: tuple, lang: PredicateLanguage) -> int:
-    count = 1
-    for _, ar in sorted(lang.predicates.items()):
-        count *= lat.m ** (len(domain) ** ar)
-    for _, ar in sorted(lang.functions.items()):
-        count *= len(domain) ** (len(domain) ** ar)
-    return count
-
-
-class _Interpretations:
-    """Every interpretation of a language over a domain, in a deterministic
-    exhaustive order.  An interpretation is a combo: one value tuple per
-    symbol (a slot), predicates then functions, each in name order, with the
-    slots' ``choices`` varying last-slot-fastest; ``structure`` builds its
-    tables."""
-
-    def __init__(self, lat: Lattice, domain: tuple, lang: PredicateLanguage):
-        self.domain = domain
-        self.preds, self.funcs = sorted(lang.predicates), sorted(lang.functions)
-        self.keys = ([list(itertools.product(domain, repeat=lang.predicates[p]))
-                      for p in self.preds]
-                     + [list(itertools.product(domain, repeat=lang.functions[f]))
-                        for f in self.funcs])
-        spaces = [range(lat.m)] * len(self.preds) + [domain] * len(self.funcs)
-        self.choices = [list(itertools.product(space, repeat=len(keys)))
-                        for space, keys in zip(spaces, self.keys)]
-
-    def slots(self, lang: PredicateLanguage) -> list[int]:
-        """Combo positions of the symbols of a sub-language."""
-        return ([i for i, p in enumerate(self.preds) if p in lang.predicates]
-                + [len(self.preds) + j for j, f in enumerate(self.funcs)
-                   if f in lang.functions])
-
-    def structure(self, combo: tuple) -> FoStructure:
-        tables = [dict(zip(keys, values)) for keys, values in zip(self.keys, combo)]
-        n = len(self.preds)
-        return FoStructure(self.domain, dict(zip(self.preds, tables[:n])),
-                           dict(zip(self.funcs, tables[n:])))
-
-    def values(self, phi: Formula, lat: Lattice) -> np.ndarray:
-        """Element index of ``phi`` under every combo, as an array with one
-        axis per slot indexing its choices, of length 1 at the slots of
-        symbols ``phi`` does not mention: ``phi`` is evaluated once per
-        interpretation of its own symbols."""
-        choices = self.choices
-        slots = self.slots(inferred_language(phi))
-        evaluate = _evaluator(phi, lat)
-        combo = [c[0] for c in choices]  # the other slots do not affect phi
-        out = []
-        for own in itertools.product(*(choices[i] for i in slots)):
-            for i, v in zip(slots, own):
-                combo[i] = v
-            out.append(evaluate(self.structure(tuple(combo)), None))
-        shape = [len(c) if i in slots else 1 for i, c in enumerate(choices)]
-        return np.array(out, dtype=np.intp).reshape(shape)
-
-
 def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                 budgets: FoBudgets, trace: PipelineTrace) -> None:
+    """Check a <= interpolant <= b on every structure over domains of size 1
+    to ``smoke_domain_cap``, within ``smoke_structure_cap`` structures, in
+    the order of the predicate tables, then the function tables, each in name
+    order with its entries by argument tuple, the last entry fastest."""
     lang = inferred_language(implies(implies(a, interpolant), b))
+    evaluators = [_evaluator(f, lat) for f in (a, interpolant, b)]
+    m = lat.m
     checked = 0
     domains_done = []
 
     for d in range(1, budgets.smoke_domain_cap + 1):
         domain = tuple(range(d))
-        space = _interpretation_space(lat, domain, lang)
+        atoms, entries = ([(name, args) for name, ar in sorted(table.items())
+                           for args in itertools.product(domain, repeat=ar)]
+                          for table in (lang.predicates, lang.functions))
+        cells = m ** len(atoms)
+        space = cells * d ** len(entries)
         if checked + space > budgets.smoke_structure_cap:
             trace.notes.append(
                 f"smoke test stopped before domain size {d}: "
                 f"{space} interpretations exceed the budget")
             break
-        interps = _Interpretations(lat, domain, lang)
-        va, vi, vb = np.broadcast_arrays(*(interps.values(f, lat) for f in (a, interpolant, b)))
+        # atom k holds the column of propositional variable k over all m**A
+        # valuations: one cell per predicate interpretation, in the order above
+        predicates = {p: {} for p in sorted(lang.predicates)}
+        for k, (p, args) in enumerate(atoms):
+            predicates[p][args] = _projection(m, len(atoms), k)
+        columns = []
+        for choice in itertools.product(domain, repeat=len(entries)):
+            functions = {f: {} for f in sorted(lang.functions)}
+            for (f, args), v in zip(entries, choice):
+                functions[f][args] = v
+            structure = FoStructure(domain, predicates, functions)
+            columns.append([np.broadcast_to(evaluate(structure, None), cells)
+                            for evaluate in evaluators])
+        va, vi, vb = np.stack(columns, axis=-1)  # (predicate cell, function choice)
         low, high = ~lat.leq[va, vi], ~lat.leq[vi, vb]
         bad = np.flatnonzero(low | high)
         if len(bad):
             at = np.unravel_index(bad[0], va.shape)
-            combo = tuple(c[k] for c, k in zip(interps.choices, at))
             message, values = (("antecedent -> interpolant", (va[at], vi[at])) if low[at]
                                else ("interpolant -> succedent", (vi[at], vb[at])))
             raise SmokeTestFailed(
                 f"{message} fails on a finite structure",
                 domain=list(domain),
-                predicates={p: dict(t) for p, t in interps.structure(combo).predicates.items()},
+                predicates={p: {args: int(column[at[0]]) for args, column in t.items()}
+                            for p, t in predicates.items()},
                 values=tuple(lat.elements[v] for v in values),
             )
         checked += space

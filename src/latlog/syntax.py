@@ -34,9 +34,10 @@ keeps the open function applications on a stack.  Walks over a formula share
 one traversal on an explicit stack: ``nodes`` yields every subformula and
 term in pre-order, ``fold`` combines values bottom-up, left to right; and
 ``render`` is a loop of its own.  Parsing, printing, evaluation and the
-collectors therefore handle any nesting depth.  The walkers that carry a
-binding environment or walk two trees at once (substitution, alpha-equality,
-free variables, quantifier classification) stay recursive.
+collectors therefore handle any nesting depth, and so do free variables
+and quantifier classification.  The walkers that carry a binding
+environment or walk two trees at once (substitution, alpha-equality) stay
+recursive.
 """
 from __future__ import annotations
 
@@ -682,22 +683,23 @@ def classify_quantifiers(f: Formula,
     """
     sig = signature or default_signature()
     out: list[Occurrence] = []
-
-    def walk(node: Formula, sign: int, path: tuple[int, ...]) -> None:
+    stack = [(f, 1, ())]
+    while stack:
+        node, sign, path = stack.pop()
         if isinstance(node, Quant):
             pol = "+" if sign > 0 else "-"
             strong = (node.kind == FORALL) == (sign > 0)
             out.append(Occurrence(path, node.kind, node.var, pol,
                                   "strong" if strong else "weak"))
-            walk(node.body, sign, path + (0,))
+            stack.append((node.body, sign, path + (0,)))
         elif isinstance(node, App):
             conn = sig.get(node.conn)
             if conn is None:
                 raise UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
-            for i, a in enumerate(node.args):
-                walk(a, -sign if conn.polarity[i] == "-" else sign, path + (i,))
-
-    walk(f, 1, ())
+            # pushed right to left, so that the arguments are popped left to right
+            for i in reversed(range(len(node.args))):
+                kid_sign = -sign if conn.polarity[i] == "-" else sign
+                stack.append((node.args[i], kid_sign, path + (i,)))
     return out
 
 
@@ -736,17 +738,14 @@ def term_vars(t: Term) -> set[str]:
 
 
 def free_object_vars(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for t in f.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(f, Quant):
-        return free_object_vars(f.body) - {f.var}
-    out = set()
-    for c in children(f):
-        out |= free_object_vars(c)
-    return out
+    def free(node, kids) -> set[str]:
+        if isinstance(node, Var):
+            return {node.name}
+        if isinstance(node, Quant):
+            return kids[0] - {node.var}
+        return set().union(*kids)
+
+    return fold(f, free)
 
 
 def atoms_of(f: Formula) -> list[Atom]:

@@ -19,7 +19,6 @@ from latlog import (
     render,
 )
 from latlog.folift import FoStructure, fo_eval, skolemize
-from latlog.interp import collapse_word, sigma_substitutions
 from latlog.propcore import (
     column_of,
     is_valid_implication,
@@ -29,6 +28,7 @@ from latlog.propcore import (
 from latlog.syntax import conjoin, disjoin, implies, prop_variables
 
 from genutil import all_unary_structures, random_valid_pair, random_word
+from sigma_collapse import collapse_word, sigma_substitutions
 
 SMALL_LATTICES = ("classical", "classical-01", "godel3", "three-01", "three-0a",
                   "lukasiewicz3")

@@ -216,6 +216,18 @@ def test_fo_interpolate_command(capsys):
     assert report["trace"]["expansion_n"] == 1
 
 
+def test_fo_interpolate_smoke_test_on_a_one_element_lattice(tmp_path, capsys):
+    """Over a one-element lattice every domain up to 9 fits the structure
+    budget; at domain size 9 the smoke test covers 81 ground atoms of R."""
+    one = tmp_path / "one.lat"
+    one.write_text("elements 0\nmeet\n0\njoin\n0\nconnective -> -+\n0\n")
+    code, out = run(capsys, "fo-interpolate", "--lattice", str(one), "--formula",
+                    "(forall x. forall y. R(x,y)) -> R(c,c)", "--domain-cap", "9")
+    assert code == 0
+    assert "interpolant: forall z1. R(z1, z1)" in out.splitlines()
+    assert "    structures: 45" in out.splitlines()
+
+
 @pytest.mark.parametrize("formula", ["x -> x", "P(c) & x -> P(c)"])
 def test_fo_interpolate_rejects_propositional_variables(capsys, formula):
     """A propositional variable has no first-order meaning; an atom-free

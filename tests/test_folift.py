@@ -38,7 +38,13 @@ from latlog.folift import (
     skolemize,
 )
 from latlog.interp import find_prop_interpolant
-from latlog.syntax import PredicateLanguage, classify_quantifiers, functions_of, predicates_of
+from latlog.syntax import (
+    PredicateLanguage,
+    classify_quantifiers,
+    free_object_vars,
+    functions_of,
+    predicates_of,
+)
 
 from folift_reference import plain_fo_eval, reference_smoke
 
@@ -56,6 +62,15 @@ def test_fo_eval_singleton_meet(mc):
     for v in range(mc.m):
         s = FoStructure(("d",), {"P": {("d",): v}})
         assert fo_eval(parse_formula("forall x. P(x)"), mc, s) == mc.elements[v]
+
+
+@pytest.mark.parametrize("text", ["P(c) -> Q(c)", "Q(c) | P(c)", "forall x. Q(x)"])
+def test_fo_eval_rejects_a_table_entry_that_is_not_an_element(classical, text):
+    """Connectives gather from flattened tables, where an out-of-range value
+    would read another entry."""
+    s = FoStructure((0,), {"P": {(0,): 0}, "Q": {(0,): 2}}, {"c": {(): 0}})
+    with pytest.raises(LatlogError, match="'Q' at \\(0,\\) is 2, not an element index"):
+        fo_eval(parse_formula(text), classical, s)
 
 
 def test_fo_eval_classical_two_points(classical):
@@ -481,6 +496,16 @@ def test_herbrand_envelopes_give_the_verdict_of_a_fresh_search(name, text):
         assert trace.verdict.lower is trace.herbrand.check.report.envelopes.lower
 
 
+def test_expansion_steps_walk_a_deep_chain_without_recursion(mc):
+    """Quantifier classification, free variables, expansion and the
+    Herbrand search handle a 3,001-atom implication chain."""
+    chain = parse_formula(" -> ".join(["P(c)"] * 3001))
+    assert classify_quantifiers(chain) == []
+    assert free_object_vars(chain) == set()
+    assert expand_n(chain, 2) == chain
+    assert find_herbrand_expansion(chain, mc).status == "FOUND"
+
+
 @pytest.mark.parametrize("text", [
     " -> ".join(["P(c)"] * 3001),
     "P(" + "f(" * MAX_DEPTH + "c" + ")" * MAX_DEPTH + ") -> P(c)",
@@ -546,6 +571,11 @@ def test_smoke_test_reports_the_first_failing_structure(classical, interpolant, 
     # both implications fail on the first failing structure
     ("mc", "(B(c) -> #0) -> #0", "B(c)", "A(c)"),
     ("three-0a", "forall x. (P(x) -> #0)", "P(c) -> #0", "P(c) -> Q(c)"),
+    # a binary function symbol: 1 + 64 function-table choices
+    ("classical", "P(g(c,d)) & Q(c)", "P(g(c,d))", "P(g(c,d)) | Q(d)"),
+    ("classical", "P(g(c,d)) & Q(c)", "P(g(d,c))", "P(g(c,d)) | Q(d)"),
+    # the order of the function tables decides which implication fails first
+    ("classical", "P(c)", "P(f(c))", "P(c)"),
 ])
 def test_smoke_test_matches_structure_by_structure_reference(name, a, interpolant, b):
     """The broadcast comparison gives the record, or the first failing

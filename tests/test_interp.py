@@ -11,15 +11,11 @@ from latlog import interp
 from latlog.bundled import bundled_lattice
 from latlog.errors import LatlogError, NotValidError, PreconditionFailed
 from latlog.interp import (
-    collapse_word,
     constructive_interpolant_all_constants,
     decide_interpolation,
     envelope_violation,
     find_prop_interpolant,
-    merge_interpolants_sigma,
     recheck_no_certificate,
-    sigma_key,
-    sigma_substitutions,
     spectrum,
 )
 from latlog.propcore import (
@@ -34,6 +30,7 @@ from latlog.propcore import (
 
 from genutil import random_valid_pair, random_word
 from property_checks import check_lemmas_123
+from sigma_collapse import collapse_word, merge_interpolants_sigma, sigma_key, sigma_substitutions
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_substitute_capture_avoidance():
 
 def test_substitute_collapse_word_shape():
     """Collapsing x2 onto x1 produces the (x1 -> x2) & (x2 -> x1) conjunct."""
-    from latlog.interp import collapse_word
+    from sigma_collapse import collapse_word
 
     sigma = {"x1": "x1", "x2": "x1"}
     w = collapse_word(sigma, ["x1", "x2"])
