@@ -134,7 +134,14 @@ class RawLattice:
 
 @dataclass(eq=False)
 class Lattice:
-    """A validated algebra. Treat as immutable; safe to share between workers."""
+    """A validated algebra.  Treat its fields as immutable.
+
+    Two caches grow on first use without a lock: ``flat`` fills ``_flat``,
+    and ``derived`` holds tables other modules build, among them the
+    ``relations.BinaryInvariants``, whose ``relations``, ``_by_mask`` and
+    ``_grids`` grow lazily.  So one lattice may be shared between processes,
+    each with its own copy, but not between threads that run queries at the
+    same time; give each thread its own lattice, or lock around its use."""
 
     elements: tuple[str, ...]
     signature: PolaritySignature

@@ -33,6 +33,7 @@ from .propcore import (
     grow_closure,
     is_valid_implication,
     representable_closure,
+    row_keys,
 )
 from .syntax import Formula, PropVar, conjoin, disjoin, implies, prop_variables, substitute
 
@@ -253,9 +254,10 @@ def _first_failing_pair(lower: np.ndarray, upper: np.ndarray, shared: np.ndarray
     compare, and interpolated when some shared column lies above the lower
     row and below the upper one, a boolean matrix product.  The products are
     taken in blocks of about BLOCK_CELLS cells."""
-    n_b = len(upper)
-    low, inv_low = np.unique(lower, axis=0, return_inverse=True)
-    up, first_up = np.unique(upper, axis=0, return_index=True)
+    n_b, m = len(upper), len(leq)
+    _, first_low, inv_low = np.unique(row_keys(lower, m), return_index=True, return_inverse=True)
+    _, first_up = np.unique(row_keys(upper, m), return_index=True)
+    low, up = lower[first_low], upper[first_up]
     least_b = np.full(len(low), n_b)  # least failing partner of each distinct lower row
     up_step = max(1, BLOCK_CELLS // max(1, len(shared)))
     for j in range(0, len(up), up_step):
@@ -270,7 +272,7 @@ def _first_failing_pair(lower: np.ndarray, upper: np.ndarray, shared: np.ndarray
             bad = _leq_rows(lows, ups, leq) & ~has
             least = np.where(bad, first_up[j:j + up_step], n_b).min(axis=1)
             np.minimum(least_b[i:i + low_step], least, out=least_b[i:i + low_step])
-    failing = least_b[inv_low.reshape(-1)]
+    failing = least_b[inv_low]
     ia = int(np.argmax(failing < n_b))
     return (ia, int(failing[ia])) if failing[ia] < n_b else None
 
@@ -380,7 +382,7 @@ def decide_interpolation(lat: Lattice, k: Optional[int] = None,
                                     f"({b_clo.budget_note})")
             rows = _envelope_rows(b_clo.columns, (m ** s, m ** r), lat.flat(MEET), m,
                                   fold_first=False)
-            _, first = np.unique(rows, axis=0, return_index=True)
+            _, first = np.unique(row_keys(rows, m), return_index=True)
             uppers, closed = rows[np.sort(first)], True
         remaining = max(0, budget.max_pairs - tests)
         hit = first_failing_upper(inv, l, s, r, uppers[:remaining], closed)

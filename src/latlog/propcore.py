@@ -35,11 +35,21 @@ word) over the applications producing it; lengths come from the arguments.
 A level's bookkeeping runs on arrays: argument tuples are enumerated a run
 of blocks at a time, over many small boxes at once; each block sorts its
 applications by column and length, finds its columns new to the closure
-against an argsort of the closure's keys, and hands Python one shortest
-application per new column, whose word is joined, and the others only
-where lengths tie.  Kept values are copies, so no block outlives its turn.
-Columns are ordered by level, then length, then word, which keeps
+against the sorted keys of the closure's columns, and hands Python one
+shortest application per new column, whose word is joined, and the others
+only where lengths tie.  Kept values are copies, so no block outlives its
+turn.  Columns are ordered by level, then length, then word, which keeps
 interpolants deterministic.
+
+Closure columns and probe signatures here, and envelope rows in
+``interp``, are sorted and deduplicated by the keys of ``row_keys``, whose
+format is chosen from (m, row width) and nothing else: while
+``m ** width <= 2 ** 64`` a row's key is the row read as a base-m numeral,
+an exact uint64, so sorting compares machine integers; a wider row, such
+as a column over 5^5 valuations on mc, is one void item that numpy
+compares byte by byte.  Both formats order keys as their rows order
+lexicographically, and results depend only on (length, word) minima and
+first occurrences anyway.
 
 An envelope scan searches the next level for a column between two bounds
 without growing it, in three stages: tuples of probe-group representatives
@@ -57,6 +67,7 @@ scan finds what growing the level would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -122,6 +133,33 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     del idx
     cells = cells.translate(flat.tobytes().ljust(256, b"\0"))
     return np.frombuffer(cells, dtype=np.uint8).reshape(shape)
+
+
+def row_keys(rows: np.ndarray, m: int) -> np.ndarray:
+    """One key per row of a 2-d uint8 array with values in range(m), to sort
+    or deduplicate rows by: two keys are equal exactly when their rows are,
+    and keys order as their rows do, lexicographically.  The format is chosen
+    from (m, width) alone.  While ``m ** width <= 2 ** 64`` a key is its row
+    read as a base-m numeral, first entry most significant: an exact uint64,
+    injective with no hash.  A wider row is one void item, which numpy
+    compares byte by byte."""
+    fmt = _key_format(m, rows.shape[1])
+    if isinstance(fmt, np.dtype):
+        return np.ascontiguousarray(rows).view(fmt).ravel()
+    return rows @ fmt
+
+
+@lru_cache(maxsize=64)
+def _key_format(m: int, width: int):
+    """The digit weights m**(width-1), ..., m, 1 of a uint64 key, read-only,
+    or the void dtype of a wide row.  Cached: on the few-cell rows of small
+    closures, building either costs as much as the keys themselves."""
+    # for m >= 2 a width past 64 is wide: the test skips a huge power
+    if m < 2 or width <= 64 and m ** width <= 1 << 64:
+        weights = np.uint64(m) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+        weights.flags.writeable = False
+        return weights
+    return np.dtype((np.void, width))
 
 
 def _not_a_word(phi: Formula) -> LatlogError:
@@ -565,7 +603,6 @@ class ClosureState:
         self.m = lat.m
         n = len(self.var_list)
         self.N = lat.m ** n
-        self._void = np.dtype((np.void, self.N))  # one column as one comparable item
         self.values = np.empty((0, self.N), dtype=np.uint8)  # one row per column
         self.words: list[str] = []
         self.wits: list[Formula] = []
@@ -579,10 +616,12 @@ class ClosureState:
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
                   for cname, cidx in lat.constants.items()]
         words = [render(w) for _, w in seeds]
-        least: dict[bytes, tuple] = {}  # two constants may name one element
-        for e in sorted(((len(word), word, values, w) for (values, w), word in zip(seeds, words)),
-                        key=lambda e: e[:2]):
-            least.setdefault(e[2].tobytes(), e)
+        entries = sorted(((len(word), word, values, w) for (values, w), word in zip(seeds, words)),
+                         key=lambda e: e[:2])
+        rows = np.array([e[2] for e in entries], dtype=np.uint8).reshape(-1, self.N)
+        least: dict = {}  # two constants may name one element
+        for key, e in zip(row_keys(rows, self.m).tolist(), entries):
+            least.setdefault(key, e)
         self._commit(least.values())
 
     @property
@@ -645,27 +684,28 @@ class ClosureState:
         return join_args(conn, [f"({self.words[t]})" if p else self.words[t]
                                 for t, p in zip(tup, parens)])
 
-    def _candidates(self, blocks, inside=None, limit=None) -> dict[bytes, tuple]:
+    def _candidates(self, blocks, inside=None, limit=None) -> dict:
         """Evaluate (connective, argument tuples) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
-        least (length, word, values, connective, tuple) under its key, the
-        column's bytes.  Lengths come from the arguments' word lengths and
-        precedences.  Each block picks its shortest application of every
-        fresh column with array operations, and only those winners reach
-        Python: one word is joined per fresh column, and more only where
-        applications of the column tie at the shortest length.  Evaluation
-        stops after the block that takes the count of new columns past
-        ``limit``."""
-        best: dict[bytes, tuple] = {}
+        least (length, word, values, connective, tuple) under its key, a
+        Python int or the column's bytes (see ``row_keys``).  Lengths come
+        from the arguments' word lengths and precedences.  Each block picks
+        its shortest application of every fresh column with array
+        operations, and only those winners reach Python: one word is joined
+        per fresh column, and more only where applications of the column tie
+        at the shortest length.  Evaluation stops after the block that takes
+        the count of new columns past ``limit``."""
+        best: dict = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
         costs: dict[str, tuple] = {}
-        known = self.values.view(self._void).ravel()
-        # argsort moves indices, not N-byte items: far cheaper than a sort
+        # the closure's column keys, uint64 numerals or, for wide columns,
+        # void items; an argsort moves indices, not N-byte void items
+        known = row_keys(self.values, self.m)
         known_order = known.argsort()
         for conn, tup in blocks:
             cname = conn.name
-            vals = np.ascontiguousarray(self._eval(self.lat.flat(cname), self.values, tup))
+            vals = self._eval(self.lat.flat(cname), self.values, tup)
             if inside is not None:
                 keep = inside(vals)
                 tup, vals = tup[keep], vals[keep]
@@ -679,9 +719,9 @@ class ClosureState:
             length = np.zeros(len(tup), dtype=np.int64) + cost[0]
             for t, extra in zip(tup.T, cost[1]):
                 length += extra[t]
-            uniq, inv = np.unique(vals.view(self._void).ravel(), return_inverse=True)
-            # a column is fresh when no key of the closure equals it; this
-            # spares a comparison of void items, which goes byte by byte
+            uniq, inv = np.unique(row_keys(vals, self.m), return_inverse=True)
+            # a column is fresh when no key of the closure equals it: an
+            # empty range between its left and right insertion points
             fresh = (known.searchsorted(uniq, sorter=known_order)
                      == known.searchsorted(uniq, "right", known_order)).nonzero()[0]
             if not len(fresh):
@@ -762,8 +802,8 @@ class ClosureState:
         """
         leq = self.lat.leq
         probes = _spread(PROBES, self.N)
-        signatures = np.ascontiguousarray(self.values[:, probes])
-        _, first, group = np.unique(signatures.view(np.dtype((np.void, len(probes)))).ravel(),
+        signatures = self.values[:, probes]
+        _, first, group = np.unique(row_keys(signatures, self.m),
                                     return_index=True, return_inverse=True)
         reps = signatures[first]
         sizes = np.bincount(group, minlength=len(reps))

@@ -33,16 +33,19 @@ its dot closes when its group does.  Terms are read by a second loop that
 keeps the open function applications on a stack.  Walks over a formula share
 one traversal on an explicit stack: ``nodes`` yields every subformula and
 term in pre-order, ``fold`` combines values bottom-up, left to right; and
-``render`` is a loop of its own.  Parsing, printing, evaluation and the
-collectors therefore handle any nesting depth, and so do free variables
-and quantifier classification.  The walkers that carry a binding
-environment or walk two trees at once (substitution, alpha-equality) stay
-recursive.
+``render`` is a loop of its own.  Substitution keeps a stack of tasks
+(substitute into a node, substitute into a renamed quantifier body, build a
+node from its children's values), and alpha-equality a stack of the pairs
+of subtrees still to compare with their bound-variable maps.  Parsing,
+printing, evaluation, substitution, alpha-equality and the collectors
+therefore handle any nesting depth, and so do free variables and
+quantifier classification.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .algebra import PolaritySignature, default_signature
@@ -789,14 +792,83 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # substitution
 
 
+_SUBST, _RESUBST, _BUILD = "subst", "resubst", "build"  # task kinds of ``substitute``
+
+
 def substitute(f: Formula, mapping: Mapping[str, object]) -> Formula:
     """Simultaneous substitution.
 
     Keys name propositional variables (values: formulas) or object variables
     (values: terms).  Bound occurrences are untouched; bound variables are
     renamed automatically when a substituted value would be captured.
+
+    The walk keeps its work on an explicit stack of tasks: substitute a
+    mapping into a node, substitute a mapping into the value just built (a
+    renamed quantifier body), or build a node from the values of its
+    children, which are substituted left to right.
     """
-    return _subst(f, dict(mapping))
+    values: list = []
+    tasks: list = [(_SUBST, f, dict(mapping))]
+    while tasks:
+        task = tasks.pop()
+        kind = task[0]
+        if kind is _BUILD:
+            _, make, n = task
+            args = tuple(values[len(values) - n:])
+            del values[len(values) - n:]
+            values.append(make(args))
+            continue
+        if kind is _RESUBST:
+            node, m = values.pop(), task[1]
+        else:
+            _, node, m = task
+        if not m:
+            values.append(node)
+        elif isinstance(node, PropVar):
+            v = m.get(node.name)
+            if isinstance(v, (Var, Func)):
+                raise LatlogError(
+                    f"propositional variable {node.name!r} must be mapped to a formula",
+                    variable=node.name,
+                )
+            values.append(node if v is None else v)
+        elif isinstance(node, Const):
+            values.append(node)
+        elif isinstance(node, Atom):
+            values.append(Atom(node.pred, tuple(_subst_term(t, m) for t in node.args)))
+        elif isinstance(node, App):
+            tasks.append((_BUILD, partial(App, node.conn), len(node.args)))
+            tasks.extend((_SUBST, a, m) for a in reversed(node.args))
+        elif isinstance(node, Quant):
+            _subst_quant(node, m, values, tasks)
+        else:
+            raise LatlogError(f"cannot substitute in {node!r}")
+    return values[0]
+
+
+def _subst_quant(f: Quant, m: dict[str, object], values: list, tasks: list) -> None:
+    """Queue the substitution of ``m`` into the quantifier ``f``: its body
+    under the mapping without ``f.var``, after renaming the bound variable
+    when a substituted value would be captured."""
+    inner = {k: v for k, v in m.items() if k != f.var}
+    relevant = {k for k in inner
+                if k in free_object_vars(f.body) or k in prop_variables(f.body)} if inner else ()
+    if not relevant:
+        values.append(f)
+        return
+    var, body = f.var, f.body
+    capture = any(f.var in _value_free_names(inner[k]) for k in relevant)
+    if capture:
+        taken = free_object_vars(body) | prop_variables(body) | set(inner) | {f.var}
+        for k in relevant:
+            taken |= _value_free_names(inner[k])
+        var = fresh_name(f.var, taken)
+    tasks.append((_BUILD, lambda args: Quant(f.kind, var, *args), 1))
+    if capture:
+        tasks.append((_RESUBST, inner))
+        tasks.append((_SUBST, body, {f.var: Var(var)}))
+    else:
+        tasks.append((_SUBST, body, inner))
 
 
 def _value_free_names(v: object) -> set[str]:
@@ -806,91 +878,48 @@ def _value_free_names(v: object) -> set[str]:
 
 
 def _subst_term(t: Term, m: Mapping[str, object]) -> Term:
-    if isinstance(t, Var):
-        v = m.get(t.name)
+    def value(node: Term, args) -> Term:
+        if isinstance(node, Func):
+            return Func(node.name, tuple(args)) if args else node
+        v = m.get(node.name)
         if v is None:
-            return t
+            return node
         if not isinstance(v, (Var, Func)):
             raise LatlogError(
-                f"object variable {t.name!r} must be mapped to a term", variable=t.name
+                f"object variable {node.name!r} must be mapped to a term", variable=node.name
             )
         return v
-    return Func(t.name, tuple(_subst_term(a, m) for a in t.args))
+
+    return value(t, ()) if type(t) is Var or not t.args else fold(t, value)
 
 
-def _subst(f: Formula, m: dict[str, object]) -> Formula:
-    if not m:
-        return f
-    if isinstance(f, PropVar):
-        v = m.get(f.name)
-        if v is None:
-            return f
-        if isinstance(v, (Var, Func)):
-            raise LatlogError(
-                f"propositional variable {f.name!r} must be mapped to a formula",
-                variable=f.name,
-            )
-        return v
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_subst_term(t, m) for t in f.args))
-    if isinstance(f, App):
-        return App(f.conn, tuple(_subst(a, m) for a in f.args))
-    if isinstance(f, Quant):
-        inner = {k: v for k, v in m.items() if k != f.var}
-        if not inner:
-            return f
-        relevant = {k for k in inner
-                    if k in free_object_vars(f.body) or k in prop_variables(f.body)}
-        if not relevant:
-            return f
-        capture = any(f.var in _value_free_names(inner[k]) for k in relevant)
-        var, body = f.var, f.body
-        if capture:
-            taken = (free_object_vars(body) | prop_variables(body) | set(inner)
-                     | {f.var})
-            for k in relevant:
-                taken |= _value_free_names(inner[k])
-            var = fresh_name(f.var, taken)
-            body = _subst(body, {f.var: Var(var)})
-        return Quant(f.kind, var, _subst(body, inner))
-    raise LatlogError(f"cannot substitute in {f!r}")
+_HEADS = {Atom: "pred", App: "conn", Func: "name"}  # what ``alpha_equal`` compares besides args
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound object variables."""
-
-    def go(a: Formula, b: Formula, fw: dict[str, str], bw: dict[str, str]) -> bool:
+    """Structural equality up to renaming of bound object variables.  Pairs
+    of subformulas or terms still to compare wait on an explicit stack, each
+    with the maps between the bound variables of its two sides."""
+    stack = [(f, g, {}, {})]
+    while stack:
+        a, b, fw, bw = stack.pop()
         if type(a) is not type(b):
             return False
-        if isinstance(a, (PropVar, Const)):
-            return a.name == b.name
-        if isinstance(a, Atom):
-            return a.pred == b.pred and len(a.args) == len(b.args) and all(
-                term_go(s, t, fw, bw) for s, t in zip(a.args, b.args)
-            )
-        if isinstance(a, App):
-            return a.conn == b.conn and len(a.args) == len(b.args) and all(
-                go(s, t, fw, bw) for s, t in zip(a.args, b.args)
-            )
-        if isinstance(a, Quant):
+        if isinstance(a, Var):
+            if fw.get(a.name, a.name) != b.name or bw.get(b.name, b.name) != a.name:
+                return False
+        elif isinstance(a, (PropVar, Const)):
+            if a.name != b.name:
+                return False
+        elif type(a) in _HEADS:
+            head = _HEADS[type(a)]
+            if getattr(a, head) != getattr(b, head) or len(a.args) != len(b.args):
+                return False
+            stack.extend((s, t, fw, bw) for s, t in zip(a.args, b.args))
+        elif isinstance(a, Quant):
             if a.kind != b.kind:
                 return False
-            fw2 = dict(fw)
-            bw2 = dict(bw)
-            fw2[a.var] = b.var
-            bw2[b.var] = a.var
-            return go(a.body, b.body, fw2, bw2)
-        return False
-
-    def term_go(s: Term, t: Term, fw, bw) -> bool:
-        if isinstance(s, Var) and isinstance(t, Var):
-            return fw.get(s.name, s.name) == t.name and bw.get(t.name, t.name) == s.name
-        if isinstance(s, Func) and isinstance(t, Func):
-            return s.name == t.name and len(s.args) == len(t.args) and all(
-                term_go(x, y, fw, bw) for x, y in zip(s.args, t.args)
-            )
-        return False
-
-    return go(f, g, {}, {})
+            stack.append((a.body, b.body, {**fw, a.var: b.var}, {**bw, b.var: a.var}))
+        else:
+            return False
+    return True

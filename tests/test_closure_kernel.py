@@ -69,6 +69,47 @@ def test_two_variable_closure_matches_reference(name, cap):
     assert _summary(got) == reference_closure(lat, ("x", "y"), level_cap=cap)
 
 
+@pytest.mark.parametrize("m, width, narrow", [
+    (1, 64, True), (1, 65, True), (2, 64, True), (2, 65, False), (3, 40, True), (3, 41, False),
+    (5, 27, True), (5, 28, False), (5, 9, True), (16, 16, True), (16, 17, False),
+])
+def test_row_keys_are_equal_exactly_for_equal_rows(m, width, narrow):
+    """Random rows with repeats and with rows one entry apart, the changed
+    entry first, last or anywhere: keys are equal exactly when rows are, and
+    keys sort as the rows do, lexicographically.  The uint64 format holds
+    while m ** width <= 2 ** 64."""
+    rng = np.random.default_rng(m * 1000 + width)
+    base = rng.integers(0, m, (30, width), dtype=np.uint8)
+    near = base[rng.integers(0, 30, 60)]
+    pos = rng.choice([0, width - 1, int(rng.integers(width))], 60)
+    near[np.arange(60), pos] = (near[np.arange(60), pos] + 1) % m
+    rows = np.concatenate([base, base[rng.integers(0, 30, 30)], near,
+                           np.zeros((1, width), np.uint8), np.full((1, width), m - 1, np.uint8)])
+    rows = rows[rng.permutation(len(rows))]
+    keys = propcore.row_keys(rows, m)
+    assert keys.shape == (len(rows),)
+    assert (keys.dtype == np.uint64) == narrow
+    same_rows = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(keys[:, None] == keys[None, :], same_rows)
+    if m > 1:
+        assert not same_rows.all()
+    order = np.lexsort(rows.T[::-1])
+    assert np.array_equal(rows[keys.argsort(kind="stable")], rows[order])
+    if narrow:  # the largest row reads m ** width - 1, exact in uint64
+        assert int(keys.max()) == m ** width - 1
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_wide_key_closure_matches_reference(cap):
+    """godel3 over four variables: 81 cells a column, 3**81 > 2**64, so the
+    closure sorts and deduplicates its columns by void keys."""
+    lat = bundled_lattice("godel3")
+    var_list = ("w", "x", "y", "z")
+    assert propcore.row_keys(np.zeros((1, lat.m ** 4), np.uint8), lat.m).dtype.kind == "V"
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
+
+
 @pytest.mark.parametrize("lat, connectives", [
     (_lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])), None),
     (_lattice(RawConnective("Mid", (), ["h"])), None),

@@ -198,6 +198,16 @@ def test_constructive_three_0a_witness_pair(three_0a):
     assert is_valid_implication(interpolant, b, three_0a).valid
 
 
+def test_constructive_interpolant_of_a_deep_chain(classical_01):
+    """The private variable of a 3,001-arrow chain is replaced by each
+    constant word; the recursive substitution raised RecursionError here."""
+    chain = " -> ".join(["x"] * 3001)
+    a = parse_formula(f"({chain}) & y")
+    interpolant = constructive_interpolant_all_constants(a, PropVar("y"), classical_01)
+    assert render(interpolant) == " | ".join(
+        f"({chain.replace('x', c)}) & y" for c in ("#0", "#1"))
+
+
 def test_constructive_requires_all_values(three_01):
     with pytest.raises(PreconditionFailed):
         constructive_interpolant_all_constants(

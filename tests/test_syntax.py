@@ -18,7 +18,13 @@ from latlog import (
 )
 from latlog.algebra import Connective, default_signature
 from latlog.bundled import bundled_lattice
-from latlog.errors import ArityMismatchError, BadPathError, ParseError, UnknownSymbolError
+from latlog.errors import (
+    ArityMismatchError,
+    BadPathError,
+    LatlogError,
+    ParseError,
+    UnknownSymbolError,
+)
 from latlog.propcore import column_of
 from latlog.syntax import (
     PredicateLanguage,
@@ -236,6 +242,117 @@ def test_substitute_collapse_word_shape():
 def test_substitute_bound_occurrences_untouched():
     f = Quant("forall", "x", Atom("P", (Var("x"),)))
     assert substitute(f, {"x": Func("c", ())}) == f
+
+
+def _random_term(rng, depth):
+    if depth <= 0 or rng.random() < 0.6:
+        return Var(rng.choice("xyz")) if rng.random() < 0.8 else Func("c", ())
+    return Func("f", (_random_term(rng, depth - 1),))
+
+
+def _random_fo(rng, depth):
+    """Random first-order formula over x, y, z (rebound freely), p, q."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        if rng.random() < 0.3:
+            return PropVar(rng.choice("pq"))
+        pred = rng.choice("PR")
+        return Atom(pred, tuple(_random_term(rng, 2) for _ in range(rng.randint(0, 2))))
+    if r < 0.55:
+        kind = rng.choice(["forall", "exists"])
+        return Quant(kind, rng.choice("xyz"), _random_fo(rng, depth - 1))
+    conn = rng.choice(["&", "|", "->"])
+    return App(conn, (_random_fo(rng, depth - 1), _random_fo(rng, depth - 1)))
+
+
+def _random_mapping(rng):
+    """Object variables to terms, propositional ones to formulas; now and then
+    a value of the wrong kind, which both walks must reject alike."""
+    out = {}
+    for name in rng.sample("xyzpq", rng.randint(1, 3)):
+        term = name in "xyz"
+        if rng.random() < 0.05:
+            term = not term
+        out[name] = _random_term(rng, 2) if term else _random_fo(rng, 2)
+    return out
+
+
+def _outcome(walk, *args):
+    try:
+        result = walk(*args)
+    except LatlogError as exc:
+        return "error", str(exc)
+    return "ok", render(result)
+
+
+def test_substitute_matches_recursive_reference():
+    import random
+
+    from syntax_reference import reference_substitute
+
+    rng = random.Random(14)
+    captures = errors = 0
+    for _ in range(1500):
+        f, mapping = _random_fo(rng, 5), _random_mapping(rng)
+        got = _outcome(substitute, f, mapping)
+        assert got == _outcome(reference_substitute, f, mapping), (render(f), mapping)
+        errors += got[0] == "error"
+        captures += got[0] == "ok" and any(c.isdigit() for c in got[1])
+    assert errors and captures  # both the error and the renaming paths were taken
+
+
+def test_alpha_equal_matches_recursive_reference():
+    import random
+
+    from syntax_reference import reference_alpha_equal, reference_substitute
+
+    def rename_bound(f, names):  # each quantifier binds the next name of ``names``
+        if isinstance(f, Quant):
+            fresh = next(names)
+            return Quant(f.kind, fresh,
+                         rename_bound(reference_substitute(f.body, {f.var: Var(fresh)}), names))
+        if isinstance(f, App):
+            return App(f.conn, tuple(rename_bound(a, names) for a in f.args))
+        return f
+
+    rng = random.Random(15)
+    pool = [_random_fo(rng, 3) for _ in range(100)]
+    pool += [rename_bound(f, iter(rng.sample("uvwxyz", 6) * 10)) for f in pool[:40]]
+    pool += [parse_formula(t) for t in (
+        "forall x. P(x, y)", "forall y. P(y, y)", "forall y. P(y, x)",
+        "exists x. exists y. R(x, y)", "exists y. exists x. R(y, x)",
+        "exists y. exists x. R(x, y)", "forall x. forall x. P(x)", "forall y. forall x. P(x)",
+        "forall x. forall y. P(x)")]
+    equal = 0
+    for f in pool:
+        for g in pool:
+            got = alpha_equal(f, g)
+            assert got == reference_alpha_equal(f, g), (render(f), render(g))
+            equal += got and f != g
+    assert equal > 40  # distinct formulas equal up to their bound names
+
+
+def test_substitute_and_alpha_equal_walk_deep_chains():
+    """A 3,001-atom chain, built as the parser and the Herbrand expansion
+    build it, and a 3,001-arrow propositional one; the recursive walks
+    raised RecursionError on both.  Deep formulas are compared through
+    ``render``, since the dataclass ``==`` recurses."""
+    text = " -> ".join(["P(c)"] * 3001)
+    chain = parse_formula(text)
+    assert alpha_equal(chain, parse_formula(text))
+    assert not alpha_equal(chain, parse_formula(" -> ".join(["P(c)"] * 3000 + ["P(d)"])))
+    assert render(substitute(chain, {"x": Func("d", ())})) == text
+    atoms = [Atom("P", (Var("x"),))] * 3000 + [Atom("P", (Func("c", ()),))]
+    open_chain = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        open_chain = App("->", (atom, open_chain))
+    assert render(substitute(open_chain, {"x": Func("c", ())})) == text
+    assert not alpha_equal(open_chain, chain)
+    bound = Quant("forall", "x", open_chain)
+    assert alpha_equal(bound, Quant("forall", "y", substitute(open_chain, {"x": Var("y")})))
+    arrows = parse_formula(" -> ".join(["x"] * 3001))
+    assert render(substitute(arrows, {"x": parse_formula("y & z")})) == \
+        " -> ".join(["y & z"] * 3001)
 
 
 # ---------------------------------------------------------------------------
