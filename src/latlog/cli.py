@@ -6,10 +6,9 @@ in the same order.  Exit codes: 0 for YES/valid/success (and ``--help``), 1
 for NO/invalid, 2 for UNKNOWN (budget), 3 for input errors (usage errors
 such as an unknown flag or a missing option included), 4 for internal errors
 (any exception that is not a LatlogError, reported as INTERNAL_ERROR).  Budgets
-are flags, accepted only by the commands that read them.  The first-order
-commands reject a formula nested deeper than ``folift.MAX_DEPTH`` as an input
-error.  Handlers read the parsed arguments directly, and each budget flag
-takes its default from the library code that owns the budget.
+are flags, accepted only by the commands that read them.  Handlers read the
+parsed arguments directly, and each budget flag takes its default from the
+library code that owns the budget.
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .folift import (
     FoBudgets,
-    check_depth,
     check_valid_expansion,
     expand_n,
     find_herbrand_expansion,
@@ -283,7 +281,6 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_skolemize(args: argparse.Namespace) -> tuple[int, dict]:
     lat = _load_lattice_arg(args.lattice)
     phi = parse_formula(args.formula, lat.signature)
-    check_depth(phi)
     result, record = skolemize(phi, lat)
     return EXIT_YES, {
         "command": "skolemize",
@@ -301,7 +298,6 @@ def cmd_skolemize(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_expand(args: argparse.Namespace) -> tuple[int, dict]:
     lat = _load_lattice_arg(args.lattice)
     phi = parse_formula(args.formula, lat.signature)
-    check_depth(phi)
     expansion = expand_n(phi, args.n, signature=lat.signature)
     check = check_valid_expansion(expansion, lat, args.var_cap)
     return (EXIT_YES if check.valid else EXIT_NO), {
@@ -317,7 +313,6 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_herbrand(args: argparse.Namespace) -> tuple[int, dict]:
     lat = _load_lattice_arg(args.lattice)
     phi = parse_formula(args.formula, lat.signature)
-    check_depth(phi)
     search = find_herbrand_expansion(phi, lat, max_n=args.max_n, var_cap=args.var_cap)
     out = {
         "command": "herbrand", "input": render(phi),
@@ -348,26 +343,26 @@ def cmd_fo_interpolate(args: argparse.Namespace) -> tuple[int, dict]:
         return EXIT_UNKNOWN, {
             "command": "fo-interpolate", "input": render(phi),
             "status": "UNKNOWN", "reason": exc.message,
-            **_trace_report(exc.trace, lat),
+            **_trace_report(exc.trace),
         }
     except PropInterpolationFailed as exc:
         status = exc.verdict.status if exc.verdict else "NO"
         return EXIT_CODES[status], {
             "command": "fo-interpolate", "input": render(phi),
             "status": status, "reason": exc.message,
-            **_trace_report(exc.trace, lat),
+            **_trace_report(exc.trace),
         }
     trace = result.trace
     out = {
         "command": "fo-interpolate", "input": render(phi),
         "status": "YES",
         "interpolant": render(result.interpolant),
-        **_trace_report(trace, lat),
+        **_trace_report(trace),
     }
     return EXIT_YES, out
 
 
-def _trace_report(trace, lat) -> dict:
+def _trace_report(trace) -> dict:
     if trace is None:
         return {}
     out: dict = {"trace": {}}

@@ -8,10 +8,12 @@ propositional interpolant for the abstracted expansion, re-read it over the
 ground atoms, generalize away every function symbol and constant outside the
 common language, and check the result on small finite structures.
 
-Evaluation applies every connective, and every quantifier's meet or join
-over the domain, with ``propcore.apply_connective``.  Over a finite domain a
-structure's predicate tables are a valuation of the ground atoms, so the
-smoke test gives the A ground atoms of a domain the columns of A
+Evaluation is one fold by axes: each object variable owns a broadcast axis
+over the domain, a term is an array of domain indices, an atom reads its
+predicate table as an array, ``propcore.apply_connective`` applies every
+connective, and a quantifier folds its variable's axis.  Over a finite
+domain a structure's predicate tables are a valuation of the ground atoms,
+so the smoke test gives the A ground atoms of a domain the columns of A
 propositional variables and runs one evaluation per domain and choice of
 function tables, over all predicate interpretations at once.
 """
@@ -39,6 +41,7 @@ from .propcore import (
     DEFAULT_VAR_CAP,
     ClosureBudget,
     ValidityReport,
+    _fold_axis,
     _projection,
     apply_connective,
     is_valid_prop,
@@ -58,6 +61,7 @@ from .syntax import (
     Var,
     all_identifiers,
     atoms_of,
+    children,
     classify_quantifiers,
     conjoin,
     disjoin,
@@ -74,24 +78,8 @@ from .syntax import (
     prop_variables,
     render,
     substitute,
-    term_vars,
     with_children,
 )
-
-# Nesting depth (formula and term nodes on the longest path) a first-order
-# command accepts: skolemization and substitution recurse, two Python
-# frames a level, so deeper input would end in a RecursionError.
-MAX_DEPTH = 400
-
-
-def check_depth(phi: Formula) -> None:
-    """Raise a LatlogError when ``phi`` is nested deeper than MAX_DEPTH."""
-    depth = fold(phi, lambda f, kids: 1 + max(kids, default=0))
-    if depth > MAX_DEPTH:
-        raise LatlogError(
-            f"formula nesting depth {depth} exceeds the limit of {MAX_DEPTH} "
-            "for first-order commands", depth=depth, limit=MAX_DEPTH)
-
 
 @dataclass
 class FoBudgets:
@@ -113,7 +101,7 @@ class FoBudgets:
 class FoStructure:
     """Finite interpretation: predicate tables map argument tuples to lattice
     element indices, function tables to domain elements.  A predicate table
-    may hold value columns instead of indices, all of one length: the
+    may hold value columns instead, one per argument tuple, of one length: the
     structure then stands for one interpretation per cell, and evaluation
     gives a column of values."""
 
@@ -122,106 +110,107 @@ class FoStructure:
     functions: dict[str, Mapping[tuple, object]] = field(default_factory=dict)
 
 
-_UNSET = object()  # the value of an unassigned variable in a memo key
-
-
 def fo_eval(phi: Formula, lat: Lattice, structure: FoStructure,
             assignment: Optional[Mapping[str, object]] = None) -> str:
     """Evaluate a first-order formula: universal quantifiers take the meet and
-    existential quantifiers the join over the domain.  A quantifier's body is
-    evaluated once per assignment of its free object variables, so a chain of
-    quantifiers whose bodies ignore or rebind the outer variables costs the
-    domain size per quantifier, not its power."""
+    existential quantifiers the join over the domain."""
     for pred, table in structure.predicates.items():
         for args, value in table.items():
             if not 0 <= value < lat.m:
                 raise LatlogError(f"predicate {pred!r} at {args!r} is {value!r}, "
                                   "not an element index", symbol=pred)
-    return lat.elements[int(_evaluator(phi, lat)(structure, assignment))]
+    if assignment:  # an assigned variable reads as a fresh object constant
+        taken = all_identifiers(phi) | set(structure.functions)
+        consts = {v: fresh_name(v + "_", taken) for v in assignment}  # v_, v_2, ...: distinct
+        phi = substitute(phi, {v: Func(c) for v, c in consts.items()})
+        structure = FoStructure(structure.domain, structure.predicates, {
+            **structure.functions, **{consts[v]: {(): e} for v, e in assignment.items()}})
+    return lat.elements[int(_evaluator(phi, lat)(structure)[0])]
 
 
 def _evaluator(phi: Formula, lat: Lattice):
-    """``fo_eval`` of ``phi`` as a function of the structure and the
-    assignment, returning element indices as an array.  Every connective, and
-    the meet or join of a quantifier over the domain, is applied by
-    ``apply_connective``, so predicate tables may hold value columns (see
-    ``FoStructure``); an index is read as a 0-d array.  The free variables of
-    the quantifier bodies are collected once, for every structure."""
+    """``fo_eval`` of the sentence ``phi`` as a function of the structure: a
+    column of element indices, one entry or one per cell of the structure's
+    value columns.  A value is the tuple of object variables it depends on,
+    in name order, and an array with one domain axis for each, then, for a
+    formula, the column's axis.  A quantifier whose body does not depend on
+    its variable gives the body: a value is its own meet and join."""
     m = lat.m
-    base = np.arange(m, dtype=np.uint8)
-    free: dict[int, tuple[str, ...]] = {}  # free variables of each quantifier body
 
-    def free_vars(f, kids) -> frozenset:
-        if isinstance(f, Var):
-            return frozenset((f.name,))
-        if isinstance(f, Quant):
-            free[id(f.body)] = tuple(sorted(kids[0]))
-            return kids[0] - {f.var}
-        return frozenset().union(*kids)
+    def evaluate(structure: FoStructure) -> np.ndarray:
+        domain = structure.domain
+        d = len(domain)
+        position = {e: i for i, e in enumerate(domain)}
+        tables: dict[str, tuple] = {}  # symbol -> (its table's keys, their rows)
 
-    fold(phi, free_vars)
+        def align(kids) -> tuple[tuple[str, ...], list]:
+            """The variables of ``kids`` and their arrays on the axes of all."""
+            names = kids[0][0] if kids else ()
+            if any(own != names for own, _ in kids):
+                names = tuple(sorted(set().union(*(own for own, _ in kids))))
+                return names, [a.reshape(tuple(d if v in own else 1 for v in names)
+                                         + np.shape(a)[len(own):]) for own, a in kids]
+            return names, [a for _, a in kids]
 
-    def evaluate(structure: FoStructure, assignment: Optional[Mapping[str, object]]):
-        memo: dict[tuple, np.ndarray] = {}  # (body, values of its free variables) -> value
-
-        def ev_term(t: Term, env: dict) -> object:
-            if isinstance(t, Var):
-                if t.name not in env:
-                    raise UninterpretedSymbol(f"object variable {t.name!r} unassigned",
-                                              symbol=t.name)
-                return env[t.name]
-            table = structure.functions.get(t.name)
-            if table is None:
-                raise UninterpretedSymbol(f"function symbol {t.name!r} uninterpreted",
-                                          symbol=t.name)
-            args = tuple(ev_term(a, env) for a in t.args)
-            try:
-                return table[args]
-            except KeyError:
-                raise UninterpretedSymbol(
-                    f"function {t.name!r} undefined at {args!r}", symbol=t.name) from None
-
-        def ev(f: Formula, env: dict) -> np.ndarray:
-            if isinstance(f, Atom):
-                table = structure.predicates.get(f.pred)
+        def gather(f, kids) -> tuple[tuple[str, ...], np.ndarray]:
+            """Read the table of an atom or a function, -1 where it has no entry."""
+            func = type(f) is Func
+            name = f.name if func else f.pred
+            names, args = align(kids)
+            if name not in tables:
+                table = (structure.functions if func else structure.predicates).get(name)
                 if table is None:
-                    raise UninterpretedSymbol(f"predicate {f.pred!r} uninterpreted",
-                                              symbol=f.pred)
-                args = tuple(ev_term(t, env) for t in f.args)
-                try:
-                    return np.asarray(table[args], dtype=np.uint8)
-                except KeyError:
-                    raise UninterpretedSymbol(
-                        f"predicate {f.pred!r} undefined at {args!r}", symbol=f.pred) from None
-            if isinstance(f, Const):
+                    raise UninterpretedSymbol(f"{'function symbol' if func else 'predicate'} "
+                                              f"{name!r} uninterpreted", symbol=name)
+                keys = list(itertools.product(domain, repeat=len(args)))
+                tables[name] = keys, np.array([position.get(table.get(k), -1) if func
+                                               else table.get(k, -1) for k in keys])
+            keys, rows = tables[name]
+            idx = 0
+            for a in args:
+                idx = idx * d + a
+            out = rows[idx]
+            if (out < 0).any():
+                raise UninterpretedSymbol(
+                    f"{'function' if func else 'predicate'} {name!r} undefined at "
+                    f"{keys[np.asarray(idx)[out < 0].flat[0]]!r}", symbol=name)
+            return names, out if func or rows.ndim > 1 else out[..., None]
+
+        def value(f, kids) -> tuple[tuple[str, ...], np.ndarray]:
+            kind = type(f)
+            if kind is Var:
+                return (f.name,), np.arange(d)
+            if kind is Func or kind is Atom:
+                return gather(f, kids)
+            if kind is App:
+                names, args = align(kids)
+                return names, apply_connective(lat.flat(f.conn), m, args)
+            if kind is Quant:
+                if not d:
+                    raise LatlogError("empty domain")
+                names, body = kids[0]
+                if f.var not in names:
+                    return kids[0]
+                k = names.index(f.var)  # its axis goes last, after the column's
+                order = [*range(k), *range(k + 1, body.ndim), k]
+                op = lat.flat(MEET if f.kind == FORALL else JOIN)
+                return names[:k] + names[k + 1:], _fold_axis(body.transpose(order), op, m)
+            if kind is Const:
                 if f.name not in lat.constants:
                     raise UninterpretedSymbol(f"constant {f.name!r} not declared", symbol=f.name)
-                return base[lat.constants[f.name]]
-            if isinstance(f, PropVar):
+                return (), np.array([lat.constants[f.name]], np.uint8)
+            if kind is PropVar:
                 raise UninterpretedSymbol(
                     f"propositional variable {f.name!r} has no first-order meaning",
                     symbol=f.name,
                 )
-            if isinstance(f, App):
-                return apply_connective(lat.flat(f.conn), m, [ev(a, env) for a in f.args])
-            if isinstance(f, Quant):
-                op = lat.flat(MEET if f.kind == FORALL else JOIN)
-                names = free[id(f.body)]
-                acc = None
-                for d in structure.domain:
-                    env2 = dict(env)
-                    env2[f.var] = d
-                    key = (id(f.body),) + tuple(env2.get(v, _UNSET) for v in names)
-                    v = memo.get(key)
-                    if v is None:
-                        v = memo[key] = ev(f.body, env2)
-                    acc = v if acc is None else apply_connective(op, m, (acc, v))
-                if acc is None:
-                    raise LatlogError("empty domain")
-                return acc
             raise LatlogError(f"cannot evaluate {f!r}")
 
-        return ev(phi, dict(assignment or {}))
+        names, out = fold(phi, value)
+        if names:
+            raise UninterpretedSymbol(f"object variable {names[0]!r} unassigned",
+                                      symbol=names[0])
+        return out
 
     return evaluate
 
@@ -245,8 +234,7 @@ class SkolemRecord:
     family_size: int = 0
 
 
-def skolemize(phi: Formula, lat: Lattice,
-              signature: Optional[PolaritySignature] = None) -> tuple[Formula, SkolemRecord]:
+def skolemize(phi: Formula, lat: Lattice) -> tuple[Formula, SkolemRecord]:
     """Replace every strong quantifier occurrence, outside in.
 
     A strong existential over C(x) becomes the join of C(f_i(xs)) for
@@ -254,9 +242,9 @@ def skolemize(phi: Formula, lat: Lattice,
     the f_i are fresh function symbols and xs the weakly quantified variables
     whose scope contains the occurrence.  The output carries weak quantifiers
     only.  Nested strong quantifiers inside the replacement copies receive
-    their own fresh families.
+    their own fresh families.  Tasks wait on an explicit stack, each with its
+    weak variables and its path as linked (rest, last) cells, not copies.
     """
-    sig = signature or lat.signature
     m = lat.m
     taken = set(all_identifiers(phi))
     record = SkolemRecord(family_size=m)
@@ -270,31 +258,45 @@ def skolemize(phi: Formula, lat: Lattice,
                 taken.update(fam)
                 return fam
 
-    def walk(f: Formula, sign: int, weak: tuple[str, ...], path: tuple[int, ...]) -> Formula:
-        if isinstance(f, Quant):
-            strong = (f.kind == FORALL) == (sign > 0)
-            if strong:
+    values: list = []
+    tasks: list = [(phi, 1, (), ())]  # (node, sign, weak, path); sign 0: rebuild
+    while tasks:
+        f, sign, weak, path = tasks.pop()
+        if sign == 0:  # rebuild f from the values of its parts
+            cut = len(values) - len(children(f))
+            values[cut:] = [with_children(f, values[cut:])]
+        elif isinstance(f, Quant):
+            if (f.kind == FORALL) == (sign > 0):  # strong
                 fam = fresh_family()
-                args = tuple(Var(v) for v in weak)
+                xs = _items(weak)
+                args = tuple(Var(v) for v in xs)
                 copies = [substitute(f.body, {f.var: Func(name, args)}) for name in fam]
-                record.entries.append(SkolemEntry(path, f.kind, f.var, fam, weak))
+                record.entries.append(SkolemEntry(_items(path), f.kind, f.var, fam, xs))
                 joined = disjoin(copies) if f.kind == EXISTS else conjoin(copies)
-                return walk(joined, sign, weak, path)
-            return Quant(f.kind, f.var, walk(f.body, sign, weak + (f.var,), path + (0,)))
-        if isinstance(f, App):
-            conn = sig.get(f.conn)
+                tasks.append((joined, sign, weak, path))
+            else:
+                tasks.append((f, 0, None, None))
+                tasks.append((f.body, sign, (weak, f.var), (path, 0)))
+        elif isinstance(f, App):
+            conn = lat.signature.get(f.conn)
             if conn is None:
                 raise UninterpretedSymbol(f"connective {f.conn!r} not in signature",
                                           symbol=f.conn)
-            new_args = tuple(
-                walk(a, -sign if conn.polarity[i] == "-" else sign, weak, path + (i,))
-                for i, a in enumerate(f.args)
-            )
-            return App(f.conn, new_args)
-        return f
+            tasks.append((f, 0, None, None))
+            tasks.extend((a, -sign if conn.polarity[i] == "-" else sign, weak, (path, i))
+                         for i, a in reversed(tuple(enumerate(f.args))))
+        else:
+            values.append(f)
+    return values[0], record
 
-    result = walk(phi, 1, (), ())
-    return result, record
+
+def _items(cells) -> tuple:
+    """The items of a linked list of (rest, last) cells, first to last."""
+    out = []
+    while cells:
+        cells, last = cells
+        out.append(last)
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +405,13 @@ def abstract_ground_atoms(phi: Formula, naming: Optional[dict[str, str]] = None
     Distinct closed terms stay independent, exactly the freedom a term
     structure provides.  The naming map (rendered atom -> variable) may be
     shared across several formulas."""
-    atoms = atoms_of(phi)
-    for a in atoms:
-        for t in a.args:
-            if term_vars(t):
-                raise LatlogError(f"atom {render(a)} is not ground")
     naming = naming if naming is not None else {}
 
     def abstract(f: Formula, kids) -> Formula:
         if isinstance(f, Atom):
             key = render(f)
+            if any(isinstance(t, Var) for t in nodes(f)):
+                raise LatlogError(f"atom {key} is not ground")
             if key not in naming:
                 naming[key] = f"a{len(naming) + 1}"
             return PropVar(naming[key])
@@ -463,17 +462,15 @@ class HerbrandSearch:
 
 def find_herbrand_expansion(phi: Formula, lat: Lattice,
                             max_n: int = FoBudgets.max_n,
-                            var_cap: Optional[int] = None,
-                            signature: Optional[PolaritySignature] = None) -> HerbrandSearch:
+                            var_cap: Optional[int] = None) -> HerbrandSearch:
     """Smallest n whose expansion is valid.  Validity of the input guarantees
     some expansion is valid in the limit; an invalid input never produces one,
     so the search is bounded by max_n (and by term exhaustion) and reports
     UNKNOWN when the bound is hit."""
-    terms, added = _expansion_terms(phi, max_n, signature)
+    terms, added = _expansion_terms(phi, max_n, lat.signature)
     exhausted = len(terms) if len(terms) < max_n else None
-    effective = len(terms)
     checks: list[tuple[int, bool]] = []
-    for n in range(1, effective + 1):
+    for n in range(1, len(terms) + 1):
         expansion = _expand_with_terms(phi, terms[:n])
         try:
             check = check_valid_expansion(expansion, lat, var_cap)
@@ -502,12 +499,6 @@ class GeneralizationStep:
     term: Term
     variable: str
     quantifier: str
-
-
-def _terms_preorder(phi: Formula) -> list[Term]:
-    """Every function-headed term occurrence, outer before inner, left before
-    right, deduplicated keeping the first occurrence."""
-    return list(dict.fromkeys(t for t in nodes(phi) if isinstance(t, Func)))
 
 
 def _is_subterm(small: Term, big: Term) -> bool:
@@ -540,7 +531,11 @@ def generalize_interpolant(istar: Formula, sk_a: Formula, sk_b: Formula,
     used = all_identifiers(istar) | all_identifiers(sk_a) | all_identifiers(sk_b)
     counter = 1
     while True:
-        candidates = [t for t in _terms_preorder(current) if t.name not in common]
+        # terms headed outside the common language, outer before inner, left
+        # before right, each once; the common heads are dropped before the
+        # hashing, which recurses once per term level
+        candidates = list(dict.fromkeys(t for t in nodes(current)
+                                        if isinstance(t, Func) and t.name not in common))
         if not candidates:
             break
         maximal = [t for t in candidates
@@ -622,7 +617,7 @@ def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
             for (f, args), v in zip(entries, choice):
                 functions[f][args] = v
             structure = FoStructure(domain, predicates, functions)
-            columns.append([np.broadcast_to(evaluate(structure, None), cells)
+            columns.append([np.broadcast_to(evaluate(structure), cells)
                             for evaluate in evaluators])
         va, vi, vb = np.stack(columns, axis=-1)  # (predicate cell, function choice)
         low, high = ~lat.leq[va, vi], ~lat.leq[vi, vb]
@@ -654,7 +649,6 @@ def fo_interpolate(phi: Formula, lat: Lattice,
     """
     budgets = budgets or FoBudgets()
     trace = PipelineTrace(original=phi)
-    check_depth(phi)
     if not isinstance(phi, App) or phi.conn != "->":
         raise LatlogError("input must be an implication A -> B")
     if free_object_vars(phi):
@@ -677,7 +671,6 @@ def fo_interpolate(phi: Formula, lat: Lattice,
         raise UnknownValidity(
             f"no valid expansion found: {search.reason}", trace=trace)
 
-    exp_a, exp_b = search.expansion.args
     # the sides of the valid check's word, so that its envelope pair (when
     # the check was factored) is the pair of prop_a -> prop_b
     prop_a, prop_b = search.check.word.args
@@ -696,8 +689,7 @@ def fo_interpolate(phi: Formula, lat: Lattice,
             verdict=verdict, trace=trace,
         )
 
-    atom_tab = {render(atom): atom
-                for atom in atoms_of(exp_a) + atoms_of(exp_b)}
+    atom_tab = {render(atom): atom for atom in atoms_of(search.expansion)}
     ground = concretize(verdict.interpolant, naming, atom_tab)
     trace.ground_interpolant = ground
     trace.notes.append(

@@ -39,7 +39,8 @@ node from its children's values), and alpha-equality a stack of the pairs
 of subtrees still to compare with their bound-variable maps.  Parsing,
 printing, evaluation, substitution, alpha-equality and the collectors
 therefore handle any nesting depth, and so do free variables and
-quantifier classification.
+quantifier classification.  Dataclass ``==`` and ``hash`` still recurse
+once per level, so ``atoms_of`` tells atoms apart by their text.
 """
 from __future__ import annotations
 
@@ -752,8 +753,13 @@ def free_object_vars(f: Formula) -> set[str]:
 
 
 def atoms_of(f: Formula) -> list[Atom]:
-    """Distinct atoms in pre-order of first occurrence."""
-    return list(dict.fromkeys(node for node in nodes(f) if isinstance(node, Atom)))
+    """Distinct atoms in pre-order of first occurrence, told apart by their
+    text (so that no atom is hashed, which recurses once per term level)."""
+    atoms: dict[str, Atom] = {}
+    for node in nodes(f):
+        if isinstance(node, Atom):
+            atoms.setdefault(render(node), node)
+    return list(atoms.values())
 
 
 def predicates_of(f: Formula) -> dict[str, int]:

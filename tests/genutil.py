@@ -1,9 +1,18 @@
-"""Seeded random generators shared by the property suites."""
+"""Seeded random generators shared by the property suites, and the deep
+sentences that the first-order tests share."""
 import itertools
 import random
 
 from latlog import App, Const, PropVar
 from latlog.folift import FoStructure
+
+# valid sentences nested about 3,000 levels deep, one per kind of node
+_DEEP_TERM = "P(" + "f(" * 3000 + "c" + ")" * 3000 + ")"
+DEEP_SENTENCES = {
+    "implication-chain": " -> ".join(["P(c)"] * 3001),
+    "deep-term": f"{_DEEP_TERM} -> {_DEEP_TERM}",
+    "quantifier-chain": "(" + "forall x. " * 3000 + "P(x)) -> P(c)",
+}
 
 
 def random_word(rng: random.Random, variables, lat, depth: int = 3,

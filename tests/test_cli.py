@@ -6,7 +6,8 @@ import pytest
 
 from latlog import cli
 from latlog.cli import main
-from latlog.folift import MAX_DEPTH
+
+from genutil import DEEP_SENTENCES
 
 
 def run(capsys, *argv):
@@ -366,25 +367,26 @@ def test_interpolate_deep_antecedent(capsys):
     assert report["antecedent"] == antecedent
 
 
-def _fo_chain(depth):
-    """P(c) -> ... -> P(c), ``depth`` nodes deep: depth - 2 arrows over an
-    atom and its term."""
-    return " -> ".join(["P(c)"] * (depth - 1))
-
-
+@pytest.mark.parametrize("shape", DEEP_SENTENCES)
 @pytest.mark.parametrize("command", [["skolemize"], ["expand", "--n", "1"], ["herbrand"],
                                      ["fo-interpolate"]], ids=lambda c: c[0])
-def test_first_order_depth_limit(capsys, command):
-    """A 3,001-term chain is an input error naming its depth and the limit;
-    a chain at the limit gets its answer."""
-    code, report = run_json(capsys, command[0], "--lattice", "mc",
-                            "--formula", _fo_chain(3002), *command[1:])
-    assert code == 3
-    assert report["details"] == {"depth": 3002, "limit": MAX_DEPTH}
-    assert "3002" in report["message"] and str(MAX_DEPTH) in report["message"]
-    code, report = run_json(capsys, command[0], "--lattice", "mc",
-                            "--formula", _fo_chain(MAX_DEPTH), *command[1:])
+def test_first_order_commands_answer_deep_sentences(capsys, command, shape):
+    code, _ = run_json(capsys, command[0], "--lattice", "mc",
+                       "--formula", DEEP_SENTENCES[shape], *command[1:])
     assert code == 0
+
+
+def test_herbrand_search_reads_the_lattice_signature(tmp_path, capsys):
+    """A connective that only the lattice file declares is known to the
+    Herbrand search, as it is to skolemization and expansion."""
+    lat = tmp_path / "neg.lat"
+    lat.write_text("elements 0 1\norder 0 < 1\nconnective -> -+\n1 1\n0 1\n"
+                   "connective neg -\n1 0\n")
+    for command in ("herbrand", "fo-interpolate"):
+        code, report = run_json(capsys, command, "--lattice", str(lat),
+                                "--formula", "neg(P(c)) -> neg(P(c))")
+        assert code == 0, report
+    assert report["interpolant"] == "neg(P(c))"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -23,10 +23,10 @@ from latlog.errors import (
     UnknownValidity,
 )
 from latlog.folift import (
-    MAX_DEPTH,
     FoBudgets,
     FoStructure,
     PipelineTrace,
+    SkolemRecord,
     _smoke_test,
     check_valid_expansion,
     enumerate_closed_terms,
@@ -40,6 +40,7 @@ from latlog.folift import (
 from latlog.interp import find_prop_interpolant
 from latlog.syntax import (
     PredicateLanguage,
+    atoms_of,
     classify_quantifiers,
     free_object_vars,
     functions_of,
@@ -48,7 +49,7 @@ from latlog.syntax import (
 
 from folift_reference import plain_fo_eval, reference_smoke
 
-from genutil import all_unary_structures
+from genutil import DEEP_SENTENCES, all_unary_structures
 from property_checks import check_lemma_alpha, check_skolem_witness
 
 imp = lambda a, b: App("->", (a, b))
@@ -91,6 +92,34 @@ def test_fo_eval_uninterpreted(classical):
     s = FoStructure(("c",), {})
     with pytest.raises(UninterpretedSymbol):
         fo_eval(parse_formula("P(c)"), classical, s)
+
+
+@pytest.mark.parametrize("text, symbol, message", [
+    (Atom("P", (Var("x"),)), "x", "object variable 'x' unassigned"),
+    (Quant("forall", "y", App("&", (Atom("P", (Var("x"),)), Atom("P", (Var("y"),))))),
+     "x", "object variable 'x' unassigned"),
+    ("Q(c)", "Q", "predicate 'Q' uninterpreted"),
+    ("P(g(c))", "g", "function symbol 'g' uninterpreted"),
+    ("forall x. P(f(x))", "f", "function 'f' undefined at ('b',)"),
+    ("forall x. R(x, c)", "R", "predicate 'R' undefined at ('b', 'a')"),
+])
+def test_fo_eval_names_what_it_cannot_interpret(classical, text, symbol, message):
+    """A free variable without a value, a symbol without a table, and a
+    table without the entry that evaluation reaches."""
+    s = FoStructure(("a", "b"), {"P": {("a",): 1, ("b",): 0}, "R": {("a", "a"): 1}},
+                    {"c": {(): "a"}, "f": {("a",): "b"}})
+    phi = parse_formula(text) if isinstance(text, str) else text
+    with pytest.raises(UninterpretedSymbol) as info:
+        fo_eval(phi, classical, s)
+    assert (info.value.message, info.value.details) == (message, {"symbol": symbol})
+
+
+def test_fo_eval_needs_a_domain_under_a_quantifier(classical):
+    s = FoStructure((), {"P": {}, "D": {(): 0}})
+    with pytest.raises(LatlogError, match="^empty domain$") as info:
+        fo_eval(parse_formula("forall x. P(x)"), classical, s)
+    assert not isinstance(info.value, UninterpretedSymbol)
+    assert fo_eval(parse_formula("D -> D"), classical, s) == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +535,20 @@ def test_expansion_steps_walk_a_deep_chain_without_recursion(mc):
     assert find_herbrand_expansion(chain, mc).status == "FOUND"
 
 
-@pytest.mark.parametrize("text", [
-    " -> ".join(["P(c)"] * 3001),
-    "P(" + "f(" * MAX_DEPTH + "c" + ")" * MAX_DEPTH + ") -> P(c)",
-], ids=["3001-term-chain", "deep-term"])
-def test_fo_interpolate_rejects_input_past_the_depth_limit(mc, text):
-    with pytest.raises(LatlogError, match="exceeds the limit") as info:
-        fo_interpolate(parse_formula(text), mc)
-    assert info.value.details["limit"] == MAX_DEPTH
+@pytest.mark.parametrize("shape", DEEP_SENTENCES)
+def test_library_walks_deep_sentences_without_recursion(mc, shape):
+    """Skolemization, evaluation, atom collection and the pipeline answer
+    on sentences nested 3,000 levels deep."""
+    phi = parse_formula(DEEP_SENTENCES[shape])
+    atoms = {"implication-chain": ["P(c)"], "quantifier-chain": ["P(x)", "P(c)"],
+             "deep-term": [render(phi.args[0])]}[shape]
+    out, record = skolemize(phi, mc)
+    assert (render(out), record) == (render(phi), SkolemRecord(family_size=mc.m))
+    one = FoStructure((0,), {"P": {(0,): mc.index("u1")}}, {"c": {(): 0}, "f": {(0,): 0}})
+    assert fo_eval(phi, mc, one) == "1"
+    assert [render(a) for a in atoms_of(phi)] == atoms
+    result = fo_interpolate(phi, mc)
+    assert result.trace.verdict.status == "YES"
 
 
 # ---------------------------------------------------------------------------
