@@ -138,6 +138,7 @@ class Lattice:
 
     Two caches grow on first use without a lock: ``flat`` fills ``_flat``,
     and ``derived`` holds tables other modules build, among them the
+    closure's stacked connective tables and the
     ``relations.BinaryInvariants``, whose ``relations``, ``_by_mask`` and
     ``_grids`` grow lazily.  So one lattice may be shared between processes,
     each with its own copy, but not between threads that run queries at the

@@ -3,14 +3,17 @@
 Evaluation and validity are exhaustive over the valuation space (lexicographic
 order over element indices, first variable most significant).  One kernel,
 ``apply_connective``, applies a connective to arrays of argument values in
-validity grids, folds and the closure.  Values, tables and table indices are
-uint8 while ``m ** arity <= 256``; beyond that the kernel widens the index to
-intp.  A uint8 index of at least ``TRANSLATE_CELLS`` cells is gathered by
-``bytes.translate`` through the table padded to 256 bytes, a byte per cell;
-``take``, which first casts its index to intp, 8 bytes a cell, gathers
-smaller uint8 indices, where the conversion to bytes costs more than it
-saves, and every wide index, which is intp already.  Folds over an axis
-combine its contiguous first and second halves, round by round.
+validity grids, folds and the closure.  Values and tables are uint8, and so
+is a table index while the table has at most 256 entries; beyond that the
+kernel widens the index to intp.  The closure stacks the tables of all
+connectives of one arity into one, and the connective's position in the
+stack leads the arguments.  A uint8 index of at least ``TRANSLATE_CELLS``
+cells is gathered by ``bytes.translate`` through the table padded to 256
+bytes, a byte per cell; ``take``, which first casts its index to intp, 8
+bytes a cell, gathers smaller uint8 indices, where the conversion to bytes
+costs more than it saves, and every wide index, which is intp already.
+Folds over an axis combine its contiguous first and second halves, round
+by round.
 
 The factored implication check a -> b needs the join of a over its private
 variables and the meet of b over its own, per shared valuation.  Every
@@ -31,9 +34,15 @@ The closure of representable functions grows level by level: level 0 holds
 the projection and constant columns, level k+1 every connective application
 with an argument from level k, evaluated in blocks of about ``BLOCK_CELLS``
 cells.  Each column keeps its canonical witness, the least (rendered length,
-word) over the applications producing it; lengths come from the arguments.
-A level's bookkeeping runs on arrays: argument tuples are enumerated a run
-of blocks at a time, over many small boxes at once; each block sorts its
+word) over the applications producing it; lengths, and the brackets of
+words, come from per-arity tables indexed by connective.  A level
+is one stream of blocks per arity, not per connective: an application is
+the connective's position in its arity's stack, then its argument columns,
+and a block evaluates, deduplicates and ranks the applications of every
+connective of that arity together, so a small level costs a block per
+arity.  A block of one connective gathers from that connective's own table.
+A level's bookkeeping runs on arrays: applications are enumerated a run of
+blocks at a time, over many small boxes at once; each block sorts its
 applications by column and length, finds its columns new to the closure
 against the sorted keys of the closure's columns, and hands Python one
 shortest application per new column, whose word is joined, and the others
@@ -55,14 +64,16 @@ An envelope scan searches the next level for a column between two bounds
 without growing it, in three stages: tuples of probe-group representatives
 at ``PROBES`` positions, then each surviving application at ``SCREEN_WIDTH``
 positions, then the remaining applications over the full valuation grid.
+Each stage runs once per arity, over all the connectives of that arity.
 The first stage evaluates no connective: per probe, a fit table marks the
-connective's table entries that lie inside the bounds there, and the
-kernel applies these tables to the representatives' probe values, for all
-probes in one gather while the tuples are few and one probe at a time
-beyond.  The later stages check a value against its position's bounds
-with the kernel too, through a ternary table of lower <= value <= upper.
-Each stage drops only applications that leave the bounds somewhere, so the
-scan finds what growing the level would.
+entries of the arity's stacked table that lie inside the bounds there, and
+the kernel applies these tables to the connective positions and the
+representatives' probe values, for all probes in one gather while the
+applications are few and one probe at a time beyond.  The later stages
+check a value against its position's bounds with the kernel too, through a
+ternary table of lower <= value <= upper.  Each stage drops only
+applications that leave the bounds somewhere, so the scan finds what
+growing the level would.
 """
 from __future__ import annotations
 
@@ -108,17 +119,22 @@ def apply_connective(flat: np.ndarray, m: int, args) -> np.ndarray:
     integer arrays of argument values; ``flat[0]`` for a nullary connective.
     The result is a fresh writable array, or a scalar for 0-d arguments.
 
-    The table index of a tuple is a1*m**(k-1) + ... + ak.  While
-    ``m ** arity <= 256`` it is at most 255, so uint8 arguments with a
-    Python-int ``m`` compute it exactly in uint8; otherwise the first
-    argument is widened to intp before the arithmetic and ``take`` gathers
-    with it.  A uint8 index of at least TRANSLATE_CELLS cells is gathered by
-    ``bytes.translate`` through ``flat`` padded to 256 bytes, built per
-    call: that takes under a tenth of the time of the smallest such gather."""
+    The table index of a tuple is a1*m**(k-1) + ... + ak.  ``flat`` may
+    also stack the tables of several connectives of one arity, each
+    m**arity entries long; the leading argument is then the connective's
+    position in the stack, and the index reaches into its table.  While
+    ``flat`` has at most 256 entries every index into it is at most 255, so
+    uint8 arguments with a Python-int ``m`` compute it exactly in uint8;
+    otherwise, or when ``m`` is 256, which numpy does not multiply a uint8
+    by, the first argument is widened to intp before the arithmetic and
+    ``take`` gathers with it.  A uint8 index of at least TRANSLATE_CELLS
+    cells is gathered by ``bytes.translate`` through ``flat`` padded to 256
+    bytes, built per call: that takes under a tenth of the time of the
+    smallest such gather."""
     if not len(args):
         return flat[0]
     idx = args[0]
-    if m ** len(args) > 256:
+    if flat.size > 256 or m > 255 and len(args) > 1:
         idx = np.asarray(idx, dtype=np.intp)
     for a in args[1:]:
         idx = idx * m + a
@@ -496,11 +512,11 @@ def _rechunk(arrays, step: int):
         yield np.concatenate(pending)
 
 
-def _blocks(members: np.ndarray, first: np.ndarray, count: np.ndarray, cells: int):
-    """Argument tuples of boxes as (n, arity) arrays of at most about
-    BLOCK_CELLS cells, one tuple evaluating to ``cells`` cells.  Box b takes
-    at position k the ``count[b, k]`` entries of ``members`` from
-    ``first[b, k]`` on; its tuples are its product in lexicographic order,
+def _blocks(members: Sequence[np.ndarray], first: np.ndarray, count: np.ndarray, cells: int):
+    """Tuples of boxes as (n, positions) arrays of at most about BLOCK_CELLS
+    cells, one tuple evaluating to ``cells`` cells.  Box b takes at position
+    k the ``count[b, k]`` entries of ``members[k]`` from ``first[b, k]`` on;
+    its tuples are its product in lexicographic order,
     box after box.  Each box is cut into pieces of a block's tuples, and
     consecutive pieces share a block while they fit.  A run of blocks, about
     BLOCK_CELLS bytes of intp a position, is enumerated at once, so many
@@ -538,50 +554,102 @@ def _blocks(members: np.ndarray, first: np.ndarray, count: np.ndarray, cells: in
         tup = np.empty((len(flat), count.shape[1]), dtype=np.intp)
         for k in reversed(range(count.shape[1])):
             flat, r = np.divmod(flat, shape[..., k])
-            tup[:, k] = members[base[..., k] + r]
+            tup[:, k] = members[k][base[..., k] + r]
         for start, stop in zip(cuts[i:j], cuts[i + 1:j + 1]):
             yield tup[start - cuts[i]:stop - cuts[i]]
         i = j
 
 
 def _probe_fits(fit: np.ndarray, m: int, reps: np.ndarray, arity: int) -> np.ndarray:
-    """The argument tuples over the rows of ``reps`` (one row per probe-group
-    representative, one column per probe) whose values fit at every probe,
-    as an (n, arity) array in lexicographic order.  ``fit[p]`` is the
-    connective's flattened table with each value replaced by 1 where it lies
-    inside the bounds at probe p, else 0, so the kernel applied to it gives
-    the fit itself.
+    """The applications of the connectives of one arity to tuples over the
+    rows of ``reps`` (one row per probe-group representative, one column per
+    probe) whose values fit at every probe, as an (n, 1 + arity) array of
+    (connective, representatives) rows in lexicographic order.  ``fit[p]``
+    is the connectives' stacked table (see ``apply_connective``) with each
+    value replaced by 1 where it lies inside the bounds at probe p, else 0,
+    so the kernel applied to it gives the fit itself.
 
-    With fewer than TRANSLATE_CELLS tuples one gather serves every probe:
-    the probe number leads the index as an intp argument, which selects the
-    row of ``fit`` (a gather per probe would be too small for the byte
-    table and cost a call per probe).  Otherwise the tuples go in blocks of
-    at most BLOCK_CELLS, the leading argument positions enumerated (as few
-    as keep a block that small) and the others broadcast, and each probe's
-    row is applied in turn, a uint8 gather per probe while
-    ``m ** arity <= 256``."""
+    With fewer than TRANSLATE_CELLS applications one gather serves every
+    probe: the probe and the connective lead the index as one intp
+    argument, which selects the connective's part of the probe's row of
+    ``fit`` (a gather per probe would be too small for the byte table and
+    cost a call per probe).  Otherwise the applications go in blocks of at
+    most BLOCK_CELLS, the connective and the leading argument positions
+    enumerated (as few as keep a block that small) and the others
+    broadcast, and each probe's row is applied in turn, a uint8 gather per
+    probe while the row has at most 256 entries."""
     R, P = reps.shape
+    K = fit.shape[1] // m ** arity
+    dims = (K,) + (R,) * arity  # connective, then representative per position
     cols = reps.T  # [probe, representative]
-    if R ** arity < TRANSLATE_CELLS:
-        probe = np.arange(P).reshape((P,) + (1,) * arity)
-        axes = [cols.reshape((P,) + (1,) * k + (R,) + (1,) * (arity - 1 - k))
+    if K * R ** arity < TRANSLATE_CELLS:
+        lead = (np.arange(P)[:, None] * K + np.arange(K)).reshape((P, K) + (1,) * arity)
+        axes = [cols.reshape((P, 1) + (1,) * k + (R,) + (1,) * (arity - 1 - k))
                 for k in range(arity)]
-        return np.argwhere(apply_connective(fit.ravel(), m, [probe] + axes).all(axis=0))
+        return np.argwhere(apply_connective(fit.ravel(), m, [lead] + axes).all(axis=0))
     lead = 1
-    while R ** (arity - lead) > BLOCK_CELLS:
+    while R ** (arity + 1 - lead) > BLOCK_CELLS:
         lead += 1
-    tail = arity - lead
+    tail = arity + 1 - lead
     step = max(1, BLOCK_CELLS // R ** tail)  # prefixes of the leading positions per block
+    prefixes = K * R ** (lead - 1)
     tails = [cols.reshape((P, 1) + (1,) * k + (R,) + (1,) * (tail - 1 - k)) for k in range(tail)]
     found = []
-    for start in range(0, R ** lead, step):
-        digits = np.unravel_index(np.arange(start, min(R ** lead, start + step)), (R,) * lead)
+    for start in range(0, prefixes, step):
+        conn, *digits = np.unravel_index(np.arange(start, min(prefixes, start + step)), dims[:lead])
+        conn = conn.astype(_index_dtype(K)).reshape((-1,) + (1,) * tail)
         heads = [cols[:, d].reshape((P, -1) + (1,) * tail) for d in digits]
         ok = True
         for p in range(P):
-            ok = ok & apply_connective(fit[p], m, [h[p] for h in heads] + [t[p] for t in tails])
+            args = [conn] + [h[p] for h in heads] + [t[p] for t in tails]
+            ok = ok & apply_connective(fit[p], m, args)
         found.append(start * R ** tail + np.flatnonzero(ok))
-    return np.stack(np.unravel_index(np.concatenate(found), (R,) * arity), axis=-1)
+    return np.stack(np.unravel_index(np.concatenate(found), dims), axis=-1)
+
+
+def _index_dtype(count: int) -> type:
+    """The dtype of a connective's position among ``count`` stacked tables:
+    uint8 when it fits, so a uint8 gather stays uint8."""
+    return np.uint8 if count <= 256 else np.intp
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """The connectives of one arity, in signature order, with their tables
+    stacked in that order (see ``apply_connective``): an application is a
+    connective's position in the stack, then its argument columns."""
+
+    arity: int
+    names: tuple[str, ...]
+    flat: np.ndarray
+    text: np.ndarray  # length of each connective's text with empty arguments
+    brackets: np.ndarray  # [connective, position, precedence]: 2 where bracketed, else 0
+    marks: list  # ``brackets`` as nested lists, read per word
+
+
+def _stacks(lat: Lattice, names: tuple[str, ...]) -> tuple[_Stack, ...]:
+    """The connectives ``names`` of ``lat`` stacked by arity, in increasing
+    arity; cached on the lattice, since tiny closures are built by the
+    hundred."""
+    cache = lat.derived.setdefault("closure_stacks", {})
+    stacks = cache.get(names)
+    if stacks is None:
+        conns = [lat.signature.by_name[c] for c in names]
+        stacks = cache[names] = tuple(_stack(lat, tuple(c.name for c in conns if c.arity == a), a)
+                                      for a in sorted({c.arity for c in conns}))
+    return stacks
+
+
+def _stack(lat: Lattice, names: tuple[str, ...], arity: int) -> _Stack:
+    """The stack of the connectives ``names``, all of arity ``arity``."""
+    levels = np.arange(precedence(PropVar("p")) + 1)  # no word binds tighter than an atom
+    brackets = np.zeros((len(names), arity, len(levels)), dtype=np.int64)
+    for i, name in enumerate(names):
+        for k, parens in enumerate(arg_parens(name, [levels] * arity)):
+            brackets[i, k] = 2 * parens
+    return _Stack(arity, names, np.concatenate([lat.flat(c) for c in names]),
+                  np.array([len(join_args(c, [""] * arity)) for c in names], dtype=np.int64),
+                  brackets, brackets.tolist())
 
 
 class ClosureState:
@@ -600,6 +668,7 @@ class ClosureState:
         unknown = set(names) - set(lat.signature.names())
         if unknown:
             raise LatlogError(f"connectives not in the signature: {sorted(unknown)}")
+        self.stacks = _stacks(lat, tuple(c.name for c in self.conns))
         self.m = lat.m
         n = len(self.var_list)
         self.N = lat.m ** n
@@ -643,82 +712,104 @@ class ClosureState:
         return len(new)
 
     def _count_new(self, sizes, olds) -> int:
-        """Argument tuples with an argument from the newest level, over set
+        """Applications with an argument from the newest level, over set
         tuples given as rows of per-position set sizes and of the sizes of
-        their parts that predate the newest level (at level 1 every tuple
-        counts).  Products are taken in float64, exact below 2**53, so wide
-        connectives cannot overflow the count."""
+        their parts that predate the newest level (at level 1 every
+        application counts).  Products are taken in float64, exact below
+        2**53, so wide connectives cannot overflow the count."""
         newest_only = len(self.added) > 1
         return int(sizes.prod(axis=-1, dtype=float).sum()
                    - newest_only * olds.prod(axis=-1, dtype=float).sum())
 
     def app_count_next_level(self) -> int:
-        return sum(self._count_new(np.full(c.arity, self.total), np.full(c.arity, self.frontier))
+        """Applications the next level evaluates, exact in Python integers."""
+        newest_only = len(self.added) > 1  # at level 1 every application counts
+        return sum(self.total ** c.arity - newest_only * self.frontier ** c.arity
                    for c in self.conns)
 
-    def _tuples(self, conn, members: np.ndarray, first: np.ndarray, sizes: np.ndarray,
-                olds: np.ndarray, cells: int):
-        """Blocks enumerating, over set tuples, the argument tuples with an
-        argument from the newest level (at level 1, every tuple), sized for
-        ``cells`` cells per tuple.  Set tuple t takes at position k the
+    def _tuples(self, stack: _Stack, members: np.ndarray, conn: np.ndarray, first: np.ndarray,
+                sizes: np.ndarray, olds: np.ndarray, cells: int):
+        """Blocks of the applications, over set tuples, that take an
+        argument from the newest level (at level 1, every one), as (n, 1 +
+        arity) arrays of (connective, argument columns) rows sized for
+        ``cells`` cells per application.  Set tuple t applies the connective
+        ``conn[t]`` of ``stack`` and takes at argument position k the
         ``sizes[t, k]`` entries of ``members`` from ``first[t, k]`` on, of
         which the first ``olds[t, k]`` predate the newest level.  Box k of a
-        set tuple takes older entries before position k and newer ones at k."""
+        set tuple, one per argument position, takes older entries before
+        position k and newer ones at k.  Set tuples come in connective
+        order, so the applications do too."""
+        one = np.ones((len(conn), 1), dtype=np.intp)
+        first, sizes, olds = (np.hstack([conn[:, None], first]), np.hstack([one, sizes]),
+                              np.hstack([one, olds]))
         if len(self.added) > 1:
-            k = np.arange(conn.arity)
-            before, at = k < k[:, None], k == k[:, None]  # [box, position]
+            k = np.arange(1 + stack.arity)  # the connective is position 0, always older
+            before, at = k < k[1:, None], k == k[1:, None]  # [box, position]
             f, s, o = first[:, None], sizes[:, None], olds[:, None]
-            shape = (len(first) * conn.arity, conn.arity)
+            shape = (len(first) * stack.arity, 1 + stack.arity)
             first = (f + at * o).reshape(shape)
             sizes = np.where(before, o, s - at * o).reshape(shape)
-        return _blocks(members, first, sizes, cells)
+        positions = [np.arange(len(stack.names))] + [members] * stack.arity
+        return _blocks(positions, first, sizes, cells)
 
-    def _eval(self, flat: np.ndarray, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
-        """Kernel values of the argument tuples ``tup`` over ``rows``, shape
-        (len(tup), row width)."""
-        values = apply_connective(flat, self.m, rows[tup.T])
+    def _eval(self, stack: _Stack, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
+        """Kernel values of the applications ``tup`` over ``rows``, shape
+        (len(tup), row width).  Applications of one connective gather from
+        its own part of the stack and spend no pass over the cells on the
+        connective's index; on wide rows, with a few applications a block,
+        most blocks hold one connective."""
+        conn, args = tup[:, 0], rows[tup[:, 1:].T]
+        c = conn[0]
+        if c == conn[-1]:  # applications come in connective order
+            size = self.m ** stack.arity
+            values = apply_connective(stack.flat[c * size:(c + 1) * size], self.m, args)
+        else:
+            lead = conn[:, None].astype(_index_dtype(len(stack.names)))
+            values = apply_connective(stack.flat, self.m, [lead, *args])
         return np.broadcast_to(values, (len(tup), rows.shape[1]))
 
-    def _word(self, conn: str, tup) -> str:
-        parens = arg_parens(conn, [self.precs[t] for t in tup])
-        return join_args(conn, [f"({self.words[t]})" if p else self.words[t]
-                                for t, p in zip(tup, parens)])
+    def _word(self, stack: _Stack, app) -> str:
+        words, precs, marks = self.words, self.precs, stack.marks[app[0]]
+        return join_args(stack.names[app[0]], [f"({words[t]})" if marks[k][precs[t]] else words[t]
+                                               for k, t in enumerate(app[1:])])
+
+    def _witness(self, stack: _Stack, app) -> App:
+        return App(stack.names[app[0]], tuple(self.wits[t] for t in app[1:]))
 
     def _candidates(self, blocks, inside=None, limit=None) -> dict:
-        """Evaluate (connective, argument tuples) blocks.  For every resulting
+        """Evaluate (stack, applications) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
-        least (length, word, values, connective, tuple) under its key, a
-        Python int or the column's bytes (see ``row_keys``).  Lengths come
-        from the arguments' word lengths and precedences.  Each block picks
-        its shortest application of every fresh column with array
-        operations, and only those winners reach Python: one word is joined
-        per fresh column, and more only where applications of the column tie
-        at the shortest length.  Evaluation stops after the block that takes
-        the count of new columns past ``limit``."""
+        least (length, word, values, stack, application) under its key, a
+        Python int or the column's bytes (see ``row_keys``).  Lengths
+        come from the connective's text and the arguments' word lengths and
+        precedences.  Each block picks its shortest application of every
+        fresh column with array operations, whichever connective of the
+        stack it applies, and only those winners reach Python: one word is
+        joined per fresh column, and more only where applications of the
+        column tie at the shortest length.  Evaluation stops after the block
+        that takes the count of new columns past ``limit``."""
         best: dict = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
-        costs: dict[str, tuple] = {}
+        arg_lengths: dict[int, np.ndarray] = {}  # per arity: [connective, position, column]
         # the closure's column keys, uint64 numerals or, for wide columns,
         # void items; an argsort moves indices, not N-byte void items
         known = row_keys(self.values, self.m)
         known_order = known.argsort()
-        for conn, tup in blocks:
-            cname = conn.name
-            vals = self._eval(self.lat.flat(cname), self.values, tup)
+        for stack, tup in blocks:
+            vals = self._eval(stack, self.values, tup)
             if inside is not None:
                 keep = inside(vals)
                 tup, vals = tup[keep], vals[keep]
                 if not len(tup):
                     continue
-            cost = costs.get(cname)
-            if cost is None:  # the connective's own text, and each argument's with brackets
-                parens = arg_parens(cname, [precs] * conn.arity)
-                cost = costs[cname] = (len(join_args(cname, [""] * conn.arity)),
-                                       [lens + 2 * p for p in parens])
-            length = np.zeros(len(tup), dtype=np.int64) + cost[0]
-            for t, extra in zip(tup.T, cost[1]):
-                length += extra[t]
+            extra = arg_lengths.get(stack.arity)
+            if extra is None:
+                extra = arg_lengths[stack.arity] = stack.brackets[:, :, precs] + lens
+            conn = tup[:, 0]
+            length = stack.text[conn]
+            for k in range(stack.arity):
+                length += extra[conn, k, tup[:, k + 1]]
             uniq, inv = np.unique(row_keys(vals, self.m), return_inverse=True)
             # a column is fresh when no key of the closure equals it: an
             # empty range between its left and right insertion points
@@ -735,41 +826,46 @@ class ClosureState:
             first = col.searchsorted(fresh)
             last = rank.searchsorted(rank[first], side="right")
             rows = order[first]
-            for key, n, row, args, s, e in zip(uniq[fresh].tolist(), size[first].tolist(),
-                                               rows.tolist(), tup[rows].tolist(),
-                                               first.tolist(), last.tolist()):
+            for key, n, row, app, s, e in zip(uniq[fresh].tolist(), size[first].tolist(),
+                                              rows.tolist(), tup[rows].tolist(),
+                                              first.tolist(), last.tolist()):
                 old = best.get(key)
                 if old is not None and old[0] < n:
                     continue
                 if e - s > 1:
-                    word, row = min((self._word(cname, tup[r].tolist()), r)
+                    word, row = min((self._word(stack, tup[r].tolist()), r)
                                     for r in order[s:e].tolist())
-                    args = tup[row].tolist()
+                    app = tup[row].tolist()
                 else:
-                    word = self._word(cname, args)
+                    word = self._word(stack, app)
                 if old is None or (n, word) < old[:2]:
-                    best[key] = (n, word, vals[row].copy(), cname, tuple(args))
+                    best[key] = (n, word, vals[row].copy(), stack, app)
             if limit is not None and len(best) > limit:
                 break
         return best
 
     def grow(self, max_new: Optional[int] = None) -> int:
         """Materialise the next level fully; returns the number of new columns.
-        When more than ``max_new`` new columns turn up, the level is dropped
-        unfinished and uncommitted, and the count found so far is returned."""
+
+        When the level holds more than ``max_new`` new columns it is dropped
+        unfinished and uncommitted, and ``max_new + 1`` is returned: the
+        count at the first new column past the limit.  That count does not
+        depend on the order or the blocks in which applications are
+        evaluated."""
         members = np.arange(self.total)
 
-        def every(arity):  # one set tuple, every column at each position: first, size, older
-            return [np.full((1, arity), v, dtype=np.intp) for v in (0, self.total, self.frontier)]
+        def every(stack):  # a set tuple per connective, every column at each position
+            shape = (len(stack.names), stack.arity)
+            return (np.arange(shape[0]), np.zeros(shape, dtype=np.intp),
+                    np.full(shape, self.total), np.full(shape, self.frontier))
 
-        blocks = ((c, tup) for c in self.conns
-                  for tup in self._tuples(c, members, *every(c.arity), self.N))
+        blocks = ((s, tup) for s in self.stacks
+                  for tup in self._tuples(s, members, *every(s), self.N))
         best = self._candidates(blocks, limit=max_new)
         if max_new is not None and len(best) > max_new:
-            return len(best)
-        added = self._commit(
-            (length, word, values, App(cname, tuple(self.wits[t] for t in tup)))
-            for length, word, values, cname, tup in best.values())
+            return max_new + 1
+        added = self._commit((length, word, values, self._witness(stack, app))
+                             for length, word, values, stack, app in best.values())
         self.complete = added == 0
         return added
 
@@ -782,12 +878,14 @@ class ClosureState:
     def stream_scan(self, lower: np.ndarray,
                     upper: np.ndarray) -> Optional[tuple[np.ndarray, str, Formula]]:
         """Search the next level's candidates for a column inside the bounds
-        without materialising the level, in three stages.
+        without materialising the level, in three stages, each over all the
+        connectives of one arity at once.
 
         1. Probe groups: a candidate's values at the ``PROBES`` probe
            positions depend only on the argument values there, so columns are
-           grouped by probe signature, and tuples of group representatives
-           are filtered through per-probe fit tables (``_probe_fits``).
+           grouped by probe signature, and applications to tuples of group
+           representatives are filtered through per-probe fit tables
+           (``_probe_fits``).
         2. Screen: every application of a surviving group tuple is evaluated
            at ``SCREEN_WIDTH`` positions (skipped when the grid is no wider).
         3. Full width: the applications that fit there are evaluated over the
@@ -808,6 +906,7 @@ class ClosureState:
         reps = signatures[first]
         sizes = np.bincount(group, minlength=len(reps))
         olds = np.bincount(group[:self.frontier], minlength=len(reps))
+        # a group's members, in ``order``, come older ones first
         order, starts = np.argsort(group, kind="stable"), np.cumsum(sizes) - sizes
 
         # between[l, u, v] is 1 where l <= v <= u, else 0: a ternary table
@@ -820,35 +919,37 @@ class ClosureState:
 
         allowed = between[lower[probes], upper[probes]]  # [probe, value]
         plan, survivors = [], 0
-        for conn in self.conns:
-            fit = allowed[:, self.lat.flat(conn.name)]  # [probe, table index]
-            fits = _probe_fits(fit, self.m, reps, conn.arity)
-            survivors += self._count_new(sizes[fits], olds[fits])
-            plan.append((conn, fits))
+        for stack in self.stacks:
+            fits = _probe_fits(allowed[:, stack.flat], self.m, reps, stack.arity)
+            groups = fits[:, 1:]
+            set_tuples = fits[:, 0], starts[groups], sizes[groups], olds[groups]
+            survivors += self._count_new(*set_tuples[2:])
+            plan.append((stack, set_tuples))
         if survivors > MAX_SURVIVORS:
             raise BudgetExceeded(
                 f"envelope scan produced {survivors} candidate applications",
                 survivors=survivors,
             )
 
-        def blocks(conn, fits):
-            # a group's members, in ``order``, come older ones first
-            set_tuples = order, starts[fits], sizes[fits], olds[fits]
-            if self.N <= SCREEN_WIDTH:
-                return self._tuples(conn, *set_tuples, self.N)
+        if self.N <= SCREEN_WIDTH:
+            def blocks(stack, set_tuples):
+                return self._tuples(stack, order, *set_tuples, self.N)
+        else:
             screen = _spread(SCREEN_WIDTH, self.N)
-            flat, rows, at_screen = self.lat.flat(conn.name), self.values[:, screen], inside(screen)
-            return _rechunk((tup[at_screen(self._eval(flat, rows, tup))]
-                             for tup in self._tuples(conn, *set_tuples, len(screen))),
-                            _step(self.N))
+            rows, at_screen = self.values[:, screen], inside(screen)
 
-        best = self._candidates(((conn, tup) for conn, fits in plan
-                                 for tup in blocks(conn, fits)),
+            def blocks(stack, set_tuples):
+                return _rechunk((tup[at_screen(self._eval(stack, rows, tup))]
+                                 for tup in self._tuples(stack, order, *set_tuples, len(screen))),
+                                _step(self.N))
+
+        best = self._candidates(((stack, tup) for stack, set_tuples in plan
+                                 for tup in blocks(stack, set_tuples)),
                                 inside(np.arange(self.N)))
         if not best:
             return None
-        _, word, values, cname, tup = min(best.values(), key=lambda e: e[:2])
-        return values, word, App(cname, tuple(self.wits[t] for t in tup))
+        _, word, values, stack, app = min(best.values(), key=lambda e: e[:2])
+        return values, word, self._witness(stack, app)
 
     def column(self, i: int) -> ValueColumn:
         return ValueColumn(self.var_list, self.values[i], self.wits[i],

@@ -49,6 +49,23 @@ def _median_lattice():
     return _lattice(RawConnective("Med", ("+", "+", "+"), values))
 
 
+def _two_ternary_lattice():
+    """The median and a second ternary connective, x & (y | z)."""
+    order = {"0": 0, "h": 1, "1": 2}
+    names = ["0", "h", "1"]
+    triples = list(itertools.product(names, repeat=3))
+    med = [names[sorted((order[a], order[b], order[c]))[1]] for a, b, c in triples]
+    lim = [names[min(order[a], max(order[b], order[c]))] for a, b, c in triples]
+    return _lattice(RawConnective("Med", ("+", "+", "+"), med),
+                    RawConnective("Lim", ("+", "+", "+"), lim))
+
+
+def _two_unary_lattice():
+    """Two unary connectives, one monotone and one antitone."""
+    return _lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"]),
+                    RawConnective("Neg", ("-",), ["1", "h", "0"]))
+
+
 def _summary(clo):
     return ([c.word for c in clo.columns], [c.level for c in clo.columns],
             clo.cumulative, clo.complete)
@@ -117,13 +134,30 @@ def test_wide_key_closure_matches_reference(cap):
               RawConnective("Mid", (), ["h"])), ("Box_up", "Mid")),
     (_median_lattice(), None),
     (_median_lattice(), ("Med",)),
-], ids=["unary", "nullary", "unary-nullary-only", "ternary", "ternary-only"])
+    (_two_unary_lattice(), None),
+    (_two_unary_lattice(), ("Box_up", "Neg")),
+    (_two_unary_lattice(), ("Neg", "->")),
+    (_two_ternary_lattice(), None),
+    (_two_ternary_lattice(), ("Lim", "Med")),
+    (_two_ternary_lattice(), ("Lim", "&")),
+], ids=["unary", "nullary", "unary-nullary-only", "ternary", "ternary-only", "two-unary",
+        "two-unary-only", "unary-binary-only", "two-ternary", "two-ternary-only",
+        "ternary-binary-only"])
 @pytest.mark.parametrize("var_list", [(), ("x",), ("x", "y")])
 def test_extra_connectives_match_reference(lat, connectives, var_list):
     cap = 2 if len(var_list) == 2 else None
     got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap),
                                 connectives=connectives)
     assert _summary(got) == reference_closure(lat, var_list, cap, connectives)
+
+
+@pytest.mark.parametrize("var_list, cap", [((), None), (("x",), 2)])
+def test_closure_on_a_stack_past_256_entries_matches_reference(var_list, cap):
+    """Blocks that mix the eight binary connectives of ``_stack8`` gather
+    from 288 stacked entries through a widened index."""
+    lat = _stack8()
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
 
 
 @pytest.mark.parametrize("lat", [
@@ -146,14 +180,23 @@ def test_relations_decide_membership_with_extra_connectives(lat, n):
     assert (binary_invariants(lat).is_representable(every, n) == want).all()
 
 
-def test_column_budget_holds_inside_a_level():
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 64])
+@pytest.mark.parametrize("name, var_list, columns, past", [
+    ("three-01", ("z1", "z2", "z3"), 3000, 3001),
+    ("godel3", ("x", "y"), 100, 101),
+    ("three-01", ("z1", "z2", "z3"), 2, 6),  # level 0 already holds 5 columns
+])
+def test_column_budget_holds_inside_a_level(name, var_list, columns, past, block_cells,
+                                            monkeypatch):
     """A level that would cross the column budget is dropped before it is
-    committed: the closure stays a prefix of the canonical order."""
-    lat = bundled_lattice("three-01")
-    var_list = ("z1", "z2", "z3")
-    got = representable_closure(lat, var_list, budget=ClosureBudget(3000, None, 500_000))
-    assert not got.complete and len(got.columns) <= 3000
-    assert got.budget_note.startswith("column budget 3000 exceeded at ")
+    committed: the closure stays a prefix of the canonical order.  The note
+    counts the columns up to the level's first new column past the budget,
+    so it does not depend on where blocks end."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    lat = bundled_lattice(name)
+    got = representable_closure(lat, var_list, budget=ClosureBudget(columns, None, 500_000))
+    assert not got.complete and len(got.columns) <= max(columns, got.cumulative[0])
+    assert got.budget_note == f"column budget {columns} exceeded at {past} columns"
     levels = len(got.cumulative) - 1
     prefix = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=levels))
     assert [c.word for c in got.columns] == [c.word for c in prefix.columns]
@@ -169,11 +212,14 @@ def _first_new_fit(state, lower, upper):
     return None
 
 
-@pytest.mark.parametrize("name", ["godel3", "three-01", "three-0a", "diamond", "median"])
+@pytest.mark.parametrize("name", ["godel3", "three-01", "three-0a", "diamond", "median",
+                                  "two-ternary", "two-unary"])
 def test_stream_scan_equals_growing_one_level(name):
     """At each of the first three levels, scanning the next level without
     materialising it finds the same column and word as growing it."""
-    lat = _median_lattice() if name == "median" else bundled_lattice(name)
+    built = {"median": _median_lattice, "two-ternary": _two_ternary_lattice,
+             "two-unary": _two_unary_lattice}
+    lat = built[name]() if name in built else bundled_lattice(name)
     rng = random.Random(20240801)
     hits = set()
     for _ in range(8):
@@ -204,9 +250,9 @@ def _scan_counting(state, lower, upper):
 
     def counting(blocks, inside=None):
         def tally():
-            for conn, tup in blocks:
+            for stack, tup in blocks:
                 evaluated.append(len(tup))
-                yield conn, tup
+                yield stack, tup
         return kernel(tally(), inside)
 
     state._candidates = counting
@@ -325,7 +371,8 @@ def _reference_blocks(members, first, count, cells):
     step = max(1, propcore.BLOCK_CELLS // cells)
     blocks, pending = [], []
     for f, c in zip(first.tolist(), count.tolist()):
-        box = list(itertools.product(*[members[a:a + n].tolist() for a, n in zip(f, c)]))
+        box = list(itertools.product(*[members[k][a:a + n].tolist()
+                                       for k, (a, n) in enumerate(zip(f, c))]))
         for start in range(0, len(box), step):
             piece = box[start:start + step]
             if len(pending) + len(piece) > step:
@@ -337,14 +384,14 @@ def _reference_blocks(members, first, count, cells):
 
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 64, 7])
 def test_blocks_match_per_box_enumeration(block_cells, monkeypatch):
-    """Boxes of every arity up to 3, empty ones among them, cut into the
-    same blocks as a per-box enumeration: the column budget's count after
-    an interrupted level depends on where blocks end."""
+    """Boxes of up to 3 positions, empty ones among them, each position
+    drawing from its own members, cut into the same blocks as a per-box
+    enumeration."""
     monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
     rng = random.Random(block_cells)
-    members = np.arange(60)[::-1].copy()
     for _ in range(300):
         arity, n = rng.randint(0, 3), rng.randint(0, 7)
+        members = [np.array(rng.sample(range(100), 60)) for _ in range(arity)]
         first = np.array([[rng.randint(0, 30) for _ in range(arity)] for _ in range(n)],
                          dtype=np.intp).reshape(n, arity)
         count = np.array([[rng.choice([0, 1, 2, 5, 9, 30]) for _ in range(arity)]
@@ -366,21 +413,38 @@ def _kernel_probe_fits(flat, m, reps, allowed, arity):
     return tuples[allowed[np.arange(reps.shape[1]), values].all(axis=1)]
 
 
+def _stack8():
+    """A 6-chain with eight binary connectives: their stacked table has 288
+    entries, more than a uint8 index reaches, though 6 ** 3 = 216 is not."""
+    names = [f"e{i}" for i in range(6)]
+    pairs = list(itertools.product(range(6), repeat=2))
+    ops = {"P1": lambda a, b: a, "P2": lambda a, b: b, "Sum": lambda a, b: min(a + b, 5),
+           "Dif": lambda a, b: max(a - b, 0), "Tie": lambda a, b: (a + b) // 2}
+    polarity = {"P1": ("+", "+"), "P2": ("+", "+"), "Sum": ("+", "+"), "Dif": ("+", "-"),
+                "Tie": ("+", "+")}
+    extras = [RawConnective(k, polarity[k], [names[f(a, b)] for a, b in pairs])
+              for k, f in ops.items()]
+    return _chain(6, *extras)
+
+
 PROBE_LATTICES = {
     "unary": lambda: _lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])),
     "nullary": lambda: _lattice(RawConnective("Mid", (), ["h"])),
     "ternary": _median_lattice,
     "median7": lambda: _median_chain(7),  # 343 table entries: a widened ternary index
+    "stack8": _stack8,
 }
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, *PROBE_LATTICES])
 def test_fit_table_probe_filter_matches_the_kernel_filter(name, monkeypatch):
-    """Tuples of probe-group representatives that fit at every probe, from
-    per-probe fit tables, equal the kernel's evaluate-then-check filter for
-    every connective: with one gather for all probes (few tuples), a gather
-    per probe (at least TRANSLATE_CELLS tuples), and blocks of nine tuples,
-    small enough that every argument position is enumerated."""
+    """Applications to tuples of probe-group representatives that fit at
+    every probe, from per-probe fit tables of each arity's stacked table,
+    equal the kernel's evaluate-then-check filter run connective by
+    connective: with one gather for all probes (few applications), a gather
+    per probe (at least TRANSLATE_CELLS applications), and blocks of nine
+    applications, small enough that every argument position is
+    enumerated."""
     lat = PROBE_LATTICES[name]() if name in PROBE_LATTICES else bundled_lattice(name)
     m, leq = lat.m, lat.leq
     rng = np.random.default_rng(len(name))
@@ -390,19 +454,21 @@ def test_fit_table_probe_filter_matches_the_kernel_filter(name, monkeypatch):
     lower[:3], upper[:3] = pairs[rng.integers(0, len(pairs), 3)].T
     allowed = leq[lower] & leq[:, upper].T  # [probe, value]
     hits = 0
-    for conn in lat.signature.connectives:
-        flat = lat.flat(conn.name)
-        fit = allowed[:, flat].view(np.uint8)
-        sizes = {0: [1], 1: [5, TRANSLATE_CELLS + 3], 2: [7, 35], 3: [4, 12]}[conn.arity]
+    for stack in ClosureState(lat, ()).stacks:
+        fit = allowed[:, stack.flat].view(np.uint8)
+        sizes = {0: [1], 1: [5, TRANSLATE_CELLS + 3], 2: [7, 35], 3: [4, 12]}[stack.arity]
         for R in sizes:
             reps = rng.integers(0, m, (R, propcore.PROBES)).astype(np.uint8)
-            want = _kernel_probe_fits(flat, m, reps, allowed, conn.arity)
+            want = np.concatenate([
+                np.insert(_kernel_probe_fits(lat.flat(c), m, reps, allowed, stack.arity), 0, i,
+                          axis=1)
+                for i, c in enumerate(stack.names)])
             for block_cells in (BLOCK_CELLS, 9):
                 with monkeypatch.context() as patch:
                     patch.setattr(propcore, "BLOCK_CELLS", block_cells)
-                    got = _probe_fits(fit, m, reps, conn.arity)
-                assert got.dtype == np.intp and got.shape == (len(want), conn.arity)
-                assert np.array_equal(got, want), (conn.name, R, block_cells)
+                    got = _probe_fits(fit, m, reps, stack.arity)
+                assert got.dtype == np.intp and got.shape == (len(want), 1 + stack.arity)
+                assert np.array_equal(got, want), (stack.names, R, block_cells)
             hits += len(want)
     assert hits > 0
 
@@ -517,6 +583,24 @@ def test_apply_connective_matches_fancy_indexing(size, m, arity):
     rng = np.random.default_rng(size + m + arity)
     flat = rng.integers(0, m, m ** arity).astype(np.uint8)
     _check_gather(flat, m, [rng.integers(0, m, size).astype(np.uint8) for _ in range(arity)])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("m, arity, count", [(6, 2, 8), (4, 2, 16), (5, 2, 3), (3, 0, 4),
+                                             (2, 3, 32), (2, 3, 33), (256, 1, 1)])
+def test_apply_connective_matches_fancy_indexing_on_stacked_tables(size, m, arity, count):
+    """Tables of ``count`` connectives stacked, the connective's position
+    leading the arguments, as the closure applies them.  Eight binary tables
+    over 6 elements have 288 entries, though 6 ** 3 = 216: the index must
+    widen, or it wraps in uint8.  Sixteen over 4 elements and 32 ternary
+    ones over 2 have exactly 256 entries and stay uint8; a 256-element
+    lattice's one unary table leads with position 0, which numpy will not
+    multiply by 256 in uint8."""
+    rng = np.random.default_rng(size + m + arity + count)
+    flat = rng.integers(0, m, count * m ** arity).astype(np.uint8)
+    lead = rng.integers(0, count, (size, 1)).astype(np.uint8)
+    args = [rng.integers(0, m, (size, 3)).astype(np.uint8) for _ in range(arity)]
+    _check_gather(flat, m, [lead] + args)
 
 
 @pytest.mark.parametrize("size", [16, TRANSLATE_CELLS, BLOCK_CELLS + 1])
