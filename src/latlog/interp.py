@@ -22,15 +22,14 @@ from .propcore import (
     BLOCK_CELLS,
     ClosureBudget,
     ClosureResult,
-    ClosureState,
     EnvelopePair,
     ValueColumn,
     _decode_valuation,
     _fold_axis,
+    climb_closure,
     column_of,
     constant_values,
     envelopes,
-    grow_closure,
     is_valid_implication,
     representable_closure,
     row_keys,
@@ -72,6 +71,23 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     (``ValidityReport.envelopes``).  Otherwise they are built here, which
     raises NOT_VALID when a -> b fails.
 
+    The closure over the shared variables depends on the lattice and those
+    variables alone, so its small levels are shared between queries: the
+    lattice keeps level 0 and each later level whose applications fit one
+    block (``app_count_next_level() * N <= BLOCK_CELLS``).  A query scans
+    the kept levels as committed rows; a missing one-block level it scans
+    with ``stream_scan`` and grows into the lattice's closure only when no
+    column there fits.  Each query replays its own budget against the kept
+    counts (levels grown, applications, columns), so it stops at the level
+    and with the note it would have on a closure of its own, and a query
+    past the kept levels grows a private copy of them and scans each next
+    level with ``stream_scan`` (see ``propcore.climb_closure``).
+    ``closure_cumulative`` counts the levels before the one a YES was found
+    at (level 0 when found there), and a NO or UNKNOWN reports the closure
+    its budget reached, however many levels the lattice keeps.  The values
+    of a NO's or UNKNOWN's closure columns may be read-only views of the
+    lattice's closure.
+
     A YES is re-verified from the envelopes, without building the grids of
     a and b again: the witness word is evaluated afresh over the shared
     variables and must lie between ``lower`` and ``upper`` at every shared
@@ -82,26 +98,18 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     budget = budget or ClosureBudget()
     if env is None:
         env = envelopes(a, b, lat, var_cap)
-    lower, upper = env.lower.values, env.upper.values
-    state = ClosureState(lat, env.shared)
-
-    def verdict_yes(word: str, wit: Formula) -> InterpolationVerdict:
+    found, state, levels, note = climb_closure(lat, env.shared, env.lower.values,
+                                               env.upper.values, budget)
+    if found is not None:
+        _, word, wit = found
         bad = envelope_violation(wit, env, lat)
         if bad is not None:
             raise LatlogError("interpolant failed re-verification; this is a bug",
                               countervaluation=bad)
-        cum = list(itertools.accumulate(state.added))
         return InterpolationVerdict(YES, wit, word, env.shared, env.lower, env.upper,
-                                    closure_cumulative=cum)
-
-    hit = state.scan_existing(lower, upper)
-    if hit is not None:
-        return verdict_yes(state.words[hit], state.wits[hit])
-    found, note = grow_closure(state, budget, scan=lambda: state.stream_scan(lower, upper))
-    if found is not None:
-        _, word, wit = found
-        return verdict_yes(word, wit)
-    closure = state.result(note is None, note)
+                                    closure_cumulative=list(itertools.accumulate(
+                                        state.added[:levels])))
+    closure = state.result(note is None, note, levels)
     return InterpolationVerdict(
         UNKNOWN if note else NO, None, None, env.shared, env.lower, env.upper,
         closure_columns=closure.columns, closure_complete=closure.complete,

@@ -50,6 +50,21 @@ only where lengths tie.  Kept values are copies, so no block outlives its
 turn.  Columns are ordered by level, then length, then word, which keeps
 interpolants deterministic.
 
+A closure of all connectives depends on the lattice and the variable list
+alone, so interpolant searches share the small levels of theirs: the
+lattice keeps one ``ClosureState`` per variable list in ``lat.derived``,
+the shared ladder, holding level 0 and every later level whose
+applications fit one block (``app_count_next_level() * N <=
+BLOCK_CELLS``).  The first search to reach a level the ladder lacks scans
+it with the envelope scan below, as on a closure of its own, and grows it
+into the ladder only when no column there fits; the next search to reach
+it grows it (``climb_closure``).  A search scans the ladder's levels as
+committed rows and replays its own budget against their counts, so it
+stops where, and with the note, a closure of its own would; past the
+ladder it grows a private copy and scans each next level with the envelope
+scan, so no level larger than a block is kept.  ``representable_closure``
+needs whole closures under its caller's budget and grows its own.
+
 Closure columns and probe signatures here, and envelope rows in
 ``interp``, are sorted and deduplicated by the keys of ``row_keys``, whose
 format is chosen from (m, row width) and nothing else: while
@@ -77,6 +92,7 @@ growing the level would.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -680,6 +696,7 @@ class ClosureState:
         self.frontier = 0  # index of the first column of the newest level
         self.added: list[int] = []
         self.complete = False
+        self.scanned_level = 0  # the newest level a shared ladder's search scanned ungrown
 
         seeds = [(_projection(self.m, n, k), PropVar(v)) for k, v in enumerate(self.var_list)]
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
@@ -696,6 +713,15 @@ class ClosureState:
     @property
     def total(self) -> int:
         return len(self.words)
+
+    def copy(self) -> ClosureState:
+        """A copy to grow on its own: growing either leaves the other as it
+        was.  The two share the values array, which a level replaces, never
+        writes into."""
+        other = copy.copy(self)
+        for name in ("words", "wits", "precs", "levels", "added"):
+            setattr(other, name, list(getattr(self, name)))
+        return other
 
     def _commit(self, entries) -> int:
         """Append one level of (length, word, values, witness) entries in
@@ -721,11 +747,16 @@ class ClosureState:
         return int(sizes.prod(axis=-1, dtype=float).sum()
                    - newest_only * olds.prod(axis=-1, dtype=float).sum())
 
+    def app_count(self, level: int) -> int:
+        """Applications level ``level`` (at least 1, and at most one past the
+        newest) evaluates, exact in Python integers: at level 1 every one,
+        later those with an argument from the level before."""
+        total = sum(self.added[:level])
+        older, newest_only = total - self.added[level - 1], level > 1
+        return sum(total ** c.arity - newest_only * older ** c.arity for c in self.conns)
+
     def app_count_next_level(self) -> int:
-        """Applications the next level evaluates, exact in Python integers."""
-        newest_only = len(self.added) > 1  # at level 1 every application counts
-        return sum(self.total ** c.arity - newest_only * self.frontier ** c.arity
-                   for c in self.conns)
+        return self.app_count(len(self.added))
 
     def _tuples(self, stack: _Stack, members: np.ndarray, conn: np.ndarray, first: np.ndarray,
                 sizes: np.ndarray, olds: np.ndarray, cells: int):
@@ -869,11 +900,13 @@ class ClosureState:
         self.complete = added == 0
         return added
 
-    def scan_existing(self, lower: np.ndarray, upper: np.ndarray) -> Optional[int]:
-        """First committed column inside [lower, upper], in closure order."""
-        leq = self.lat.leq
-        ok = (leq[lower, self.values] & leq[self.values, upper]).all(axis=1)
-        return int(ok.argmax()) if ok.any() else None
+    def scan_existing(self, lower: np.ndarray, upper: np.ndarray,
+                      start: int = 0, stop: Optional[int] = None) -> Optional[int]:
+        """First committed column inside [lower, upper], in closure order,
+        among the columns ``start:stop``."""
+        leq, rows = self.lat.leq, self.values[start:stop]
+        ok = (leq[lower, rows] & leq[rows, upper]).all(axis=1)
+        return start + int(ok.argmax()) if ok.any() else None
 
     def stream_scan(self, lower: np.ndarray,
                     upper: np.ndarray) -> Optional[tuple[np.ndarray, str, Formula]]:
@@ -955,8 +988,11 @@ class ClosureState:
         return ValueColumn(self.var_list, self.values[i], self.wits[i],
                            self.words[i], self.levels[i])
 
-    def result(self, complete: bool, note: Optional[str] = None) -> ClosureResult:
-        added = list(self.added)
+    def result(self, complete: bool, note: Optional[str] = None,
+               levels: Optional[int] = None) -> ClosureResult:
+        """The closure as a result, cut to its first ``levels`` levels when
+        given."""
+        added = self.added[:levels]
         while complete and len(added) > 1 and added[-1] == 0:
             added.pop()  # drop the level that only confirmed the fixpoint
         cumulative = []
@@ -966,7 +1002,7 @@ class ClosureState:
             cumulative.append(run)
         return ClosureResult(
             self.var_list,
-            [self.column(i) for i in range(self.total)],
+            [self.column(i) for i in range(run)],
             complete,
             cumulative,
             added,
@@ -975,13 +1011,31 @@ class ClosureState:
         )
 
 
+def _level_note(budget: ClosureBudget, grown: int, apps: int) -> Optional[str]:
+    """Why ``budget`` stops a closure that has grown ``grown`` levels before
+    its next level, of ``apps`` applications, or None."""
+    if budget.max_levels is not None and grown >= budget.max_levels:
+        return f"level budget {budget.max_levels} reached"
+    if apps > budget.max_apps_per_level:
+        return f"next level needs {apps} applications, budget is {budget.max_apps_per_level}"
+    return None
+
+
+def _column_note(budget: ClosureBudget, total: int) -> str:
+    """The note of a level that would take a closure of ``total`` columns
+    past ``budget.max_columns``: it counts the columns up to the level's
+    first new column past the budget."""
+    return (f"column budget {budget.max_columns} exceeded at "
+            f"{max(total, budget.max_columns) + 1} columns")
+
+
 def grow_closure(state: ClosureState, budget: ClosureBudget, scan=None):
-    """The level loop: grow ``state`` until its fixpoint or a budget.
+    """The level loop: grow ``state`` until its fixpoint or a budget.  The
+    budget counts the levels ``state`` holds already as grown.
 
     ``scan``, when given, runs before every level; a result other than None
     ends the loop.  Returns (scan result, budget note): the note says which
     budget stopped the growth, and both are None at the fixpoint."""
-    level = 0
     while True:
         if scan is not None:
             try:
@@ -990,20 +1044,81 @@ def grow_closure(state: ClosureState, budget: ClosureBudget, scan=None):
                 return None, exc.message
             if found is not None:
                 return found, None
-        apps = state.app_count_next_level()
-        if budget.max_levels is not None and level >= budget.max_levels:
-            return None, f"level budget {budget.max_levels} reached"
-        if apps > budget.max_apps_per_level:
-            return None, (f"next level needs {apps} applications, "
-                          f"budget is {budget.max_apps_per_level}")
+        note = _level_note(budget, len(state.added) - 1, state.app_count_next_level())
+        if note is not None:
+            return None, note
         room = max(0, budget.max_columns - state.total)
         added = state.grow(room)
         if added > room:  # the level was not committed
-            return None, (f"column budget {budget.max_columns} exceeded at "
-                          f"{state.total + added} columns")
+            return None, _column_note(budget, state.total)
         if added == 0:
             return None, None
-        level += 1
+
+
+def closure_ladder(lat: Lattice, var_list: tuple[str, ...]) -> ClosureState:
+    """The lattice's shared ladder over ``var_list``: the closure of all
+    its connectives, kept in ``lat.derived`` and grown by ``climb_closure``
+    one level at a time while the next level fits one block.  The lattice
+    keeps one ladder per variable list it has been searched over.  Its
+    values are read-only, since its columns reach many callers' verdicts."""
+    ladders = lat.derived.setdefault("closure_ladders", {})
+    ladder = ladders.get(var_list)
+    if ladder is None:
+        ladder = ladders[var_list] = ClosureState(lat, var_list)
+        ladder.values.flags.writeable = False
+    return ladder
+
+
+def climb_closure(lat: Lattice, var_list: tuple[str, ...], lower: np.ndarray,
+                  upper: np.ndarray, budget: ClosureBudget):
+    """Search the closure over ``var_list`` for its first column inside
+    [lower, upper], level by level in closure order, within ``budget``, on
+    the lattice's shared ladder (``closure_ladder``).  A level the ladder
+    holds is scanned as committed rows.  A missing level that fits one block
+    is grown into the ladder by the second search to reach it, or by the
+    first when that finds no fitting column there with ``stream_scan``, as
+    on a closure of its own, so a lone search costs what it did before.  The
+    envelope scan's survivor budget cannot fire on such a level, since its
+    applications are at most BLOCK_CELLS.  Between levels the budget is
+    replayed against the ladder's counts with the checks and notes of
+    ``grow_closure``.  Past the ladder a private copy of it goes on with
+    ``grow_closure`` and ``stream_scan``.
+
+    Returns (found, state, levels, note): ``found`` is (values, word,
+    witness) or None, and the closure the search reached is the first
+    ``levels`` levels of ``state``: those before the level where a column
+    was found (level 0 itself when found there), a budget stopped the search
+    or the fixpoint was confirmed."""
+    ladder = closure_ladder(lat, var_list)
+    start = k = 0  # level k starts at column ``start``
+    while True:
+        if k < len(ladder.added):
+            hit = ladder.scan_existing(lower, upper, start, start + ladder.added[k])
+            if hit is not None:
+                return ((ladder.values[hit], ladder.words[hit], ladder.wits[hit]), ladder,
+                        max(k, 1), None)
+        elif ladder.app_count_next_level() * ladder.N > BLOCK_CELLS:
+            state = ladder.copy()
+            found, note = grow_closure(state, budget,
+                                       scan=lambda: state.stream_scan(lower, upper))
+            return found, state, len(state.added), note
+        else:  # the next level fits one block but is not kept yet
+            if ladder.scanned_level < k:  # the first search to reach it
+                ladder.scanned_level = k
+                found = ladder.stream_scan(lower, upper)
+                if found is not None:
+                    return found, ladder, k, None
+            ladder.grow()
+            ladder.values.flags.writeable = False
+            continue
+        added = ladder.added[k]
+        if k:
+            note = _level_note(budget, k - 1, ladder.app_count(k))
+            if note is None and added > max(0, budget.max_columns - start):
+                note = _column_note(budget, start)
+            if note is not None or not added:  # a budget or the fixpoint
+                return None, ladder, k, note
+        start, k = start + added, k + 1
 
 
 def representable_closure(lat: Lattice, var_list: Sequence[str],

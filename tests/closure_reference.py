@@ -27,6 +27,7 @@ class ReferenceClosure:
         self.index = {}
         self.level_starts = [0]
         self.added = []
+        self.apps = [0]  # applications evaluated per level
         level0 = [(_projection(lat.m, len(self.var_list), k), PropVar(v))
                   for k, v in enumerate(self.var_list)]
         level0 += [(np.full(self.N, c, dtype=np.uint8), Const(name))
@@ -65,6 +66,7 @@ class ReferenceClosure:
                 values = np.array([table[tuple(int(self.cols[t][i]) for t in tup)]
                                    for i in range(self.N)], dtype=np.uint8)
                 candidates.append((values, App(conn.name, tuple(self.wits[t] for t in tup))))
+        self.apps.append(len(candidates))
         return self._commit(candidates)
 
 

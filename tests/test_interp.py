@@ -21,6 +21,7 @@ from latlog.interp import (
 from latlog.propcore import (
     ClosureBudget,
     ClosureState,
+    closure_ladder,
     column_of,
     envelopes,
     eval_prop,
@@ -129,19 +130,22 @@ def test_envelope_check_agrees_with_both_implications(name, rng):
     assert outcomes == {True, False}
 
 
-def _corrupt_values(monkeypatch, env):
+def _corrupt_values(monkeypatch, ladder, env):
     """Store the lower envelope as the values of the first closure column."""
-    original = ClosureState.__init__
-
-    def init(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        self.values[0] = env.lower.values
-
-    monkeypatch.setattr(ClosureState, "__init__", init)
+    values = ladder.values.copy()
+    values[0] = env.lower.values
+    monkeypatch.setattr(ladder, "values", values)
 
 
-def _corrupt_scan(monkeypatch, env):
-    """Hand back the scan's column with the witness of another column."""
+def _corrupt_witnesses(monkeypatch, ladder, env):
+    """Give every closure column the witness of the first one."""
+    monkeypatch.setattr(ladder, "wits", [ladder.wits[0]] * ladder.total)
+
+
+def _corrupt_scan(monkeypatch, ladder, env):
+    """Let the next search scan level 1 as the first one did, and hand back
+    the scan's column with the witness of another column."""
+    monkeypatch.setattr(ladder, "scanned_level", 0)
     original = ClosureState.stream_scan
 
     def scan(self, lower, upper):
@@ -151,16 +155,19 @@ def _corrupt_scan(monkeypatch, env):
     monkeypatch.setattr(ClosureState, "stream_scan", scan)
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_values, _corrupt_scan])
-def test_yes_whose_word_leaves_the_envelopes_is_a_bug(three_0a, corrupt, monkeypatch):
-    """The only interpolant, y1 & y2, comes from the scan of level 1.  When
-    the values of a level-0 column or the scan's witness are corrupted, the
-    stored values say the column fits while its word y1 does not, and the
-    re-verification evaluates the word."""
+@pytest.mark.parametrize("corrupt", [_corrupt_values, _corrupt_witnesses, _corrupt_scan])
+def test_yes_whose_word_leaves_the_envelopes_is_a_bug(corrupt, monkeypatch):
+    """The only interpolant, y1 & y2, lies on level 1 of the lattice's
+    shared closure, which the first search scans with ``stream_scan``.  When
+    the values of a level-0 column, the witnesses of the kept columns or the
+    witness the scan hands back are corrupted, the stored values say a
+    column fits while its word does not, and the re-verification evaluates
+    the word.  The lattice is the test's own, as its closure is corrupted."""
+    three_0a = bundled_lattice("three-0a")
     a, b = parse_formula("x & y1 & y2"), parse_formula("y1 & y2 | z")
     assert find_prop_interpolant(a, b, three_0a).interpolant_word == "y1 & y2"
     env = envelopes(a, b, three_0a)
-    corrupt(monkeypatch, env)
+    corrupt(monkeypatch, closure_ladder(three_0a, env.shared), env)
     with pytest.raises(LatlogError, match="this is a bug") as info:
         find_prop_interpolant(a, b, three_0a)
     assert set(info.value.details["countervaluation"]) == set(env.shared)
