@@ -137,15 +137,19 @@ class Lattice:
     """A validated algebra.  Treat its fields as immutable.
 
     Two caches grow on first use without a lock: ``flat`` fills ``_flat``,
-    and ``derived`` holds tables other modules build, among them the
-    closure's stacked connective tables, the shared closure ladders of
-    interpolant searches (``propcore.closure_ladder``), one per distinct
-    shared-variable list searched over, each of which grows a level at a
-    time and is never dropped, and the ``relations.BinaryInvariants``, whose
-    ``relations``, ``_by_mask`` and ``_grids`` grow lazily.  So one lattice
-    may be shared between processes, each with its own copy, but not between
-    threads that run queries at the same time; give each thread its own
-    lattice, or lock around its use."""
+    and ``derived`` holds tables other modules build.  Among them are the
+    tables of ``propcore.column_of``'s packed columns, padded to 256 bytes
+    (None where some table has more entries), the closure's stacked
+    connective tables, the shared closure ladders of interpolant searches
+    (``propcore.closure_ladder``), one per distinct shared-variable list
+    searched over, each of which grows a level at a time and is never
+    dropped, and the ``relations.BinaryInvariants``, whose ``relations``,
+    ``_by_mask`` and ``_grids`` grow lazily.  The padded tables are built
+    whole and stored once, so two threads racing there only build them
+    twice, but the ladders and invariants grow in place.  So one lattice
+    may be shared between processes, each with its own copy, but not
+    between threads that run queries at the same time; give each thread
+    its own lattice, or lock around its use."""
 
     elements: tuple[str, ...]
     signature: PolaritySignature

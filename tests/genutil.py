@@ -3,7 +3,7 @@ sentences that the first-order tests share."""
 import itertools
 import random
 
-from latlog import App, Const, PropVar
+from latlog import App, Const, PropVar, kripke_frame, upset_lattice
 from latlog.folift import FoStructure
 
 # valid sentences nested about 3,000 levels deep, one per kind of node
@@ -30,6 +30,33 @@ def random_word(rng: random.Random, variables, lat, depth: int = 3,
         return App(conn, (go(d - 1), go(d - 1)))
 
     return go(depth)
+
+
+def random_signature_word(rng: random.Random, variables, lat, depth: int = 3):
+    """Random propositional word over every connective of the lattice's
+    signature, nullary and unary ones among them, and its constants."""
+    conns = lat.signature.connectives
+    consts = list(lat.constants)
+
+    def go(d):
+        if d <= 0 or rng.random() < 0.25:
+            if consts and rng.random() < 0.2:
+                return Const(rng.choice(consts))
+            return PropVar(rng.choice(variables))
+        conn = rng.choice(conns)
+        return App(conn.name, tuple(go(d - 1) for _ in range(conn.arity)))
+
+    return go(depth)
+
+
+def random_upset_lattice(rng: random.Random):
+    """The up-set lattice of a random partial order on one to four worlds,
+    with the Goedel or the Heyting implication: from 2 elements (one world)
+    to 16 (four incomparable ones)."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 4))]
+    pairs = [(a, b) for i, a in enumerate(worlds) for b in worlds[i + 1:]
+             if rng.random() < 0.3]
+    return upset_lattice(kripke_frame(worlds, pairs), rng.choice(("godel", "heyting")))
 
 
 def random_valid_pair(rng, lat, left, shared, right, depth=3, max_tries=4000,

@@ -7,29 +7,42 @@ import random
 import numpy as np
 import pytest
 
-from latlog import RawConnective, RawLattice, parse_formula, propcore, validate_lattice
+from latlog import (
+    App,
+    Atom,
+    Const,
+    PropVar,
+    RawConnective,
+    RawLattice,
+    parse_formula,
+    propcore,
+    validate_lattice,
+)
 from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded, LatlogError
 from latlog.propcore import (
     BLOCK_CELLS,
+    PACKED_CELLS,
     TRANSLATE_CELLS,
     ClosureBudget,
     ClosureState,
     _blocks,
+    _decode_valuation,
     _fold_axis,
     _probe_fits,
     apply_connective,
+    apply_packed,
     column_of,
     envelopes,
     eval_prop,
     representable_closure,
 )
 from latlog.relations import binary_invariants
-from latlog.syntax import prop_variables
+from latlog.syntax import nodes, prop_variables
 
 from closure_reference import reference_closure
-from genutil import random_valid_pair
+from genutil import random_signature_word, random_upset_lattice, random_valid_pair
 
 CHAIN3 = dict(elements=["0", "h", "1"], covers=[("0", "h"), ("h", "1")])
 GODEL_IMP = ["1", "1", "1", "0", "1", "1", "0", "h", "1"]
@@ -645,3 +658,134 @@ def test_apply_connective_on_0d_indices(m, arity):
     got = apply_connective(flat, m, args)
     assert np.ndim(got) == 0 and got.dtype == np.uint8
     assert got == _plain(flat, m, args)
+
+
+# ---------------------------------------------------------------------------
+# packed columns: column_of on at most PACKED_CELLS cells against the
+# broadcast grid, eval_prop and plain fancy indexing
+
+
+def _up_chain(k):
+    """A k-chain with a unary ``Up`` (one step up, the top stays) besides
+    the binary -> and the nullary ``Mid``."""
+    names = [f"e{i}" for i in range(k)]
+    return _chain(k, RawConnective("Up", ("+",), [names[min(i + 1, k - 1)] for i in range(k)]))
+
+
+UPSETS = [f"upset{i}" for i in range(6)]
+
+
+def _packed_case(name):
+    if name in UPSETS:
+        return random_upset_lattice(random.Random(name))
+    if name.startswith("chain"):
+        return _up_chain(int(name[5:]))
+    return bundled_lattice(name)
+
+
+# chain16's binary tables have 256 entries, the most a packed column takes;
+# chain17's have 289, so every grid of it stays broadcast
+@pytest.mark.parametrize("name", [*BUNDLED, *UPSETS, "chain16", "chain17"])
+def test_packed_column_matches_broadcast_and_eval_prop(name, monkeypatch):
+    """Random words over the whole signature, with a held variable ``h``
+    and sometimes a held ``v0`` that keeps its axis, on grids of 0 and 1
+    variables, of the most variables a packed grid holds (exactly
+    PACKED_CELLS cells where m is 2 or 4) and of one more."""
+    lat = _packed_case(name)
+    packable = name != "chain17"
+    assert (propcore._packed_tables(lat) is not None) == packable
+    broadcast = propcore._broadcast_column
+    used = []
+    monkeypatch.setattr(propcore, "_broadcast_column",
+                        lambda *args: used.append(args) or broadcast(*args))
+    rng = random.Random(f"packed-{name}")
+    most = max(n for n in range(12) if lat.m ** n <= PACKED_CELLS)
+    for n in (0, 1, most, most + 1):
+        var_list = tuple(f"v{i}" for i in range(n))
+        cells = lat.m ** n
+        for _ in range(6):
+            phi = random_signature_word(rng, var_list + ("h",), lat, depth=4)
+            fixed = {"h": rng.randrange(lat.m)}
+            if n and rng.random() < 0.3:
+                fixed["v0"] = rng.randrange(lat.m)
+            used.clear()
+            got = column_of(phi, lat, var_list, fixed)
+            assert len(used) == (0 if packable and cells <= PACKED_CELLS else 1)
+            assert got.dtype == np.uint8 and got.shape == (cells,) and got.flags.writeable
+            assert np.array_equal(got, broadcast(phi, lat, var_list, fixed)), phi
+            for cell in {0, cells - 1, *rng.sample(range(cells), min(cells, 20))}:
+                valuation = _decode_valuation(cell, var_list, lat)
+                valuation["h"] = lat.elements[fixed["h"]]
+                assert lat.index(eval_prop(phi, lat, valuation)) == got[cell], (phi, cell)
+
+
+def _outcome(evaluate):
+    try:
+        return ("value", evaluate().tolist())
+    except Exception as exc:  # the two paths must fail alike
+        return (type(exc), str(exc))
+
+
+ILL_FORMED = {
+    "unbound-variable": App("&", (PropVar("x"), PropVar("free"))),
+    "undeclared-constant": App("|", (Const("nowhere"), PropVar("x"))),
+    "atom": App("->", (PropVar("x"), Atom("P", ()))),
+    "unbound-before-atom": App("&", (PropVar("free"), Atom("P", ()))),
+    "binary-given-one": App("->", (PropVar("x"),)),
+    "binary-given-three": App("->", (PropVar("x"), PropVar("y"), PropVar("x"))),
+    "nullary-given-one": App("Mid", (PropVar("y"),)),
+    "unknown-connective": App("Down", (PropVar("y"),)),
+}
+
+
+@pytest.mark.parametrize("case", ILL_FORMED)
+def test_packed_column_fails_as_the_broadcast_grid_does(case):
+    """An unbound variable, an undeclared constant, a first-order atom, a
+    connective given a wrong number of arguments and an unknown one: the
+    packed walk raises what the broadcast grid raises, or falls back to it."""
+    phi = ILL_FORMED[case]
+    lat = _up_chain(4)
+    for var_list in (("x", "y"), ("x", "y", "z", "w", "u", "t")):
+        packed = _outcome(lambda: column_of(phi, lat, var_list))
+        assert packed == _outcome(lambda: propcore._broadcast_column(phi, lat, var_list, None))
+
+
+def test_deep_word_on_packed_and_broadcast_grids():
+    """A 3,001-node word nested 1,501 deep, past the default recursion
+    limit, on godel3: over x, y it is packed (9 cells), over x, y and five
+    more variables broadcast (2,187 cells), and both agree with eval_prop."""
+    lat = bundled_lattice("godel3")
+    word = PropVar("x")
+    for i in range(1500):
+        leaf = PropVar("xy"[i % 2])
+        word = App("->", (leaf, word) if i % 3 else (word, leaf))
+    assert sum(1 for _ in nodes(word)) == 3001
+    small = column_of(word, lat, ("x", "y"))
+    wide = ("x", "y", "z1", "z2", "z3", "z4", "z5")
+    assert lat.m ** 2 <= PACKED_CELLS < lat.m ** len(wide)
+    big = column_of(word, lat, wide).reshape(9, -1)
+    assert np.array_equal(big, np.repeat(small[:, None], big.shape[1], axis=1))
+    for cell in range(9):
+        assert lat.index(eval_prop(word, lat, _decode_valuation(cell, ("x", "y"), lat))) == small[cell]
+
+
+PACKED_KERNEL_CASES = [(m, k) for m in (2, 3, 4, 5, 6, 16, 256) for k in range(9)
+                       if m ** k <= 256]
+
+
+@pytest.mark.parametrize("m, arity", PACKED_KERNEL_CASES)
+def test_apply_packed_matches_fancy_indexing(m, arity):
+    """Every arity whose table has at most 256 entries, on packed columns
+    of 1 to PACKED_CELLS cells; arguments that are m - 1 in every cell
+    reach the largest index, m ** arity - 1.  Byte order and length are given explicitly: Python
+    3.10's int.from_bytes has no default byte order."""
+    rng = np.random.default_rng(m * 16 + arity)
+    flat = rng.integers(0, m, m ** arity).astype(np.uint8)
+    pad = flat.tobytes().ljust(256, b"\0")
+    for cells in (1, 7, 255, 256, PACKED_CELLS):
+        for args in ([rng.integers(0, m, cells).astype(np.uint8) for _ in range(arity)],
+                     [np.full(cells, m - 1, dtype=np.uint8) for _ in range(arity)]):
+            packed = [int.from_bytes(a.tobytes(), byteorder="big") for a in args]
+            got = apply_packed(pad, m, cells, packed)
+            want = np.broadcast_to(_plain(flat, m, args), (cells,))
+            assert got.to_bytes(cells, byteorder="big") == want.tobytes(), (cells, args)
