@@ -141,10 +141,9 @@ class Lattice:
     tables of ``propcore.column_of``'s packed columns, padded to 256 bytes
     (None where some table has more entries), the closure's stacked
     connective tables, the shared closure ladders of interpolant searches
-    (``propcore.closure_ladder``), one per distinct shared-variable list
-    searched over, each of which grows a level at a time and is never
-    dropped, and the ``relations.BinaryInvariants``, whose ``relations``,
-    ``_by_mask`` and ``_grids`` grow lazily.  The padded tables are built
+    (see the ``propcore`` module docstring), one per shared-variable list
+    searched over and never dropped, and the ``relations.BinaryInvariants``,
+    whose ``relations``, ``_by_mask`` and ``_grids`` grow lazily.  The padded tables are built
     whole and stored once, so two threads racing there only build them
     twice, but the ladders and invariants grow in place.  So one lattice
     may be shared between processes, each with its own copy, but not

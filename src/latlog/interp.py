@@ -26,13 +26,14 @@ from .propcore import (
     ValueColumn,
     _decode_valuation,
     _fold_axis,
-    climb_closure,
+    closure_ladder,
     column_of,
     constant_values,
     envelopes,
     is_valid_implication,
     representable_closure,
     row_keys,
+    walk_closure,
 )
 from .syntax import Formula, PropVar, conjoin, disjoin, implies, prop_variables, substitute
 
@@ -71,22 +72,14 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     (``ValidityReport.envelopes``).  Otherwise they are built here, which
     raises NOT_VALID when a -> b fails.
 
-    The closure over the shared variables depends on the lattice and those
-    variables alone, so its small levels are shared between queries: the
-    lattice keeps level 0 and each later level whose applications fit one
-    block (``app_count_next_level() * N <= BLOCK_CELLS``).  A query scans
-    the kept levels as committed rows; a missing one-block level it scans
-    with ``stream_scan`` and grows into the lattice's closure only when no
-    column there fits.  Each query replays its own budget against the kept
-    counts (levels grown, applications, columns), so it stops at the level
-    and with the note it would have on a closure of its own, and a query
-    past the kept levels grows a private copy of them and scans each next
-    level with ``stream_scan`` (see ``propcore.climb_closure``).
+    The search walks the lattice's shared ladder over the shared variables
+    (see the ``propcore`` module docstring), so it stops at the level, and
+    with the note, it would on a closure of its own.
     ``closure_cumulative`` counts the levels before the one a YES was found
     at (level 0 when found there), and a NO or UNKNOWN reports the closure
-    its budget reached, however many levels the lattice keeps.  The values
+    its budget reached, however many levels the ladder holds.  The values
     of a NO's or UNKNOWN's closure columns may be read-only views of the
-    lattice's closure.
+    ladder.
 
     A YES is re-verified from the envelopes, without building the grids of
     a and b again: the witness word is evaluated afresh over the shared
@@ -98,8 +91,8 @@ def find_prop_interpolant(a: Formula, b: Formula, lat: Lattice,
     budget = budget or ClosureBudget()
     if env is None:
         env = envelopes(a, b, lat, var_cap)
-    found, state, levels, note = climb_closure(lat, env.shared, env.lower.values,
-                                               env.upper.values, budget)
+    found, state, levels, note = walk_closure(closure_ladder(lat, env.shared), budget,
+                                              (env.lower.values, env.upper.values))
     if found is not None:
         _, word, wit = found
         bad = envelope_violation(wit, env, lat)

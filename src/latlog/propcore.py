@@ -57,20 +57,30 @@ only where lengths tie.  Kept values are copies, so no block outlives its
 turn.  Columns are ordered by level, then length, then word, which keeps
 interpolants deterministic.
 
+The level loop, ``walk_closure``, walks a closure from level 0.  Step k
+scans level k for a column between two bounds, when it is given bounds:
+as committed rows when the state holds the level, else with the envelope
+scan below, which finds what growing the level would.  It then checks the
+budget once, with k - 1 levels counted as grown: the levels, level k's
+applications and the columns level k would add.  The column budget holds
+inside a level, so a stopped closure is a prefix of the canonical order.
+Last, step k grows level k unless the state holds it.
+``representable_closure`` walks a state of its own without bounds.
+
 A closure of all connectives depends on the lattice and the variable list
 alone, so interpolant searches share the small levels of theirs: the
 lattice keeps one ``ClosureState`` per variable list in ``lat.derived``,
-the shared ladder, holding level 0 and every later level whose
-applications fit one block (``app_count_next_level() * N <=
-BLOCK_CELLS``).  The first search to reach a level the ladder lacks scans
-it with the envelope scan below, as on a closure of its own, and grows it
-into the ladder only when no column there fits; the next search to reach
-it grows it (``climb_closure``).  A search scans the ladder's levels as
-committed rows and replays its own budget against their counts, so it
-stops where, and with the note, a closure of its own would; past the
-ladder it grows a private copy and scans each next level with the envelope
-scan, so no level larger than a block is kept.  ``representable_closure``
-needs whole closures under its caller's budget and grows its own.
+the shared ladder (``closure_ladder``), holding level 0 and every later
+level whose applications fit one block (``app_count(k) * N <=
+BLOCK_CELLS``), with read-only values.  ``find_prop_interpolant`` walks
+the ladder between the envelopes.  The ladder grows a missing level that
+fits one block.  The first search to reach it scans it ungrown, as on a
+closure of its own, and grows it when it finds no column there and its
+budget lets it go on; a later search grows it, then scans its rows.  The
+first level that does not fit, and every level past it, grow on a private
+copy of the ladder, so no level larger than a block is kept.  The budget
+is checked against the ladder's counts as against a closure's own, so a
+search stops where, and with the note, it would on a closure of its own.
 
 Closure columns and probe signatures here, and envelope rows in
 ``interp``, are sorted and deduplicated by the keys of ``row_keys``, whose
@@ -102,6 +112,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -113,6 +124,7 @@ from .errors import (
     NotValidError,
     UnboundVariable,
     UndeclaredConstant,
+    UnknownSymbolError,
 )
 from .syntax import (
     App,
@@ -120,6 +132,7 @@ from .syntax import (
     Formula,
     PropVar,
     Quant,
+    _arity_error,
     arg_parens,
     children,
     fold,
@@ -224,6 +237,15 @@ def _not_a_word(phi: Formula) -> LatlogError:
     return LatlogError(f"not a propositional word: {render(phi)}")
 
 
+def _ill_formed(node: App, lat: Lattice) -> LatlogError:
+    """The error of ``node``, which applies a connective outside the
+    signature or one given a wrong number of arguments."""
+    table = lat.tables.get(node.conn)
+    if table is None:
+        return UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
+    return _arity_error("connective", node.conn, table.ndim, len(node.args))
+
+
 def _projection(m: int, n: int, k: int) -> np.ndarray:
     """Column of variable k over the m**n valuations (lexicographic)."""
     N = m ** n
@@ -272,25 +294,26 @@ def column_of(phi: Formula, lat: Lattice, var_list: Sequence[str],
     arrays are built, and each connective's table fetched, once per call.
     PACKED_CELLS is measured: on the calls of a prop-batch benchmark pass,
     on a 2-core machine, packed columns took 0.27-0.45 of the broadcast
-    time up to 512 cells, 0.66 at 1,024 and 1.21 at 2,187."""
+    time up to 512 cells, 0.66 at 1,024 and 1.21 at 2,187.
+
+    A word that applies a connective outside the signature, or one given a
+    wrong number of arguments, raises a LatlogError on either path."""
     var_list = tuple(var_list)
     cells = lat.m ** len(var_list)
     if cells <= PACKED_CELLS:
         pads = _packed_tables(lat)
         if pads is not None:
             packed = _packed_column(phi, lat, pads, var_list, fixed, cells)
-            if packed is not None:
-                return np.frombuffer(bytearray(packed.to_bytes(cells, "big")), dtype=np.uint8)
+            return np.frombuffer(bytearray(packed.to_bytes(cells, "big")), dtype=np.uint8)
     return _broadcast_column(phi, lat, var_list, fixed)
 
 
 def _packed_column(phi: Formula, lat: Lattice, pads: Mapping[str, tuple[int, bytes]],
                    var_list: tuple[str, ...], fixed: Optional[Mapping[str, int]],
-                   cells: int) -> Optional[int]:
-    """``column_of`` on packed columns; None when a connective is applied
-    to a wrong number of arguments, which the broadcast path evaluates as
-    it always has.  Nodes are visited in the order of ``syntax.fold``, so
-    an ill-formed word raises what the broadcast path raises."""
+                   cells: int) -> int:
+    """``column_of`` on packed columns.  Nodes are visited in the order of
+    ``syntax.fold``, so an ill-formed word raises what the broadcast path
+    raises."""
     m = lat.m
     ones, projections = _packed_leaves(m, len(var_list))
     leaves = dict(zip(var_list, projections))
@@ -314,9 +337,10 @@ def _packed_column(phi: Formula, lat: Lattice, pads: Mapping[str, tuple[int, byt
     for node in reversed(order):
         kind = type(node)
         if kind is App:
-            arity, pad = pads[node.conn]  # a KeyError, as from lat.flat
-            if len(node.args) != arity:
-                return None
+            entry = pads.get(node.conn)
+            if entry is None or len(node.args) != entry[0]:
+                raise _ill_formed(node, lat)
+            arity, pad = entry
             if arity == 2:  # apply_packed inlined: the call costs a fifth of a node
                 b = values.pop()
                 idx = values[-1] * m + b
@@ -353,15 +377,17 @@ def _broadcast_column(phi: Formula, lat: Lattice, var_list: tuple[str, ...],
               for k, v in enumerate(var_list)}
     for v, i in (fixed or {}).items():
         leaves.setdefault(v, base[i])  # a uint8 scalar
-    flats: dict[str, np.ndarray] = {}
+    flats: dict[str, tuple[int, np.ndarray]] = {}  # arity and flattened table
 
     def value(f: Formula, args) -> np.ndarray:
         kind = type(f)
         if kind is App:
-            flat = flats.get(f.conn)
-            if flat is None:
-                flat = flats[f.conn] = lat.flat(f.conn)
-            return apply_connective(flat, m, args)
+            entry = flats.get(f.conn)
+            if entry is None and f.conn in lat.tables:
+                entry = flats[f.conn] = (lat.tables[f.conn].ndim, lat.flat(f.conn))
+            if entry is None or len(args) != entry[0]:
+                raise _ill_formed(f, lat)
+            return apply_connective(entry[1], m, args)
         if kind is PropVar:
             leaf = leaves.get(f.name)
             if leaf is None:
@@ -385,8 +411,10 @@ def eval_prop(phi: Formula, lat: Lattice, valuation: Mapping[str, str]) -> str:
 
     def value(f: Formula, args) -> int:
         if isinstance(f, App):
-            table = lat.tables[f.conn]
-            return int(table[tuple(args)] if args else table[()])
+            table = lat.tables.get(f.conn)
+            if table is None or table.ndim != len(args):
+                raise _ill_formed(f, lat)
+            return int(table[tuple(args)])
         if isinstance(f, PropVar):
             if f.name not in valuation:
                 raise UnboundVariable(f"variable {f.name!r} unassigned", variable=f.name)
@@ -448,8 +476,8 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
     """Each propositional variable of ``phi`` with the signs of its
     occurrences: POS where the polarities of the connectives above it
     multiply to +, NEG where to -, both (mixed) when it has occurrences of
-    each.  Below a connective outside the signature, or applied to a wrong
-    number of arguments, every sign is mixed."""
+    each.  A connective outside the signature, or one given a wrong number
+    of arguments, raises a LatlogError."""
     conns = lat.signature.by_name
     signs: dict[str, int] = {}
     stack = [(phi, POS)]
@@ -461,10 +489,9 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
         elif kind is App:
             conn = conns.get(node.conn)
             if conn is None or conn.arity != len(node.args):
-                stack.extend((kid, POS | NEG) for kid in node.args)
-            else:
-                for kid, p in zip(node.args, conn.polarity):
-                    stack.append((kid, sign if p == "+" else _FLIP[sign]))
+                raise _ill_formed(node, lat)
+            for kid, p in zip(node.args, conn.polarity):
+                stack.append((kid, sign if p == "+" else _FLIP[sign]))
         else:
             stack.extend((kid, sign) for kid in children(node))
     return signs
@@ -826,8 +853,9 @@ class ClosureState:
         self.levels: list[int] = []
         self.frontier = 0  # index of the first column of the newest level
         self.added: list[int] = []
-        self.complete = False
-        self.scanned_level = 0  # the newest level a shared ladder's search scanned ungrown
+        # None on a closure of its own; on the shared ladder, the newest
+        # level a search scanned ungrown
+        self.scanned_level: Optional[int] = None
 
         seeds = [(_projection(self.m, n, k), PropVar(v)) for k, v in enumerate(self.var_list)]
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
@@ -848,10 +876,11 @@ class ClosureState:
     def copy(self) -> ClosureState:
         """A copy to grow on its own: growing either leaves the other as it
         was.  The two share the values array, which a level replaces, never
-        writes into."""
+        writes into.  A copy of the shared ladder is a closure of its own."""
         other = copy.copy(self)
         for name in ("words", "wits", "precs", "levels", "added"):
             setattr(other, name, list(getattr(self, name)))
+        other.scanned_level = None
         return other
 
     def _commit(self, entries) -> int:
@@ -866,6 +895,8 @@ class ClosureState:
         self.precs += [precedence(e[3]) for e in new]
         self.levels += [len(self.added)] * len(new)
         self.added.append(len(new))
+        # the shared ladder's columns reach many callers' verdicts
+        self.values.flags.writeable = self.scanned_level is None
         return len(new)
 
     def _count_new(self, sizes, olds) -> int:
@@ -885,9 +916,6 @@ class ClosureState:
         total = sum(self.added[:level])
         older, newest_only = total - self.added[level - 1], level > 1
         return sum(total ** c.arity - newest_only * older ** c.arity for c in self.conns)
-
-    def app_count_next_level(self) -> int:
-        return self.app_count(len(self.added))
 
     def _tuples(self, stack: _Stack, members: np.ndarray, conn: np.ndarray, first: np.ndarray,
                 sizes: np.ndarray, olds: np.ndarray, cells: int):
@@ -1026,10 +1054,8 @@ class ClosureState:
         best = self._candidates(blocks, limit=max_new)
         if max_new is not None and len(best) > max_new:
             return max_new + 1
-        added = self._commit((length, word, values, self._witness(stack, app))
-                             for length, word, values, stack, app in best.values())
-        self.complete = added == 0
-        return added
+        return self._commit((length, word, values, self._witness(stack, app))
+                            for length, word, values, stack, app in best.values())
 
     def scan_existing(self, lower: np.ndarray, upper: np.ndarray,
                       start: int = 0, stop: Optional[int] = None) -> Optional[int]:
@@ -1119,21 +1145,13 @@ class ClosureState:
         return ValueColumn(self.var_list, self.values[i], self.wits[i],
                            self.words[i], self.levels[i])
 
-    def result(self, complete: bool, note: Optional[str] = None,
-               levels: Optional[int] = None) -> ClosureResult:
-        """The closure as a result, cut to its first ``levels`` levels when
-        given."""
+    def result(self, complete: bool, note: Optional[str], levels: int) -> ClosureResult:
+        """The closure cut to its first ``levels`` levels, as a result."""
         added = self.added[:levels]
-        while complete and len(added) > 1 and added[-1] == 0:
-            added.pop()  # drop the level that only confirmed the fixpoint
-        cumulative = []
-        run = 0
-        for a in added:
-            run += a
-            cumulative.append(run)
+        cumulative = list(accumulate(added))
         return ClosureResult(
             self.var_list,
-            [self.column(i) for i in range(run)],
+            [self.column(i) for i in range(sum(added))],
             complete,
             cumulative,
             added,
@@ -1142,114 +1160,74 @@ class ClosureState:
         )
 
 
-def _level_note(budget: ClosureBudget, grown: int, apps: int) -> Optional[str]:
-    """Why ``budget`` stops a closure that has grown ``grown`` levels before
-    its next level, of ``apps`` applications, or None."""
-    if budget.max_levels is not None and grown >= budget.max_levels:
-        return f"level budget {budget.max_levels} reached"
-    if apps > budget.max_apps_per_level:
-        return f"next level needs {apps} applications, budget is {budget.max_apps_per_level}"
-    return None
-
-
-def _column_note(budget: ClosureBudget, total: int) -> str:
-    """The note of a level that would take a closure of ``total`` columns
-    past ``budget.max_columns``: it counts the columns up to the level's
-    first new column past the budget."""
-    return (f"column budget {budget.max_columns} exceeded at "
-            f"{max(total, budget.max_columns) + 1} columns")
-
-
-def grow_closure(state: ClosureState, budget: ClosureBudget, scan=None):
-    """The level loop: grow ``state`` until its fixpoint or a budget.  The
-    budget counts the levels ``state`` holds already as grown.
-
-    ``scan``, when given, runs before every level; a result other than None
-    ends the loop.  Returns (scan result, budget note): the note says which
-    budget stopped the growth, and both are None at the fixpoint."""
-    while True:
-        if scan is not None:
-            try:
-                found = scan()
-            except BudgetExceeded as exc:
-                return None, exc.message
-            if found is not None:
-                return found, None
-        note = _level_note(budget, len(state.added) - 1, state.app_count_next_level())
-        if note is not None:
-            return None, note
-        room = max(0, budget.max_columns - state.total)
-        added = state.grow(room)
-        if added > room:  # the level was not committed
-            return None, _column_note(budget, state.total)
-        if added == 0:
-            return None, None
-
-
 def closure_ladder(lat: Lattice, var_list: tuple[str, ...]) -> ClosureState:
-    """The lattice's shared ladder over ``var_list``: the closure of all
-    its connectives, kept in ``lat.derived`` and grown by ``climb_closure``
-    one level at a time while the next level fits one block.  The lattice
-    keeps one ladder per variable list it has been searched over.  Its
-    values are read-only, since its columns reach many callers' verdicts."""
+    """The lattice's shared ladder over ``var_list``, made on first use (see
+    the module docstring)."""
     ladders = lat.derived.setdefault("closure_ladders", {})
     ladder = ladders.get(var_list)
     if ladder is None:
         ladder = ladders[var_list] = ClosureState(lat, var_list)
+        ladder.scanned_level = 0
         ladder.values.flags.writeable = False
     return ladder
 
 
-def climb_closure(lat: Lattice, var_list: tuple[str, ...], lower: np.ndarray,
-                  upper: np.ndarray, budget: ClosureBudget):
-    """Search the closure over ``var_list`` for its first column inside
-    [lower, upper], level by level in closure order, within ``budget``, on
-    the lattice's shared ladder (``closure_ladder``).  A level the ladder
-    holds is scanned as committed rows.  A missing level that fits one block
-    is grown into the ladder by the second search to reach it, or by the
-    first when that finds no fitting column there with ``stream_scan``, as
-    on a closure of its own, so a lone search costs what it did before.  The
-    envelope scan's survivor budget cannot fire on such a level, since its
-    applications are at most BLOCK_CELLS.  Between levels the budget is
-    replayed against the ladder's counts with the checks and notes of
-    ``grow_closure``.  Past the ladder a private copy of it goes on with
-    ``grow_closure`` and ``stream_scan``.
+def walk_closure(state: ClosureState, budget: ClosureBudget,
+                 bounds: Optional[tuple[np.ndarray, np.ndarray]]):
+    """The level loop (see the module docstring): walk ``state``, a closure
+    of its own or the shared ladder, from level 0 until a column inside
+    ``bounds`` (lower, upper), a budget or the fixpoint.  Without bounds no
+    level is scanned.
 
     Returns (found, state, levels, note): ``found`` is (values, word,
-    witness) or None, and the closure the search reached is the first
-    ``levels`` levels of ``state``: those before the level where a column
-    was found (level 0 itself when found there), a budget stopped the search
-    or the fixpoint was confirmed."""
-    ladder = closure_ladder(lat, var_list)
+    witness) or None, and the closure walked is the first ``levels`` levels
+    of ``state``, the state walked last: those before the level where a
+    column was found (level 0 itself when found there), a budget stopped
+    the walk or the fixpoint was confirmed.  ``note`` says which budget
+    stopped it, and is None at the fixpoint."""
     start = k = 0  # level k starts at column ``start``
     while True:
-        if k < len(ladder.added):
-            hit = ladder.scan_existing(lower, upper, start, start + ladder.added[k])
-            if hit is not None:
-                return ((ladder.values[hit], ladder.words[hit], ladder.wits[hit]), ladder,
-                        max(k, 1), None)
-        elif ladder.app_count_next_level() * ladder.N > BLOCK_CELLS:
-            state = ladder.copy()
-            found, note = grow_closure(state, budget,
-                                       scan=lambda: state.stream_scan(lower, upper))
-            return found, state, len(state.added), note
-        else:  # the next level fits one block but is not kept yet
-            if ladder.scanned_level < k:  # the first search to reach it
-                ladder.scanned_level = k
-                found = ladder.stream_scan(lower, upper)
-                if found is not None:
-                    return found, ladder, k, None
-            ladder.grow()
-            ladder.values.flags.writeable = False
-            continue
-        added = ladder.added[k]
+        held = k < len(state.added)
+        shared = state.scanned_level is not None
+        if not held and shared:
+            if state.app_count(k) * state.N > BLOCK_CELLS:
+                state, shared = state.copy(), False
+            elif state.scanned_level < k:  # the first search to reach level k
+                state.scanned_level = k
+            else:
+                state.grow()
+                held = True
+        if bounds is not None:
+            if held:
+                hit = state.scan_existing(*bounds, start, start + state.added[k])
+                found = hit is not None and (state.values[hit], state.words[hit], state.wits[hit])
+            else:
+                try:  # never raises on the ladder: a level there is at most a block
+                    found = state.stream_scan(*bounds)
+                except BudgetExceeded as exc:
+                    return None, state, k, exc.message
+            if found:
+                return found, state, max(k, 1), None
         if k:
-            note = _level_note(budget, k - 1, ladder.app_count(k))
-            if note is None and added > max(0, budget.max_columns - start):
-                note = _column_note(budget, start)
-            if note is not None or not added:  # a budget or the fixpoint
-                return None, ladder, k, note
-        start, k = start + added, k + 1
+            apps = state.app_count(k)
+            if budget.max_levels is not None and k > budget.max_levels:
+                return None, state, k, f"level budget {budget.max_levels} reached"
+            if apps > budget.max_apps_per_level:
+                return None, state, k, (f"next level needs {apps} applications, "
+                                        f"budget is {budget.max_apps_per_level}")
+            room = max(0, budget.max_columns - start)
+            if held:
+                added = state.added[k]
+            elif shared:  # the ladder keeps whole levels
+                added = state.grow()
+            else:  # past ``room`` the level is dropped uncommitted: room + 1
+                added = state.grow(room)
+            if added > room:
+                return None, state, k, (f"column budget {budget.max_columns} exceeded at "
+                                        f"{max(start, budget.max_columns) + 1} columns")
+            if not added:
+                return None, state, k, None
+        start, k = start + state.added[k], k + 1
 
 
 def representable_closure(lat: Lattice, var_list: Sequence[str],
@@ -1269,9 +1247,9 @@ def representable_closure(lat: Lattice, var_list: Sequence[str],
             variable = False
         if not variable:
             raise LatlogError(f"{name!r} is not a propositional variable", variable=name)
-    state = ClosureState(lat, var_list, connectives)
-    _, note = grow_closure(state, budget or ClosureBudget())
-    return state.result(note is None, note)
+    _, state, levels, note = walk_closure(ClosureState(lat, var_list, connectives),
+                                          budget or ClosureBudget(), None)
+    return state.result(note is None, note, levels)
 
 
 def constant_values(lat: Lattice) -> dict[str, Formula]:

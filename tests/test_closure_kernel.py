@@ -241,7 +241,7 @@ def test_stream_scan_equals_growing_one_level(name):
         lower, upper = env.lower.values, env.upper.values
         state = ClosureState(lat, env.shared)
         for level in range(1, 4):
-            if state.complete:
+            if state.added[-1] == 0:
                 break
             scanned = state.stream_scan(lower, upper)
             grown = _first_new_fit(state, lower, upper)
@@ -321,7 +321,7 @@ def test_survivor_budget_counts_probe_group_survivors(monkeypatch):
     env = envelopes(parse_formula("s & (u -> t) & v"), parse_formula("s | t & (w -> v)"), lat)
     state = ClosureState(lat, env.shared)
     state.grow()
-    assert state.N == 125 and state.app_count_next_level() == 1152
+    assert state.N == 125 and state.app_count(len(state.added)) == 1152
     monkeypatch.setattr(propcore, "MAX_SURVIVORS", 64)
     with pytest.raises(BudgetExceeded) as exc:
         state.stream_scan(env.lower.values, env.upper.values)
@@ -732,6 +732,7 @@ ILL_FORMED = {
     "atom": App("->", (PropVar("x"), Atom("P", ()))),
     "unbound-before-atom": App("&", (PropVar("free"), Atom("P", ()))),
     "binary-given-one": App("->", (PropVar("x"),)),
+    "meet-given-one": App("&", (PropVar("x"),)),
     "binary-given-three": App("->", (PropVar("x"), PropVar("y"), PropVar("x"))),
     "nullary-given-one": App("Mid", (PropVar("y"),)),
     "unknown-connective": App("Down", (PropVar("y"),)),
@@ -742,12 +743,16 @@ ILL_FORMED = {
 def test_packed_column_fails_as_the_broadcast_grid_does(case):
     """An unbound variable, an undeclared constant, a first-order atom, a
     connective given a wrong number of arguments and an unknown one: the
-    packed walk raises what the broadcast grid raises, or falls back to it."""
+    packed walk raises the LatlogError the broadcast grid raises, and so
+    does ``eval_prop``."""
     phi = ILL_FORMED[case]
     lat = _up_chain(4)
     for var_list in (("x", "y"), ("x", "y", "z", "w", "u", "t")):
         packed = _outcome(lambda: column_of(phi, lat, var_list))
         assert packed == _outcome(lambda: propcore._broadcast_column(phi, lat, var_list, None))
+        assert isinstance(packed[0], type) and issubclass(packed[0], LatlogError), packed
+    with pytest.raises(LatlogError):
+        eval_prop(phi, lat, {"x": lat.elements[-1], "y": lat.elements[0]})
 
 
 def test_deep_word_on_packed_and_broadcast_grids():

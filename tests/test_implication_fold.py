@@ -19,7 +19,7 @@ from latlog import (
     propcore,
     validate_lattice,
 )
-from latlog.errors import NotValidError
+from latlog.errors import ArityMismatchError, NotValidError, UnknownSymbolError
 from latlog.folift import (
     _expand_with_terms,
     abstract_ground_atoms,
@@ -149,13 +149,21 @@ def test_variable_signs(text, signs):
     assert _variable_signs(parse_formula(text, lat.signature), lat) == signs
 
 
-def test_connective_without_polarity_makes_its_arguments_mixed(godel3):
+@pytest.mark.parametrize("bad, error", [
+    (App("->", (PropVar("p"),)), ArityMismatchError),
+    (App("&", (PropVar("p"), PropVar("s"), PropVar("p"))), ArityMismatchError),
+    (App("Down", (PropVar("p"),)), UnknownSymbolError),
+])
+def test_ill_formed_application_raises_in_both_checks(godel3, bad, error):
     """A word built in code may apply a connective to the wrong number of
-    arguments.  The signs below it are unknown, so its variables keep their
-    axes and the check gives what the unfolded one gives."""
-    a = App("&", (App("->", (PropVar("p"),)), PropVar("s")))
-    assert _variable_signs(a, godel3) == {"p": POS | NEG, "s": POS}
-    assert_matches_reference(a, PropVar("s"), godel3)
+    arguments, or one outside the signature.  The folded check and the
+    unfolded reference both raise the same error for it."""
+    a = App("&", (bad, PropVar("s")))
+    with pytest.raises(error) as folded:
+        is_valid_implication(a, PropVar("s"), godel3)
+    with pytest.raises(error) as unfolded:
+        reference_implication(a, PropVar("s"), godel3, None)
+    assert str(folded.value) == str(unfolded.value)
 
 
 @pytest.mark.parametrize("name", ["godel3", "mc", "three-0a", "diamond", "lukasiewicz3"])

@@ -92,14 +92,15 @@ def _queries(lat, rng):
     return [(a, b, envelopes(a, b, lat)) for a, b in pairs]
 
 
-def _reference_verdict(ref, env, budget):
-    """The verdict fields the level loop gives on the reference closure
-    ``ref``, grown here as far as the loop needs, or None where that needs a
-    level of more than REFERENCE_APPS applications.  Each level k >= 1 is
-    grown and scanned, then the budget is checked: levels grown before it,
-    its applications, and the columns it would add."""
+def _reference_walk(ref, budget, bounds):
+    """The level loop on the reference closure ``ref``, grown here as far as
+    the loop needs: (index of the first column inside ``bounds``, or None,
+    levels walked, budget note), or None where that needs a level of more
+    than REFERENCE_APPS applications.  Each level k >= 1 is grown and
+    scanned, then the budget is checked: levels grown before it, its
+    applications, and the columns it would add.  Without bounds no level
+    is scanned."""
     leq = ref.lat.leq
-    lower, upper = env.lower.values, env.upper.values
     k = 0
     while True:
         if len(ref.added) == k:
@@ -109,11 +110,11 @@ def _reference_verdict(ref, env, budget):
                 return None
             ref.grow()
         start, stop = ref.level_starts[k], ref.level_starts[k + 1]
-        for i in range(start, stop):
-            if leq[lower, ref.cols[i]].all() and leq[ref.cols[i], upper].all():
-                return dict(status="YES", interpolant_word=ref.words[i], closure_columns=None,
-                            closure_complete=False, budget_note=None,
-                            closure_cumulative=list(itertools.accumulate(ref.added[:max(k, 1)])))
+        if bounds is not None:
+            lower, upper = bounds
+            for i in range(start, stop):
+                if leq[lower, ref.cols[i]].all() and leq[ref.cols[i], upper].all():
+                    return i, max(k, 1), None
         if k:
             note = None
             if budget.max_levels is not None and k - 1 >= budget.max_levels:
@@ -125,12 +126,28 @@ def _reference_verdict(ref, env, budget):
                 note = (f"column budget {budget.max_columns} exceeded at "
                         f"{max(start, budget.max_columns) + 1} columns")
             if note is not None or not ref.added[k]:
-                return dict(status="UNKNOWN" if note else "NO", interpolant_word=None,
-                            closure_columns=[(w, v.tobytes(), level) for w, v, level in
-                                             zip(ref.words[:start], ref.cols, ref.levels)],
-                            closure_complete=note is None, budget_note=note,
-                            closure_cumulative=list(itertools.accumulate(ref.added[:k])))
+                return None, k, note
         k += 1
+
+
+def _reference_verdict(ref, env, budget):
+    """The verdict fields the level loop gives on the reference closure
+    ``ref`` between the envelopes of ``env``, or None (see
+    ``_reference_walk``)."""
+    walk = _reference_walk(ref, budget, (env.lower.values, env.upper.values))
+    if walk is None:
+        return None
+    hit, levels, note = walk
+    cumulative = list(itertools.accumulate(ref.added[:levels]))
+    if hit is not None:
+        return dict(status="YES", interpolant_word=ref.words[hit], closure_columns=None,
+                    closure_complete=False, budget_note=None, closure_cumulative=cumulative)
+    stop = ref.level_starts[levels]
+    return dict(status="UNKNOWN" if note else "NO", interpolant_word=None,
+                closure_columns=[(w, v.tobytes(), level) for w, v, level in
+                                 zip(ref.words[:stop], ref.cols, ref.levels)],
+                closure_complete=note is None, budget_note=note,
+                closure_cumulative=cumulative)
 
 
 def _against_reference(verdict, want):
@@ -154,7 +171,10 @@ def test_shared_ladder_matches_fresh_lattices_and_the_reference(name, block_cell
     same pair has grown the ladder, in shuffled orders, to one lattice
     object.  Each verdict equals, field by field, the verdict on a fresh
     lattice and the reference level loop on the reference closure.  With
-    64-cell blocks the ladders stop low and searches go on past them."""
+    64-cell blocks the ladders stop low and searches go on past them.
+    ``representable_closure``, the loop's other caller, is held to the
+    reference loop without bounds under every budget, over each shared
+    variable list."""
     monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
     build = LATTICES[name]
     lat = build()
@@ -178,6 +198,20 @@ def test_shared_ladder_matches_fresh_lattices_and_the_reference(name, block_cell
                 _against_reference(find_prop_interpolant(a, b, lat, budget=budget), want)
                 checked += 1
     assert checked >= len(queries) * len(BUDGETS) // 2, checked
+    closures_checked = set()
+    for shared, ref in references.items():
+        for i, budget in enumerate(BUDGETS):
+            walk = _reference_walk(ref, budget, None)
+            if walk is None:
+                continue
+            _, levels, note = walk
+            closure = representable_closure(lat, shared, budget)
+            assert closure.added == ref.added[:levels]
+            assert closure.cumulative == list(itertools.accumulate(ref.added[:levels]))
+            assert (closure.budget_note, closure.complete) == (note, note is None)
+            assert [c.word for c in closure.columns] == ref.words[:ref.level_starts[levels]]
+            closures_checked.add(i)
+    assert closures_checked == set(range(len(BUDGETS)))
 
 
 def _ladders(lat):
@@ -279,4 +313,4 @@ def test_a_level_is_kept_from_its_second_search():
     assert len(ladder.added) == 2
     lat = bundled_lattice("three-01")
     no = find_prop_interpolant(parse_formula("x & (x -> #0)"), parse_formula("y | (y -> #0)"), lat)
-    assert no.status == "NO" and closure_ladder(lat, ()).complete
+    assert no.status == "NO" and closure_ladder(lat, ()).added[-1] == 0
