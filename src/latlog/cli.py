@@ -577,10 +577,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exit_code
 
     try:
-        budgets = (getattr(args, name, None)
-                   for name in ("var_cap", "level_cap", "max_n", "domain_cap"))
+        budgets = (getattr(args, name, None) for name in ("var_cap", "max_n", "domain_cap"))
         if any(value is not None and value <= 0 for value in budgets):
             raise LatlogError("budgets must be positive")
+        if getattr(args, "level_cap", None) is not None and args.level_cap < 0:
+            raise LatlogError("level cap must not be negative")  # a cap of 0 keeps level 0
         code, report = HANDLERS[args.command](args)
         if report is not None:
             emit(report, args)

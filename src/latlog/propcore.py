@@ -1,7 +1,14 @@
 """Propositional semantics over a finite lattice.
 
-Evaluation and validity are exhaustive over the valuation space (lexicographic
-order over element indices, first variable most significant).  Two kernels
+Evaluation is exhaustive over the valuation space (lexicographic order over
+element indices, first variable most significant), and so is validity on a
+grid of at most ``PACKED_CELLS`` cells.  On a larger grid ``is_valid_prop``
+holds each variable whose occurrences all have one sign where the meet over
+it is reached, a positive one at the bottom element and a negative one at
+the top, and evaluates the grid of the mixed variables alone: every
+valuation gives a value above the held one, so the word is valid iff that
+grid is top everywhere.  A failing word is searched for its first
+countervaluation slice by slice of its first variable.  Two kernels
 apply a connective.  On a grid of at most ``PACKED_CELLS`` cells, when every
 table of the lattice has at most 256 entries, ``column_of`` holds a column
 as one Python int, a byte per cell, and ``apply_packed`` builds every
@@ -10,7 +17,8 @@ from one byte into the next, and gathers with one ``bytes.translate``;
 there a connective costs a few integer operations instead of three numpy
 calls on a handful of bytes.  Everywhere else ``apply_connective`` applies
 a connective to arrays of argument values: in larger validity grids, folds
-and the closure.  Values and tables are uint8, and so
+and the closure; a larger grid evaluates each distinct subword of the word
+once.  Values and tables are uint8, and so
 is a table index while the table has at most 256 entries; beyond that the
 kernel widens the index to intp.  The closure stacks the tables of all
 connectives of one arity into one, and the connective's position in the
@@ -369,7 +377,13 @@ def _packed_column(phi: Formula, lat: Lattice, pads: Mapping[str, tuple[int, byt
 def _broadcast_column(phi: Formula, lat: Lattice, var_list: tuple[str, ...],
                       fixed: Optional[Mapping[str, int]]) -> np.ndarray:
     """``column_of`` on a broadcast grid, one connective at a time through
-    ``apply_connective``."""
+    ``apply_connective``.  Each structurally distinct subword is evaluated
+    once: a post-order walk in ``fold``'s order gives every node an id,
+    keyed by its connective and its children's ids, or by its kind and name
+    for a leaf, so equal subwords share an id without hashing a formula and
+    without recursion.  The walk checks every node before any is evaluated,
+    so an ill-formed word raises what ``fold`` meets first.  Each id is then
+    evaluated in order, and a value is dropped after its last use."""
     m = lat.m
     n = len(var_list)
     base = np.arange(m, dtype=np.uint8)
@@ -378,29 +392,62 @@ def _broadcast_column(phi: Formula, lat: Lattice, var_list: tuple[str, ...],
     for v, i in (fixed or {}).items():
         leaves.setdefault(v, base[i])  # a uint8 scalar
     flats: dict[str, tuple[int, np.ndarray]] = {}  # arity and flattened table
-
-    def value(f: Formula, args) -> np.ndarray:
-        kind = type(f)
+    # pre-order with the children taken right to left is, reversed, the
+    # post-order with the children taken left to right
+    order = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend((node.body,) if type(node) is Quant else getattr(node, "args", ()))
+    ids: dict[tuple, int] = {}
+    steps: list[tuple] = []  # per id: a table and argument ids, or a leaf value and None
+    uses: list[int] = []  # per id: the applications that take it as an argument
+    done: list[int] = []  # ids of the finished siblings, as fold's value stack
+    for node in reversed(order):
+        kind = type(node)
         if kind is App:
-            entry = flats.get(f.conn)
-            if entry is None and f.conn in lat.tables:
-                entry = flats[f.conn] = (lat.tables[f.conn].ndim, lat.flat(f.conn))
-            if entry is None or len(args) != entry[0]:
-                raise _ill_formed(f, lat)
-            return apply_connective(entry[1], m, args)
-        if kind is PropVar:
-            leaf = leaves.get(f.name)
+            entry = flats.get(node.conn)
+            if entry is None and node.conn in lat.tables:
+                entry = flats[node.conn] = (lat.tables[node.conn].ndim, lat.flat(node.conn))
+            if entry is None or len(node.args) != entry[0]:
+                raise _ill_formed(node, lat)
+            cut = len(done) - entry[0]
+            args = tuple(done[cut:])
+            del done[cut:]
+            key = (node.conn, args)
+            step = (entry[1], args)
+        elif kind is PropVar:
+            leaf = leaves.get(node.name)
             if leaf is None:
-                raise UnboundVariable(f"variable {f.name!r} not in the valuation list",
-                                      variable=f.name)
-            return leaf
-        if kind is Const:
-            if f.name not in lat.constants:
-                raise UndeclaredConstant(f"constant {f.name!r} not declared", constant=f.name)
-            return base[lat.constants[f.name]]  # a uint8 scalar
-        raise _not_a_word(phi)
-
-    out = fold(phi, value)
+                raise UnboundVariable(f"variable {node.name!r} not in the valuation list",
+                                      variable=node.name)
+            key, step = (kind, node.name), (leaf, None)
+        elif kind is Const:
+            if node.name not in lat.constants:
+                raise UndeclaredConstant(f"constant {node.name!r} not declared",
+                                         constant=node.name)
+            key, step = (kind, node.name), (base[lat.constants[node.name]], None)  # a uint8 scalar
+        else:
+            raise _not_a_word(phi)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(steps)
+            steps.append(step)
+            uses.append(0)
+            for a in step[1] or ():
+                uses[a] += 1
+        done.append(i)
+    values: list = [None] * len(steps)
+    for i, (value, args) in enumerate(steps):
+        if args is not None:
+            value = apply_connective(value, m, [values[a] for a in args])
+            for a in args:
+                uses[a] -= 1
+                if not uses[a]:
+                    values[a] = None
+        values[i] = value
+    out = values[-1]  # the root: the last id, as no proper subword equals the word
     if out.shape != (m,) * n:  # a full-shape result is already a fresh array
         out = np.broadcast_to(out, (m,) * n).copy()
     return out.reshape(-1)
@@ -585,24 +632,62 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
                           method="factored")
 
 
+def _held_at_meet(phi: Formula, lat: Lattice, variables: tuple[str, ...]) -> dict[str, int]:
+    """Each variable of ``phi`` of one sign with the element where the meet
+    of ``phi`` over it is reached: the bottom for POS, the top for NEG.  The
+    sign walk meets nodes in another order than ``fold``, so on an
+    ill-formed word this raises the error that evaluation raises."""
+    try:
+        signs = _variable_signs(phi, lat)
+    except LatlogError:
+        column_of(phi, lat, (), dict.fromkeys(variables, 0))  # one cell, in fold's order
+        raise
+    ends = {POS: lat.bottom, NEG: lat.top}
+    return {v: ends[s] for v, s in signs.items() if s in ends}
+
+
 def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> ValidityReport:
-    """Exhaustive validity: true iff the word evaluates to the top element
-    under every valuation.  Returns one countervaluation when false.  When the
-    variable count exceeds the cap, a top-level implication falls back to the
-    factored check, whose valid report carries the envelope pair; anything
-    else raises BUDGET_EXCEEDED."""
+    """Validity over every valuation: true iff the word evaluates to the top
+    element under each.  A false report carries the lexicographically first
+    countervaluation; ``checked`` is m**n either way.
+
+    A grid of at most PACKED_CELLS cells is evaluated whole.  On a larger
+    one, each variable whose occurrences all have one sign is held where the
+    meet over it is reached: a positive one at the bottom element, a
+    negative one at the top, and only the mixed variables keep an axis.  The
+    word is valid iff that held grid is top everywhere, because every
+    valuation gives a value above the one it gives with its single-sign
+    variables held (see ``_variable_signs``).  When a held cell fails and
+    some variable was held, the word is not valid, but the held grid need
+    not contain the first countervaluation: it is searched slice by slice
+    of the first variable, each slice held at one element, up to the first
+    slice with a failing cell.
+
+    When the variable count exceeds the cap, a top-level implication falls
+    back to the factored check, whose valid report carries the envelope
+    pair; anything else raises BUDGET_EXCEEDED."""
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
     names = prop_word_variables(phi)
     if names is None:
         raise _not_a_word(phi)
     variables = tuple(sorted(names))
     if len(variables) <= cap:
-        col = column_of(phi, lat, variables)
-        bad = np.nonzero(col != lat.top)[0]
-        if len(bad) == 0:
-            return ValidityReport(True, None, variables, len(col))
+        m, top = lat.m, lat.top
+        cells = m ** len(variables)
+        held = _held_at_meet(phi, lat, variables) if cells > PACKED_CELLS else {}
+        col = column_of(phi, lat, tuple(v for v in variables if v not in held), held)
+        bad = np.flatnonzero(col != top)
+        if not len(bad):
+            return ValidityReport(True, None, variables, cells)
+        if held:
+            first, rest = variables[0], variables[1:]
+            for i in range(m):
+                bad = np.flatnonzero(column_of(phi, lat, rest, {first: i}) != top)
+                if len(bad):
+                    bad += i * m ** len(rest)
+                    break
         return ValidityReport(False, _decode_valuation(int(bad[0]), variables, lat),
-                              variables, len(col))
+                              variables, cells)
     if isinstance(phi, App) and phi.conn == IMP:
         return is_valid_implication(phi.args[0], phi.args[1], lat, var_cap)
     raise BudgetExceeded(

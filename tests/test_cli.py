@@ -261,12 +261,15 @@ def test_closure_rejects_names_that_are_not_variables(capsys, name):
     assert report["details"] == {"variable": name}
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_level_cap_must_be_positive(capsys, cap):
+def test_level_cap_must_not_be_negative(capsys):
     code, report = run_json(capsys, "closure", "--lattice", "mc", "--vars", "x",
-                            "--level-cap", cap)
+                            "--level-cap", "-1")
     assert code == 3
-    assert report["message"] == "budgets must be positive"
+    assert report["message"] == "level cap must not be negative"
+    code, report = run_json(capsys, "closure", "--lattice", "godel3", "--vars", "x,y",
+                            "--level-cap", "0")
+    assert code == 2 and report["budget_note"] == "level budget 0 reached"
+    assert report["columns"] == 3 and report["cumulative"] == [3]
     code, report = run_json(capsys, "closure", "--lattice", "mc", "--vars", "x",
                             "--level-cap", "1")
     assert code == 2 and report["budget_note"] == "level budget 1 reached"
