@@ -140,9 +140,11 @@ class Lattice:
     and ``derived`` holds tables other modules build.  Among them are the
     tables of ``propcore.column_of``'s packed columns, padded to 256 bytes
     (None where some table has more entries), the closure's stacked
-    connective tables, the shared closure ladders of interpolant searches
-    (see the ``propcore`` module docstring), one per shared-variable list
-    searched over and never dropped, and the ``relations.BinaryInvariants``,
+    connective tables, the values of the closed words
+    (``propcore.constant_values``), the shared closure ladders of
+    interpolant searches (see the ``propcore`` module docstring), one per
+    shared-variable list searched over and never dropped, and the
+    ``relations.BinaryInvariants``,
     whose ``relations``, ``_by_mask`` and ``_grids`` grow lazily.  The padded tables are built
     whole and stored once, so two threads racing there only build them
     twice, but the ladders and invariants grow in place.  So one lattice
@@ -181,18 +183,6 @@ class Lattice:
             arr = self.tables[conn].reshape(-1).astype(np.uint8)
             self._flat[conn] = arr
         return arr
-
-    def leq_names(self, a: str, b: str) -> bool:
-        return bool(self.leq[self.index(a), self.index(b)])
-
-    def join_idx(self, a: int, b: int) -> int:
-        return int(self.tables[JOIN][a, b])
-
-    def meet_idx(self, a: int, b: int) -> int:
-        return int(self.tables[MEET][a, b])
-
-    def imp_idx(self, a: int, b: int) -> int:
-        return int(self.tables[IMP][a, b])
 
     def with_constants(self, added: dict[str, str]) -> "Lattice":
         """Same algebra with extra named constants (names must be fresh)."""

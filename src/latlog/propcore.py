@@ -48,22 +48,30 @@ check keeps only its two envelope columns.
 The closure of representable functions grows level by level: level 0 holds
 the projection and constant columns, level k+1 every connective application
 with an argument from level k, evaluated in blocks of about ``BLOCK_CELLS``
-cells.  Each column keeps its canonical witness, the least (rendered length,
-word) over the applications producing it; lengths, and the brackets of
-words, come from per-arity tables indexed by connective.  A level
+cells but never fewer than ``MIN_BLOCK_APPS`` applications, as a block's
+fixed cost would outweigh a handful of wide rows.  Each column keeps its
+canonical witness, the least (rendered length, word) over the
+applications producing it; lengths, and the brackets of words, come from
+per-arity tables indexed by connective.  A level
 is one stream of blocks per arity, not per connective: an application is
 the connective's position in its arity's stack, then its argument columns,
 and a block evaluates, deduplicates and ranks the applications of every
 connective of that arity together, so a small level costs a block per
 arity.  A block of one connective gathers from that connective's own table.
 A level's bookkeeping runs on arrays: applications are enumerated a run of
-blocks at a time, over many small boxes at once; each block sorts its
-applications by column and length, finds its columns new to the closure
-against the sorted keys of the closure's columns, and hands Python one
-shortest application per new column, whose word is joined, and the others
-only where lengths tie.  Kept values are copies, so no block outlives its
-turn.  Columns are ordered by level, then length, then word, which keeps
-interpolants deterministic.
+blocks at a time, over many small boxes at once; each block deduplicates
+its columns and finds those new to the closure against the sorted keys of
+the closure's columns, and only then ranks the applications of new
+columns, which at deep levels are a few in a hundred: it sorts them by
+column and length and hands Python one shortest application per new
+column, whose word is joined, and the others only where lengths tie.  A
+winner's values are copied out of the block by its row, so no block
+outlives its turn.  A committed column keeps its values, its word and a
+parent link, its stack and application (a seed keeps its own formula);
+``ClosureState.witness`` builds a column's formula from the links on first
+use and keeps it.  Words are still joined at commit, as the canonical
+order needs the word of every new column: columns are ordered by level,
+then length, then word, which keeps interpolants deterministic.
 
 The level loop, ``walk_closure``, walks a closure from level 0.  Step k
 scans level k for a column between two bounds, when it is given bounds:
@@ -153,6 +161,7 @@ from .syntax import (
 
 DEFAULT_VAR_CAP = 10
 BLOCK_CELLS = 1 << 16  # cells per closure block
+MIN_BLOCK_APPS = 64  # least applications per closure block, however wide the rows
 TRANSLATE_CELLS = 1024  # least uint8 index the kernel gathers by bytes.translate
 PACKED_CELLS = 1024  # most cells column_of evaluates on packed columns (m ** n)
 MAX_SURVIVORS = 500_000  # applications an envelope scan may keep after its probe groups
@@ -751,8 +760,11 @@ def _spread(k: int, N: int) -> np.ndarray:
 
 
 def _step(cells: int) -> int:
-    """Tuples per block when one tuple evaluates to ``cells`` cells."""
-    return max(1, BLOCK_CELLS // cells)
+    """Tuples per block when one tuple evaluates to ``cells`` cells: about
+    BLOCK_CELLS cells, but never fewer than MIN_BLOCK_APPS tuples, as a
+    block's fixed cost of a few dozen numpy calls would outweigh the
+    evaluation of a handful of wide rows."""
+    return max(MIN_BLOCK_APPS, BLOCK_CELLS // cells)
 
 
 def _rechunk(arrays, step: int):
@@ -772,8 +784,8 @@ def _rechunk(arrays, step: int):
 
 
 def _blocks(members: Sequence[np.ndarray], first: np.ndarray, count: np.ndarray, cells: int):
-    """Tuples of boxes as (n, positions) arrays of at most about BLOCK_CELLS
-    cells, one tuple evaluating to ``cells`` cells.  Box b takes at position
+    """Tuples of boxes as (n, positions) arrays of at most ``_step(cells)``
+    tuples, one tuple evaluating to ``cells`` cells.  Box b takes at position
     k the ``count[b, k]`` entries of ``members[k]`` from ``first[b, k]`` on;
     its tuples are its product in lexicographic order,
     box after box.  Each box is cut into pieces of a block's tuples, and
@@ -884,6 +896,7 @@ class _Stack:
     text: np.ndarray  # length of each connective's text with empty arguments
     brackets: np.ndarray  # [connective, position, precedence]: 2 where bracketed, else 0
     marks: list  # ``brackets`` as nested lists, read per word
+    precs: tuple[int, ...]  # precedence of each connective's applications
 
 
 def _stacks(lat: Lattice, names: tuple[str, ...]) -> tuple[_Stack, ...]:
@@ -908,12 +921,15 @@ def _stack(lat: Lattice, names: tuple[str, ...], arity: int) -> _Stack:
             brackets[i, k] = 2 * parens
     return _Stack(arity, names, np.concatenate([lat.flat(c) for c in names]),
                   np.array([len(join_args(c, [""] * arity)) for c in names], dtype=np.int64),
-                  brackets, brackets.tolist())
+                  brackets, brackets.tolist(), tuple(precedence(App(c, ())) for c in names))
 
 
 class ClosureState:
     """Incremental closure: grow one level at a time, or scan the next level's
-    candidates against envelope bounds without materialising it."""
+    candidates against envelope bounds without materialising it.  Column i
+    is row i of ``values``, its word ``words[i]`` and its parent link
+    ``parents[i]``, (stack, application) or None for a seed; its formula
+    is ``witness(i)``, built on demand."""
 
     def __init__(self, lat: Lattice, var_list: Sequence[str],
                  connectives: Optional[Sequence[str]] = None):
@@ -933,7 +949,11 @@ class ClosureState:
         self.N = lat.m ** n
         self.values = np.empty((0, self.N), dtype=np.uint8)  # one row per column
         self.words: list[str] = []
-        self.wits: list[Formula] = []
+        # per column, its parent link: (stack, application), or None for a
+        # seed; and its witness, a seed's from the start and any other's
+        # once ``witness`` has built it
+        self.parents: list[Optional[tuple[_Stack, list[int]]]] = []
+        self.wits: list[Optional[Formula]] = []
         self.precs: list[int] = []  # precedence of each witness's top symbol
         self.levels: list[int] = []
         self.frontier = 0  # index of the first column of the newest level
@@ -946,8 +966,8 @@ class ClosureState:
         seeds += [(np.full(self.N, cidx, dtype=np.uint8), Const(cname))
                   for cname, cidx in lat.constants.items()]
         words = [render(w) for _, w in seeds]
-        entries = sorted(((len(word), word, values, w) for (values, w), word in zip(seeds, words)),
-                         key=lambda e: e[:2])
+        entries = sorted(((len(word), word, values, None, w)
+                          for (values, w), word in zip(seeds, words)), key=lambda e: e[:2])
         rows = np.array([e[2] for e in entries], dtype=np.uint8).reshape(-1, self.N)
         least: dict = {}  # two constants may name one element
         for key, e in zip(row_keys(rows, self.m).tolist(), entries):
@@ -963,21 +983,29 @@ class ClosureState:
         was.  The two share the values array, which a level replaces, never
         writes into.  A copy of the shared ladder is a closure of its own."""
         other = copy.copy(self)
-        for name in ("words", "wits", "precs", "levels", "added"):
+        for name in ("words", "parents", "wits", "precs", "levels", "added"):
             setattr(other, name, list(getattr(self, name)))
         other.scanned_level = None
         return other
 
     def _commit(self, entries) -> int:
-        """Append one level of (length, word, values, witness) entries in
-        canonical order; returns their number.  The entries hold distinct
-        columns, none of them in the closure yet."""
+        """Append one level of (length, word, values, stack, application)
+        entries in canonical order; returns their number.  A seed's entry
+        holds None for the stack and its formula for the application.  The
+        entries hold distinct columns, none of them in the closure yet."""
         new = sorted(entries, key=lambda e: e[:2])
         self.frontier = self.total
         self.values = np.vstack([self.values] + [e[2] for e in new])
         self.words += [e[1] for e in new]
-        self.wits += [e[3] for e in new]
-        self.precs += [precedence(e[3]) for e in new]
+        for _, _, _, stack, app in new:
+            if stack is None:
+                self.parents.append(None)
+                self.wits.append(app)
+                self.precs.append(precedence(app))
+            else:
+                self.parents.append((stack, app))
+                self.wits.append(None)
+                self.precs.append(stack.precs[app[0]])
         self.levels += [len(self.added)] * len(new)
         self.added.append(len(new))
         # the shared ladder's columns reach many callers' verdicts
@@ -1048,21 +1076,45 @@ class ClosureState:
         return join_args(stack.names[app[0]], [f"({words[t]})" if marks[k][precs[t]] else words[t]
                                                for k, t in enumerate(app[1:])])
 
-    def _witness(self, stack: _Stack, app) -> App:
-        return App(stack.names[app[0]], tuple(self.wits[t] for t in app[1:]))
+    def _application(self, stack: _Stack, app) -> App:
+        return App(stack.names[app[0]], tuple(self.witness(t) for t in app[1:]))
+
+    def witness(self, i: int) -> Formula:
+        """The witness of column ``i``, built from the parent links on first
+        use and kept: an explicit stack of the columns whose witnesses are
+        still missing, each built once its arguments' are."""
+        wits, parents = self.wits, self.parents
+        todo = [i]
+        while todo:
+            j = todo[-1]
+            if wits[j] is not None:
+                todo.pop()
+                continue
+            stack, app = parents[j]
+            missing = [t for t in app[1:] if wits[t] is None]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            wits[j] = App(stack.names[app[0]], tuple(wits[t] for t in app[1:]))
+        return wits[i]
 
     def _candidates(self, blocks, inside=None, limit=None) -> dict:
         """Evaluate (stack, applications) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
         least (length, word, values, stack, application) under its key, a
-        Python int or the column's bytes (see ``row_keys``).  Lengths
-        come from the connective's text and the arguments' word lengths and
-        precedences.  Each block picks its shortest application of every
-        fresh column with array operations, whichever connective of the
-        stack it applies, and only those winners reach Python: one word is
-        joined per fresh column, and more only where applications of the
-        column tie at the shortest length.  Evaluation stops after the block
-        that takes the count of new columns past ``limit``."""
+        Python int or the column's bytes (see ``row_keys``).  Each block
+        first deduplicates its columns and tests them against the closure's;
+        the rest runs on the applications of fresh columns alone, which at
+        deep levels are a few in a hundred.  Their lengths come from the
+        connective's text and the arguments' word lengths and precedences,
+        and each block picks its shortest application of every fresh column
+        with array operations, whichever connective of the stack it applies.
+        Only those winners reach Python: one word is joined per fresh
+        column, and more only where applications of the column tie at the
+        shortest length.  A winner's values are copied out of the block by
+        its row.  Evaluation stops after the block that takes the count of
+        new columns past ``limit``."""
         best: dict = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
@@ -1078,38 +1130,41 @@ class ClosureState:
                 tup, vals = tup[keep], vals[keep]
                 if not len(tup):
                     continue
-            extra = arg_lengths.get(stack.arity)
-            if extra is None:
-                extra = arg_lengths[stack.arity] = stack.brackets[:, :, precs] + lens
-            conn = tup[:, 0]
-            length = stack.text[conn]
-            for k in range(stack.arity):
-                length += extra[conn, k, tup[:, k + 1]]
             uniq, inv = np.unique(row_keys(vals, self.m), return_inverse=True)
             # a column is fresh when no key of the closure equals it: an
             # empty range between its left and right insertion points
             fresh = (known.searchsorted(uniq, sorter=known_order)
-                     == known.searchsorted(uniq, "right", known_order)).nonzero()[0]
-            if not len(fresh):
+                     == known.searchsorted(uniq, "right", known_order))
+            rows = fresh[inv].nonzero()[0]  # the block's rows of fresh columns
+            if not len(rows):
                 continue
-            # rows by column, then length, then position: the first row of a
-            # fresh column is its shortest application, and the rows up to
-            # ``last`` tie with it
-            order = np.lexsort((length, inv))
-            col, size = inv[order], length[order]
+            extra = arg_lengths.get(stack.arity)
+            if extra is None:
+                extra = arg_lengths[stack.arity] = stack.brackets[:, :, precs] + lens
+            apps = tup[rows]
+            conn = apps[:, 0]
+            length = stack.text[conn]
+            for k in range(stack.arity):
+                length += extra[conn, k, apps[:, k + 1]]
+            # fresh rows by column, then length, then position: the first
+            # row of a column is its shortest application, and the rows up
+            # to ``last`` tie with it
+            order = np.lexsort((length, inv[rows]))
+            rows = rows[order]
+            col, size = inv[rows], length[order]
+            first = np.flatnonzero(np.diff(col, prepend=-1))
             rank = col * (int(size.max()) + 1) + size
-            first = col.searchsorted(fresh)
             last = rank.searchsorted(rank[first], side="right")
-            rows = order[first]
-            for key, n, row, app, s, e in zip(uniq[fresh].tolist(), size[first].tolist(),
-                                              rows.tolist(), tup[rows].tolist(),
+            winners = rows[first]
+            for key, n, row, app, s, e in zip(uniq[col[first]].tolist(), size[first].tolist(),
+                                              winners.tolist(), tup[winners].tolist(),
                                               first.tolist(), last.tolist()):
                 old = best.get(key)
                 if old is not None and old[0] < n:
                     continue
                 if e - s > 1:
                     word, row = min((self._word(stack, tup[r].tolist()), r)
-                                    for r in order[s:e].tolist())
+                                    for r in rows[s:e].tolist())
                     app = tup[row].tolist()
                 else:
                     word = self._word(stack, app)
@@ -1139,8 +1194,7 @@ class ClosureState:
         best = self._candidates(blocks, limit=max_new)
         if max_new is not None and len(best) > max_new:
             return max_new + 1
-        return self._commit((length, word, values, self._witness(stack, app))
-                            for length, word, values, stack, app in best.values())
+        return self._commit(best.values())
 
     def scan_existing(self, lower: np.ndarray, upper: np.ndarray,
                       start: int = 0, stop: Optional[int] = None) -> Optional[int]:
@@ -1224,10 +1278,10 @@ class ClosureState:
         if not best:
             return None
         _, word, values, stack, app = min(best.values(), key=lambda e: e[:2])
-        return values, word, self._witness(stack, app)
+        return values, word, self._application(stack, app)
 
     def column(self, i: int) -> ValueColumn:
-        return ValueColumn(self.var_list, self.values[i], self.wits[i],
+        return ValueColumn(self.var_list, self.values[i], self.witness(i),
                            self.words[i], self.levels[i])
 
     def result(self, complete: bool, note: Optional[str], levels: int) -> ClosureResult:
@@ -1285,7 +1339,8 @@ def walk_closure(state: ClosureState, budget: ClosureBudget,
         if bounds is not None:
             if held:
                 hit = state.scan_existing(*bounds, start, start + state.added[k])
-                found = hit is not None and (state.values[hit], state.words[hit], state.wits[hit])
+                found = hit is not None and (state.values[hit], state.words[hit],
+                                             state.witness(hit))
             else:
                 try:  # never raises on the ladder: a level there is at most a block
                     found = state.stream_scan(*bounds)
@@ -1339,12 +1394,14 @@ def representable_closure(lat: Lattice, var_list: Sequence[str],
 
 def constant_values(lat: Lattice) -> dict[str, Formula]:
     """Values of the closed words (the 0-variable closure), mapped to their
-    witness words, in discovery order."""
-    clo = representable_closure(lat, ())
-    out: dict[str, Formula] = {}
-    for col in clo.columns:
-        out[lat.elements[int(col.values[0])]] = col.witness
-    return out
+    witness words, in discovery order.  Built once per lattice and kept in
+    ``lat.derived``; each call returns a fresh dict."""
+    values = lat.derived.get("constant_values")
+    if values is None:
+        values = lat.derived["constant_values"] = {
+            lat.elements[int(col.values[0])]: col.witness
+            for col in representable_closure(lat, ()).columns}
+    return dict(values)
 
 
 # ---------------------------------------------------------------------------

@@ -728,11 +728,6 @@ def prop_word_variables(f: Formula) -> Optional[set[str]]:
     return names
 
 
-def is_prop_word(f: Formula) -> bool:
-    """True when the formula contains no atoms, terms or quantifiers."""
-    return prop_word_variables(f) is not None
-
-
 def prop_variables(f: Formula) -> set[str]:
     return {node.name for node in nodes(f) if isinstance(node, PropVar)}
 

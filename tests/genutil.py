@@ -1,10 +1,13 @@
-"""Seeded random generators shared by the property suites, and the deep
-sentences that the first-order tests share."""
+"""Seeded random generators shared by the property suites, the deep
+sentences that the first-order tests share, and lookups by element name or
+index that only tests need."""
 import itertools
 import random
 
 from latlog import App, Const, PropVar, kripke_frame, upset_lattice
+from latlog.algebra import IMP, JOIN, MEET
 from latlog.folift import FoStructure
+from latlog.syntax import prop_word_variables
 
 # valid sentences nested about 3,000 levels deep, one per kind of node
 _DEEP_TERM = "P(" + "f(" * 3000 + "c" + ")" * 3000 + ")"
@@ -13,6 +16,28 @@ DEEP_SENTENCES = {
     "deep-term": f"{_DEEP_TERM} -> {_DEEP_TERM}",
     "quantifier-chain": "(" + "forall x. " * 3000 + "P(x)) -> P(c)",
 }
+
+
+def leq_names(lat, a: str, b: str) -> bool:
+    """a <= b in the lattice order, for elements given by name."""
+    return bool(lat.leq[lat.index(a), lat.index(b)])
+
+
+def join_idx(lat, a: int, b: int) -> int:
+    return int(lat.tables[JOIN][a, b])
+
+
+def meet_idx(lat, a: int, b: int) -> int:
+    return int(lat.tables[MEET][a, b])
+
+
+def imp_idx(lat, a: int, b: int) -> int:
+    return int(lat.tables[IMP][a, b])
+
+
+def is_prop_word(f) -> bool:
+    """True when the formula contains no atoms, terms or quantifiers."""
+    return prop_word_variables(f) is not None
 
 
 def random_word(rng: random.Random, variables, lat, depth: int = 3,

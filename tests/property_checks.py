@@ -4,6 +4,7 @@ Each check raises AssertionError on failure.  The per-module test files run
 them individually and the acceptance suite runs them together under a time
 budget.
 """
+import functools
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from latlog.propcore import (
 )
 from latlog.syntax import conjoin, disjoin, implies, prop_variables
 
-from genutil import all_unary_structures, random_valid_pair, random_word
+from genutil import all_unary_structures, join_idx, meet_idx, random_valid_pair, random_word
 from sigma_collapse import collapse_word, sigma_substitutions
 
 SMALL_LATTICES = ("classical", "classical-01", "godel3", "three-01", "three-0a",
@@ -213,10 +214,8 @@ def check_skolem_witness() -> None:
         m = lat.m
         for dsize in range(1, m + 1):
             for values in itertools.product(range(m), repeat=dsize):
-                assert realizable(lat, values, lat.join_idx,
-                                  fold(values, lat.join_idx)), (name, values)
-                assert realizable(lat, values, lat.meet_idx,
-                                  fold(values, lat.meet_idx)), (name, values)
+                for op in (functools.partial(join_idx, lat), functools.partial(meet_idx, lat)):
+                    assert realizable(lat, values, op, fold(values, op)), (name, values)
 
     # pointwise skolemization soundness, contrapositive form: any extension of
     # a structure to the witness symbols values the skolemized sentence at or

@@ -28,6 +28,8 @@ from latlog.errors import (
     PolarityViolation,
 )
 
+from genutil import imp_idx, leq_names, meet_idx
+
 FORK = kripke_frame(("a", "b", "g"), [("a", "b"), ("a", "g")])
 
 
@@ -50,7 +52,7 @@ def test_bundled_lattices_all_validate():
 
 def test_mc_lattice_shape(mc):
     # bottom, two incomparable middles, their join, the top
-    leq = lambda a, b: mc.leq_names(a, b)
+    leq = lambda a, b: leq_names(mc, a, b)
     assert leq("0", "u1") and leq("0", "u2") and leq("u1", "w") and leq("u2", "w")
     assert leq("w", "1")
     assert not leq("u1", "u2") and not leq("u2", "u1")
@@ -277,12 +279,12 @@ def test_godel3_residuum_is_meet(godel3):
              for i, a in enumerate(els) for j, b in enumerate(els)}
     for a in els:
         for b in els:
-            assert table[(a, b)] == els[godel3.meet_idx(godel3.index(a), godel3.index(b))]
+            assert table[(a, b)] == els[meet_idx(godel3, godel3.index(a), godel3.index(b))]
     for x in els:
         for y in els:
             for z in els:
-                lhs = godel3.leq_names(table[(x, y)], z)
-                rhs = godel3.leq_names(x, els[godel3.imp_idx(godel3.index(y), godel3.index(z))])
+                lhs = leq_names(godel3, table[(x, y)], z)
+                rhs = leq_names(godel3, x, els[imp_idx(godel3, godel3.index(y), godel3.index(z))])
                 assert lhs == rhs, (x, y, z)
 
 
@@ -308,4 +310,4 @@ def test_heyting_fork_lattice_is_residuated():
     assert report.residuated  # relative pseudo-complement residuates the meet
     for i, row in enumerate(report.table):
         for j, v in enumerate(row):
-            assert lat.index(v) == lat.meet_idx(i, j)
+            assert lat.index(v) == meet_idx(lat, i, j)

@@ -33,13 +33,14 @@ from latlog.propcore import (
     _probe_fits,
     apply_connective,
     apply_packed,
+    closure_ladder,
     column_of,
     envelopes,
     eval_prop,
     representable_closure,
 )
 from latlog.relations import binary_invariants
-from latlog.syntax import nodes, prop_variables
+from latlog.syntax import nodes, prop_variables, render
 
 from closure_reference import reference_closure
 from genutil import random_signature_word, random_upset_lattice, random_valid_pair
@@ -206,6 +207,7 @@ def test_column_budget_holds_inside_a_level(name, var_list, columns, past, block
     counts the columns up to the level's first new column past the budget,
     so it does not depend on where blocks end."""
     monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
     lat = bundled_lattice(name)
     got = representable_closure(lat, var_list, budget=ClosureBudget(columns, None, 500_000))
     assert not got.complete and len(got.columns) <= max(columns, got.cumulative[0])
@@ -344,6 +346,7 @@ def test_grow_breaks_equal_length_ties_like_the_reference(block_cells, monkeypat
     y & x); the least word wins whether the tied applications share a block
     or, with tiny blocks, fall in different ones."""
     monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
     lat = bundled_lattice("godel3")
     x_and_y, y_and_x = (column_of(parse_formula(t), lat, ("x", "y")) for t in ("x & y", "y & x"))
     assert np.array_equal(x_and_y, y_and_x)
@@ -377,11 +380,89 @@ def test_committed_and_found_values_own_their_memory():
     assert word == "s | t & v" and values.base is None
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_random_lattice_closure_matches_reference(seed):
+    """Up-set lattices of random orders, 2 to 16 elements, over as many of
+    three variables as keep every column key a uint64 numeral, to level 3
+    (level 2 over three variables, where the reference takes seconds a
+    level beyond)."""
+    lat = random_upset_lattice(random.Random(seed))
+    n = 3
+    while lat.m ** (lat.m ** n) > 2 ** 64:
+        n -= 1
+    var_list, cap = ("x", "y", "z")[:n], 3 if n < 3 else 2
+    assert propcore.row_keys(np.zeros((1, lat.m ** n), np.uint8), lat.m).dtype == np.uint64
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
+
+
+MC_XYZ = ("x", "y", "z")
+
+
+@functools.lru_cache(maxsize=1)
+def _mc_xyz_reference():
+    """The reference closure of mc over x, y, z to level 2."""
+    return reference_closure(bundled_lattice("mc"), MC_XYZ, level_cap=2)
+
+
+def test_void_key_closure_matches_reference():
+    """mc over three variables: 125 cells a column, 5 ** 125 > 2 ** 64, so
+    the closure compares its columns as void keys; level 2 holds 298."""
+    lat = bundled_lattice("mc")
+    assert propcore.row_keys(np.zeros((1, 125), np.uint8), lat.m).dtype.kind == "V"
+    got = representable_closure(lat, MC_XYZ, budget=ClosureBudget(max_levels=2))
+    assert got.cumulative[-1] == 298
+    assert _summary(got) == _mc_xyz_reference()
+
+
+def test_column_budget_stop_leaves_the_reference_prefix():
+    """Level 3 of mc over x, y, z crosses the default column budget.
+    ``grow(max_new)`` stops at the first new column past ``max_new`` and
+    commits nothing, and the closure stays the reference's level 2."""
+    lat = bundled_lattice("mc")
+    words, levels, cumulative, _ = _mc_xyz_reference()
+    state = ClosureState(lat, MC_XYZ)
+    state.grow()
+    state.grow()
+    room = ClosureBudget().max_columns - state.total
+    assert state.grow(room) == room + 1
+    assert (state.words, state.levels, state.total) == (words, levels, 298)
+    got = representable_closure(lat, MC_XYZ, budget=ClosureBudget(max_levels=3))
+    assert got.budget_note == "column budget 20000 exceeded at 20001 columns"
+    assert not got.complete
+    assert _summary(got)[:3] == (words, levels, cumulative)
+
+
+@pytest.mark.parametrize("name, var_list", [("godel3", ("x", "y")), ("mc", ("s", "t")),
+                                            ("classical-1", ("x", "y", "z"))])
+def test_witnesses_built_on_demand_match_words_and_values(name, var_list):
+    """Every column's witness, built from its parent links, renders as its
+    word and evaluates to its values: on the shared ladder and on a copy
+    grown one level past it.  The copy builds its witnesses first, and the
+    ladder's stay unbuilt, as the two keep their own."""
+    lat = bundled_lattice(name)
+    ladder = closure_ladder(lat, var_list)
+    while ladder.added[-1] and ladder.app_count(len(ladder.added)) * ladder.N <= BLOCK_CELLS:
+        ladder.grow()
+    assert len(ladder.added) >= 3
+    grown = ladder.copy()
+    grown.grow()
+    assert grown.total > ladder.total
+    for state in (grown, ladder):
+        if state is ladder:
+            assert all(w is None for w in ladder.wits[ladder.added[0]:])
+        for i in range(state.total):
+            witness = state.witness(i)
+            assert render(witness) == state.words[i]
+            assert np.array_equal(column_of(witness, lat, var_list), state.values[i])
+
+
 def _reference_blocks(members, first, count, cells):
     """Each box enumerated on its own with itertools.product, cut into
-    pieces of a block's tuples; consecutive pieces share a block while they
+    pieces of a block's tuples, BLOCK_CELLS cells but at least
+    MIN_BLOCK_APPS tuples; consecutive pieces share a block while they
     fit."""
-    step = max(1, propcore.BLOCK_CELLS // cells)
+    step = max(propcore.MIN_BLOCK_APPS, propcore.BLOCK_CELLS // cells)
     blocks, pending = [], []
     for f, c in zip(first.tolist(), count.tolist()):
         box = list(itertools.product(*[members[k][a:a + n].tolist()
@@ -399,8 +480,12 @@ def _reference_blocks(members, first, count, cells):
 def test_blocks_match_per_box_enumeration(block_cells, monkeypatch):
     """Boxes of up to 3 positions, empty ones among them, each position
     drawing from its own members, cut into the same blocks as a per-box
-    enumeration."""
+    enumeration.  At the real BLOCK_CELLS a block of 3,125-cell tuples
+    holds MIN_BLOCK_APPS of them; the smaller sizes go without that floor,
+    down to blocks of one tuple."""
     monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    if block_cells != BLOCK_CELLS:
+        monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
     rng = random.Random(block_cells)
     for _ in range(300):
         arity, n = rng.randint(0, 3), rng.randint(0, 7)

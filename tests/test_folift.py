@@ -49,7 +49,7 @@ from latlog.syntax import (
 
 from folift_reference import plain_fo_eval, reference_smoke
 
-from genutil import DEEP_SENTENCES, all_unary_structures
+from genutil import DEEP_SENTENCES, all_unary_structures, join_idx
 from property_checks import check_lemma_alpha, check_skolem_witness
 
 imp = lambda a, b: App("->", (a, b))
@@ -83,7 +83,7 @@ def test_fo_eval_classical_two_points(classical):
 def test_fo_eval_mc_join_of_incomparables(mc):
     """Oracle: the join of the two incomparable up-sets is their union w."""
     u1, u2 = mc.index("u1"), mc.index("u2")
-    assert mc.elements[mc.join_idx(u1, u2)] == "w"
+    assert mc.elements[join_idx(mc, u1, u2)] == "w"
     s = FoStructure(("c", "d"), {"P": {("c",): u1, ("d",): u2}})
     assert fo_eval(parse_formula("exists x. P(x)"), mc, s) == "w"
 

@@ -29,7 +29,7 @@ from latlog.propcore import (
     representable_closure,
 )
 
-from genutil import random_valid_pair, random_word
+from genutil import leq_names, random_valid_pair, random_word
 from property_checks import check_lemmas_123
 from sigma_collapse import collapse_word, merge_interpolants_sigma, sigma_key, sigma_substitutions
 
@@ -139,7 +139,8 @@ def _corrupt_values(monkeypatch, ladder, env):
 
 def _corrupt_witnesses(monkeypatch, ladder, env):
     """Give every closure column the witness of the first one."""
-    monkeypatch.setattr(ladder, "wits", [ladder.wits[0]] * ladder.total)
+    first = ladder.witness(0)
+    monkeypatch.setattr(ladder, "witness", lambda i: first)
 
 
 def _corrupt_scan(monkeypatch, ladder, env):
@@ -150,7 +151,7 @@ def _corrupt_scan(monkeypatch, ladder, env):
 
     def scan(self, lower, upper):
         found = original(self, lower, upper)
-        return found and (found[0], found[1], self.wits[0])
+        return found and (found[0], found[1], self.witness(0))
 
     monkeypatch.setattr(ClosureState, "stream_scan", scan)
 
@@ -188,7 +189,7 @@ def test_constructive_classical_oracle(classical_01):
             va = eval_prop(a, classical_01, {"x": xv, "y": yv})
             vi = eval_prop(interpolant, classical_01, {"y": yv})
             vb = eval_prop(b, classical_01, {"y": yv})
-            assert classical_01.leq_names(va, vi) and classical_01.leq_names(vi, vb)
+            assert leq_names(classical_01, va, vi) and leq_names(classical_01, vi, vb)
 
 
 def test_constructive_closed_antecedent(three_0a):

@@ -25,6 +25,7 @@ from latlog.propcore import (
     representable_closure,
 )
 
+from genutil import imp_idx, meet_idx
 from property_checks import check_prop_b, check_prop_two, check_value_column_witnesses
 
 
@@ -47,8 +48,8 @@ def test_witness_column_oracle(three_01):
     expected = []
     for v in three_01.elements:
         vi = three_01.index(v)
-        imp = three_01.imp_idx(vi, three_01.constants["0"])
-        expected.append(three_01.elements[three_01.meet_idx(vi, imp)])
+        imp = imp_idx(three_01, vi, three_01.constants["0"])
+        expected.append(three_01.elements[meet_idx(three_01, vi, imp)])
     assert expected == ["0", "a", "0"]
     col = column_of(f, three_01, ("x",))
     assert [three_01.elements[int(i)] for i in col] == expected
@@ -215,6 +216,26 @@ def test_constant_values_three_0a(three_0a):
 
 def test_constant_values_no_constants(classical):
     assert constant_values(classical) == {}
+
+
+def test_constant_values_are_built_once_per_lattice(monkeypatch):
+    """The closed words' closure is grown on the first call only, and each
+    call hands out a dict of its own, which the caller may change."""
+    from latlog import propcore
+    from latlog.bundled import bundled_lattice
+
+    grown = []
+    closure = propcore.representable_closure
+    monkeypatch.setattr(propcore, "representable_closure",
+                        lambda lat, var_list: grown.append(lat) or closure(lat, var_list))
+    lat = bundled_lattice("three-0a")
+    first = constant_values(lat)
+    first.clear()
+    second = constant_values(lat)
+    assert set(second) == {"0", "a", "1"} and second is not constant_values(lat)
+    assert grown == [lat]
+    assert set(constant_values(bundled_lattice("three-0a"))) == set(second)
+    assert len(grown) == 2
 
 
 # ---------------------------------------------------------------------------

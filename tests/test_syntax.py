@@ -31,9 +31,10 @@ from latlog.syntax import (
     ensure_object_constant,
     free_object_vars,
     inferred_language,
-    is_prop_word,
     prop_word_variables,
 )
+
+from genutil import is_prop_word
 
 imp = lambda a, b: App("->", (a, b))
 x, y, z = PropVar("x"), PropVar("y"), PropVar("z")
