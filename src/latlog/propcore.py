@@ -59,19 +59,26 @@ and a block evaluates, deduplicates and ranks the applications of every
 connective of that arity together, so a small level costs a block per
 arity.  A block of one connective gathers from that connective's own table.
 A level's bookkeeping runs on arrays: applications are enumerated a run of
-blocks at a time, over many small boxes at once; each block deduplicates
-its columns and finds those new to the closure against the sorted keys of
-the closure's columns, and only then ranks the applications of new
-columns, which at deep levels are a few in a hundred: it sorts them by
-column and length and hands Python one shortest application per new
-column, whose word is joined, and the others only where lengths tie.  A
-winner's values are copied out of the block by its row, so no block
-outlives its turn.  A committed column keeps its values, its word and a
-parent link, its stack and application (a seed keeps its own formula);
-``ClosureState.witness`` builds a column's formula from the links on first
-use and keeps it.  Words are still joined at commit, as the canonical
-order needs the word of every new column: columns are ordered by level,
-then length, then word, which keeps interpolants deterministic.
+blocks at a time, over many small boxes at once.  Each block first finds
+its rows whose column is not in the closure, then deduplicates those
+columns, and only then ranks the applications of new columns, which at
+deep levels are a few in a hundred: it sorts them by column and length
+and hands Python one shortest application per new column, whose word is
+joined, and the others only where lengths tie.  While column keys are
+uint64 numerals below m ** N <= ``BLOCK_CELLS``, the membership test is
+one gather per block from a boolean table indexed by key, so only fresh
+rows are deduplicated; any other block is deduplicated first and its
+distinct keys are looked up among the closure's sorted keys
+(``_fresh_rows``).  A winner's values are copied out of the block by its
+row, so no block outlives its turn; a wide column's values are read from
+its bytes key, which is then its only copy until the level commits.  A
+committed column keeps its values, its word and a parent link, its stack
+and application (a seed keeps its own formula); ``ClosureState.witness``
+builds a column's formula from the links on first use and keeps it, and a
+column of a closure result asks for it when its witness is first read.
+Words are still joined at commit, as the canonical order needs the word of
+every new column: columns are ordered by level, then length, then word,
+which keeps interpolants deterministic.
 
 The level loop, ``walk_closure``, walks a closure from level 0.  Step k
 scans level k for a column between two bounds, when it is given bounds:
@@ -102,11 +109,13 @@ Closure columns and probe signatures here, and envelope rows in
 ``interp``, are sorted and deduplicated by the keys of ``row_keys``, whose
 format is chosen from (m, row width) and nothing else: while
 ``m ** width <= 2 ** 64`` a row's key is the row read as a base-m numeral,
-an exact uint64, so sorting compares machine integers; a wider row, such
-as a column over 5^5 valuations on mc, is one void item that numpy
-compares byte by byte.  Both formats order keys as their rows order
-lexicographically, and results depend only on (length, word) minima and
-first occurrences anyway.
+an exact uint64, so sorting compares machine integers, and while it is
+below ``BLOCK_CELLS`` it indexes the closure's table of known keys; a
+wider row, such as a column over 5^5 valuations on mc, is one void item
+that numpy compares byte by byte, and that Python reads as the row's
+bytes.  Both formats order keys as their rows order lexicographically,
+and results depend only on (length, word) minima and first occurrences
+anyway.
 
 An envelope scan searches the next level for a column between two bounds
 without growing it, in three stages: tuples of probe-group representatives
@@ -735,6 +744,21 @@ class ValueColumn:
         return hash((self.var_list, self.key))
 
 
+class _ClosureColumn(ValueColumn):
+    """Column ``i`` of a closure state, whose witness the state builds on
+    first read (``ClosureState.witness``), so a closure result builds none
+    that its caller does not read."""
+
+    def __init__(self, state: ClosureState, i: int):
+        self.var_list, self.values = state.var_list, state.values[i]
+        self.word, self.level = state.words[i], state.levels[i]
+        self._state, self._i = state, i
+
+    @property
+    def witness(self) -> Formula:
+        return self._state.witness(self._i)
+
+
 @dataclass
 class ClosureResult:
     var_list: tuple[str, ...]
@@ -882,6 +906,40 @@ def _index_dtype(count: int) -> type:
     """The dtype of a connective's position among ``count`` stacked tables:
     uint8 when it fits, so a uint8 gather stays uint8."""
     return np.uint8 if count <= 256 else np.intp
+
+
+def _fresh_rows(known: np.ndarray, m: int, width: int):
+    """The membership test of ``_candidates``: a function from a block's row
+    keys to (rows, uniq, col), the block's rows whose key is not in
+    ``known``, in increasing order, the distinct keys among them, and each
+    row's position in ``uniq``.
+
+    While keys are uint64 numerals below ``m ** width <= BLOCK_CELLS``, the
+    test is one gather per block from a boolean table indexed by key, so
+    only the fresh rows, which at deep levels are a few in a hundred, are
+    deduplicated.  Any other block is deduplicated first and its distinct
+    keys are looked up among the sorted ``known``: an argsort moves
+    indices, not N-byte void items.  ``uniq`` then holds known keys too,
+    which no fresh row points to."""
+    if known.dtype == np.uint64 and m ** width <= BLOCK_CELLS:
+        seen = np.zeros(m ** width, dtype=bool)
+        seen[known] = True
+
+        def test(keys):
+            rows = np.flatnonzero(~seen[keys])
+            uniq, col = np.unique(keys[rows], return_inverse=True)
+            return rows, uniq, col
+        return test
+    order = known.argsort()
+
+    def test(keys):
+        uniq, inv = np.unique(keys, return_inverse=True)
+        # a key is fresh when no known key equals it: an empty range
+        # between its left and right insertion points
+        fresh = known.searchsorted(uniq, sorter=order) == known.searchsorted(uniq, "right", order)
+        rows = fresh[inv].nonzero()[0]
+        return rows, uniq, inv[rows]
+    return test
 
 
 @dataclass(frozen=True, eq=False)
@@ -1104,25 +1162,27 @@ class ClosureState:
         column that is not in the closure (and passes ``inside``), keep its
         least (length, word, values, stack, application) under its key, a
         Python int or the column's bytes (see ``row_keys``).  Each block
-        first deduplicates its columns and tests them against the closure's;
-        the rest runs on the applications of fresh columns alone, which at
-        deep levels are a few in a hundred.  Their lengths come from the
-        connective's text and the arguments' word lengths and precedences,
-        and each block picks its shortest application of every fresh column
-        with array operations, whichever connective of the stack it applies.
-        Only those winners reach Python: one word is joined per fresh
-        column, and more only where applications of the column tie at the
-        shortest length.  A winner's values are copied out of the block by
-        its row.  Evaluation stops after the block that takes the count of
-        new columns past ``limit``."""
+        first finds its rows of fresh columns (``_fresh_rows``: a table
+        lookup before any sort where keys are small numerals, else a
+        deduplication of the block and a search of the closure's sorted
+        keys); the deduplication of the fresh columns and the rest run on
+        those rows alone, which at deep levels are a few in a hundred.
+        Their lengths come from the connective's text and the arguments'
+        word lengths and precedences, and each block picks its shortest
+        application of every fresh column with array operations, whichever
+        connective of the stack it applies.  Only those winners reach
+        Python: one word is joined per fresh column, and more only where
+        applications of the column tie at the shortest length.  A winner's
+        values are copied out of the block by its row, or, for a wide
+        column, read from its bytes key, so each column is held once.
+        Evaluation stops after the block that takes the count of new
+        columns past ``limit``."""
         best: dict = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
         arg_lengths: dict[int, np.ndarray] = {}  # per arity: [connective, position, column]
-        # the closure's column keys, uint64 numerals or, for wide columns,
-        # void items; an argsort moves indices, not N-byte void items
         known = row_keys(self.values, self.m)
-        known_order = known.argsort()
+        fresh, wide = _fresh_rows(known, self.m, self.N), known.dtype.kind == "V"
         for stack, tup in blocks:
             vals = self._eval(stack, self.values, tup)
             if inside is not None:
@@ -1130,12 +1190,7 @@ class ClosureState:
                 tup, vals = tup[keep], vals[keep]
                 if not len(tup):
                     continue
-            uniq, inv = np.unique(row_keys(vals, self.m), return_inverse=True)
-            # a column is fresh when no key of the closure equals it: an
-            # empty range between its left and right insertion points
-            fresh = (known.searchsorted(uniq, sorter=known_order)
-                     == known.searchsorted(uniq, "right", known_order))
-            rows = fresh[inv].nonzero()[0]  # the block's rows of fresh columns
+            rows, uniq, col = fresh(row_keys(vals, self.m))
             if not len(rows):
                 continue
             extra = arg_lengths.get(stack.arity)
@@ -1149,9 +1204,8 @@ class ClosureState:
             # fresh rows by column, then length, then position: the first
             # row of a column is its shortest application, and the rows up
             # to ``last`` tie with it
-            order = np.lexsort((length, inv[rows]))
-            rows = rows[order]
-            col, size = inv[rows], length[order]
+            order = np.lexsort((length, col))
+            rows, col, size = rows[order], col[order], length[order]
             first = np.flatnonzero(np.diff(col, prepend=-1))
             rank = col * (int(size.max()) + 1) + size
             last = rank.searchsorted(rank[first], side="right")
@@ -1168,8 +1222,12 @@ class ClosureState:
                     app = tup[row].tolist()
                 else:
                     word = self._word(stack, app)
-                if old is None or (n, word) < old[:2]:
-                    best[key] = (n, word, vals[row].copy(), stack, app)
+                if old is None:
+                    # a wide column's bytes key is its only copy
+                    values = np.frombuffer(key, np.uint8) if wide else vals[row].copy()
+                    best[key] = (n, word, values, stack, app)
+                elif (n, word) < old[:2]:  # the same column: keep the values held
+                    best[key] = (n, word, old[2], stack, app)
             if limit is not None and len(best) > limit:
                 break
         return best
@@ -1281,8 +1339,8 @@ class ClosureState:
         return values, word, self._application(stack, app)
 
     def column(self, i: int) -> ValueColumn:
-        return ValueColumn(self.var_list, self.values[i], self.witness(i),
-                           self.words[i], self.levels[i])
+        """Column ``i``, whose witness is built when it is first read."""
+        return _ClosureColumn(self, i)
 
     def result(self, complete: bool, note: Optional[str], levels: int) -> ClosureResult:
         """The closure cut to its first ``levels`` levels, as a result."""

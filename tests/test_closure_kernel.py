@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,13 @@ def test_closure_matches_reference_on_bundled_lattices(name, var_list):
 def test_two_variable_closure_matches_reference(name, cap):
     lat = bundled_lattice(name)
     got = representable_closure(lat, ("x", "y"), budget=ClosureBudget(max_levels=cap))
-    assert _summary(got) == reference_closure(lat, ("x", "y"), level_cap=cap)
+    assert _summary(got) == _bundled_reference(name, ("x", "y"), cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_reference(name, var_list, cap):
+    """The reference closure of a bundled lattice, computed once per run."""
+    return reference_closure(bundled_lattice(name), var_list, level_cap=cap)
 
 
 @pytest.mark.parametrize("m, width, narrow", [
@@ -355,12 +362,22 @@ def test_grow_breaks_equal_length_ties_like_the_reference(block_cells, monkeypat
     assert "x & y" in [c.word for c in got.columns]
 
 
-def test_committed_and_found_values_own_their_memory():
-    """Each new column's values are copied out of its evaluation block, so
-    no kept row holds a view that keeps a whole block alive."""
-    lat = bundled_lattice("mc")
-    env = envelopes(parse_formula("s & (u -> t) & v"), parse_formula("s | t & (w -> v)"), lat)
-    state = ClosureState(lat, env.shared)
+def _owns_its_memory(values):
+    """Values that are no view of an evaluation block: an array of their own,
+    or one over the column's own N-byte key (a wide column's only copy)."""
+    base = values.base
+    return base is None or isinstance(base, bytes) and len(base) == values.nbytes
+
+
+@pytest.mark.parametrize("name, var_list, word", [("mc", ("s", "t", "v"), "s | t & v"),
+                                                  ("godel3", ("s", "t"), "(s -> t) -> s")])
+def test_committed_and_found_values_own_their_memory(name, var_list, word):
+    """No kept row is a view of its evaluation block, which would keep the
+    whole block alive: a new column's values are copied out of the block
+    (uint64 keys, godel3 over two variables) or read from its bytes key
+    (void keys, mc over three variables)."""
+    lat = bundled_lattice(name)
+    state = ClosureState(lat, var_list)
     committed = []
     commit = state._commit
 
@@ -373,27 +390,140 @@ def test_committed_and_found_values_own_their_memory():
     for _ in range(2):
         state.grow()
     assert len(committed) == state.total - state.added[0]  # levels 1 and 2
-    assert all(values.base is None for values in committed)
-    found = ClosureState(lat, env.shared)
+    assert all(_owns_its_memory(values) for values in committed)
+    found = ClosureState(lat, var_list)
     found.grow()
-    values, word, _ = found.stream_scan(env.lower.values, env.upper.values)
-    assert word == "s | t & v" and values.base is None
+    target = column_of(parse_formula(word), lat, var_list)  # a level-2 column
+    values, got, _ = found.stream_scan(target, target)
+    assert got == word and _owns_its_memory(values)
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_random_lattice_closure_matches_reference(seed):
-    """Up-set lattices of random orders, 2 to 16 elements, over as many of
-    three variables as keep every column key a uint64 numeral, to level 3
-    (level 2 over three variables, where the reference takes seconds a
-    level beyond)."""
+def _random_closure_case(seed):
+    """An up-set lattice of a random order, 2 to 16 elements, and as many of
+    three variables as keep every column key a uint64 numeral."""
     lat = random_upset_lattice(random.Random(seed))
     n = 3
     while lat.m ** (lat.m ** n) > 2 ** 64:
         n -= 1
-    var_list, cap = ("x", "y", "z")[:n], 3 if n < 3 else 2
-    assert propcore.row_keys(np.zeros((1, lat.m ** n), np.uint8), lat.m).dtype == np.uint64
+    return lat, ("x", "y", "z")[:n]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_lattice_closure_matches_reference(seed):
+    """Random up-set lattices to level 3 (level 2 over three variables,
+    where the reference takes seconds a level beyond)."""
+    lat, var_list = _random_closure_case(seed)
+    cap = 3 if len(var_list) < 3 else 2
+    assert propcore.row_keys(np.zeros((1, lat.m ** len(var_list)), np.uint8),
+                             lat.m).dtype == np.uint64
     got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
     assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
+
+
+def _table_keyed(lat, var_list):
+    """Whether a closure over ``var_list`` finds its known columns by table
+    lookup: its keys are uint64 numerals below m ** N <= BLOCK_CELLS."""
+    N = lat.m ** len(var_list)
+    keys = propcore.row_keys(np.zeros((1, N), np.uint8), lat.m)
+    return keys.dtype == np.uint64 and lat.m ** N <= BLOCK_CELLS
+
+
+def test_random_lattices_reach_both_sides_of_the_table_line():
+    """The random closures above find known columns by table lookup on some
+    seeds and by sorted keys on others."""
+    sides = [_table_keyed(*_random_closure_case(seed)) for seed in range(16)]
+    assert any(sides) and not all(sides)
+
+
+@pytest.mark.parametrize("name, var_list, cap, table", [
+    ("godel3", ("x", "y"), None, True),  # 3 ** 9 = 19,683 keys
+    ("classical", ("x", "y", "z", "w"), 2, True),  # 2 ** 16 keys, exactly BLOCK_CELLS
+    ("diamond", ("x", "y"), 3, False),  # 4 ** 16 keys, sorted
+])
+def test_closure_matches_reference_on_both_sides_of_the_table_line(name, var_list, cap, table):
+    lat = bundled_lattice(name)
+    assert _table_keyed(lat, var_list) == table
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == _bundled_reference(name, var_list, cap)
+
+
+def test_table_keyed_grow_stops_past_max_new():
+    """On godel3 over x, y, level 3 adds 91 columns to 39: ``grow(50)``
+    returns 51 and commits nothing, and ``grow()`` then adds the 91."""
+    lat = bundled_lattice("godel3")
+    assert _table_keyed(lat, ("x", "y"))
+    state = ClosureState(lat, ("x", "y"))
+    state.grow()
+    state.grow()
+    words = list(state.words)
+    assert state.grow(50) == 51
+    assert state.words == words and state.total == 39
+    assert state.grow() == 91
+
+
+def test_table_keyed_closure_stops_at_the_application_budget():
+    """lukasiewicz3 over x, y keeps its 3,025 columns and the note of the
+    level it cannot afford."""
+    lat = bundled_lattice("lukasiewicz3")
+    assert _table_keyed(lat, ("x", "y"))
+    got = representable_closure(lat, ("x", "y"))
+    assert not got.complete and len(got.columns) == 3025
+    assert got.budget_note == "next level needs 26320887 applications, budget is 4000000"
+
+
+def test_stream_scan_on_a_table_keyed_ladder_equals_grow_then_scan_existing():
+    """At each level of the godel3 ladder over x, y, scanning the next level
+    ungrown finds what growing a copy and scanning its new rows finds: for
+    bounds equal to a new column, between the meet and the join of two new
+    columns, and equal to a column the closure already holds."""
+    lat = bundled_lattice("godel3")
+    var_list = ("x", "y")
+    assert _table_keyed(lat, var_list)
+    ladder = closure_ladder(lat, var_list)
+    meet, join = lat.tables[MEET], lat.tables[JOIN]
+    rng = random.Random(22)
+    hits = 0
+    while ladder.app_count(len(ladder.added)) * ladder.N <= BLOCK_CELLS:
+        grown = ladder.copy()
+        start = grown.total
+        grown.grow()
+        new = grown.values[start:]
+        bounds = [(ladder.values[-1], ladder.values[-1])]
+        for _ in range(6):
+            a, b = new[rng.randrange(len(new))], new[rng.randrange(len(new))]
+            bounds += [(a, a), (meet[a, b], join[a, b])]
+        for lower, upper in bounds:
+            scanned = ladder.stream_scan(lower, upper)
+            hit = grown.scan_existing(lower, upper, start)
+            if hit is None:
+                assert scanned is None
+                continue
+            hits += 1
+            assert scanned[1] == grown.words[hit]
+            assert np.array_equal(scanned[0], grown.values[hit])
+        ladder.grow()
+    assert len(ladder.added) == 4 and hits >= 18
+
+
+
+
+def test_wide_level_peak_stays_below_three_levels():
+    """Level 2 of mc over five variables adds 3,050 columns of 3,125 cells,
+    9.5 MB.  A new wide column is held once until its level commits, as its
+    bytes key, so the traced peak of the grow above the state stays below
+    2.8 times the level (it was 3.2 times with a second copy per column)."""
+    state = ClosureState(bundled_lattice("mc"), ("a", "b", "c", "d", "e"))
+    state.grow()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state.grow()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    level = state.added[-1] * state.N
+    assert state.added == [6, 46, 3050]
+    assert peak - before < 2.8 * level
 
 
 MC_XYZ = ("x", "y", "z")
@@ -455,6 +585,23 @@ def test_witnesses_built_on_demand_match_words_and_values(name, var_list):
             witness = state.witness(i)
             assert render(witness) == state.words[i]
             assert np.array_equal(column_of(witness, lat, var_list), state.values[i])
+
+
+def test_closure_result_builds_witnesses_when_read():
+    """A closure result builds no witness until one is read; a column's
+    witness is then its state's, rendering as its word."""
+    lat = bundled_lattice("godel3")
+    state = ClosureState(lat, ("x", "y"))
+    state.grow()
+    state.grow()
+    result = state.result(True, None, 3)
+    seeds = state.added[0]
+    assert len(result.columns) == state.total == 39
+    assert all(w is None for w in state.wits[seeds:])
+    column = result.columns[30]
+    assert render(column.witness) == column.word
+    assert column.witness is state.wits[30]
+    assert sum(w is None for w in state.wits[seeds:]) > 0
 
 
 def _reference_blocks(members, first, count, cells):
