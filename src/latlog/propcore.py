@@ -64,7 +64,14 @@ its rows whose column is not in the closure, then deduplicates those
 columns, and only then ranks the applications of new columns, which at
 deep levels are a few in a hundred: it sorts them by column and length
 and hands Python one shortest application per new column, whose word is
-joined, and the others only where lengths tie.  While column keys are
+joined, and the others only where lengths tie.  A binary connective whose
+table equals its transpose gives one column for (a, b) and (b, a), and
+nothing new for (a, a) when its diagonal is the identity (``&`` and ``|``
+always); a level of more applications than one block holds evaluates each
+such unordered pair once, the older-newest rectangle and the newest
+triangle (``_blocks``), and appends each fresh row's mirrored application
+before ranking, so the witness is chosen among every ordered application.
+Budgets still count ordered applications.  While column keys are
 uint64 numerals below m ** N <= ``BLOCK_CELLS``, the membership test is
 one gather per block from a boolean table indexed by key, so only fresh
 rows are deduplicated; any other block is deduplicated first and its
@@ -130,7 +137,9 @@ applications are few and one probe at a time beyond.  The later stages
 check a value against its position's bounds with the kernel too, through a
 ternary table of lower <= value <= upper.  Each stage drops only
 applications that leave the bounds somewhere, so the scan finds what
-growing the level would.
+growing the level would.  A commuting connective keeps one of two mirrored
+group tuples, and inside one group the unordered pairs, when the ordered
+survivors fill more than a block; MAX_SURVIVORS counts ordered ones.
 """
 from __future__ import annotations
 
@@ -807,16 +816,29 @@ def _rechunk(arrays, step: int):
         yield np.concatenate(pending)
 
 
-def _blocks(members: Sequence[np.ndarray], first: np.ndarray, count: np.ndarray, cells: int):
+def _blocks(members: Sequence[np.ndarray], first: np.ndarray, count: np.ndarray, cells: int,
+            gap: Optional[np.ndarray] = None):
     """Tuples of boxes as (n, positions) arrays of at most ``_step(cells)``
     tuples, one tuple evaluating to ``cells`` cells.  Box b takes at position
     k the ``count[b, k]`` entries of ``members[k]`` from ``first[b, k]`` on;
     its tuples are its product in lexicographic order,
-    box after box.  Each box is cut into pieces of a block's tuples, and
-    consecutive pieces share a block while they fit.  A run of blocks, about
-    BLOCK_CELLS bytes of intp a position, is enumerated at once, so many
-    small boxes or blocks cost a few array operations in all."""
+    box after box.  A box with ``gap[b] >= 0`` is a triangle instead: its
+    last two positions draw the same entries, and it takes only their pairs
+    (i, j) with j - i >= ``gap[b]``, ordered by j, then i, and in
+    lexicographic order of the positions before them.  Each box is cut into
+    pieces of a block's tuples, and consecutive pieces share a block while
+    they fit.  A run of blocks, about BLOCK_CELLS bytes of intp a position,
+    is enumerated at once, so many small boxes or blocks cost a few array
+    operations in all."""
     step = _step(cells)
+    tri = None if gap is None or not (gap >= 0).any() else gap >= 0
+    if tri is not None:
+        # a triangle's pairs are one position of (side + 1) * side / 2
+        # entries after a position of one: pair p is j = t + gap, i = p - t *
+        # (t + 1) / 2 for the greatest t with t * (t + 1) / 2 <= p
+        side = count[:, -1] - gap
+        count = count.copy()
+        count[tri, -2], count[tri, -1] = 1, (side * (side + 1) // 2)[tri]
     sizes = count.prod(axis=1)
     ends = sizes.cumsum()
     cuts, pos, pending = [0], 0, 0  # where blocks end; tuples in the open block
@@ -846,9 +868,21 @@ def _blocks(members: Sequence[np.ndarray], first: np.ndarray, count: np.ndarray,
             box = ends.searchsorted(flat, side="right")
         flat -= ends[box] - sizes[box]
         shape, base = count[box], first[box]
-        tup = np.empty((len(flat), count.shape[1]), dtype=np.intp)
+        digits = [None] * count.shape[1]
         for k in reversed(range(count.shape[1])):
-            flat, r = np.divmod(flat, shape[..., k])
+            flat, digits[k] = np.divmod(flat, shape[..., k])
+        inside = None if tri is None else tri[box]
+        if inside is not None and inside.any():
+            # exact in float64 while pair indices stay below 2 ** 50
+            pair = digits[-1]
+            t = ((np.sqrt(8 * pair + 1) - 1) // 2).astype(np.intp)
+            low, high = pair - t * (t + 1) // 2, t + gap[box]
+            if inside.all():
+                digits[-2], digits[-1] = low, high
+            else:
+                digits[-2], digits[-1] = np.where(inside, low, digits[-2]), np.where(inside, high, pair)
+        tup = np.empty((len(flat), count.shape[1]), dtype=np.intp)
+        for k, r in enumerate(digits):
             tup[:, k] = members[k][base[..., k] + r]
         for start, stop in zip(cuts[i:j], cuts[i + 1:j + 1]):
             yield tup[start - cuts[i]:stop - cuts[i]]
@@ -955,6 +989,12 @@ class _Stack:
     brackets: np.ndarray  # [connective, position, precedence]: 2 where bracketed, else 0
     marks: list  # ``brackets`` as nested lists, read per word
     precs: tuple[int, ...]  # precedence of each connective's applications
+    # per connective of a binary stack, -1 where its table differs from its
+    # transpose, else the least j - i of the argument pairs (i, j) it takes
+    # unordered: 1 when its diagonal is the identity, as (a, a) then gives
+    # column a back, else 0; -1 throughout any other stack
+    gaps: np.ndarray
+    commutes: bool  # whether some connective commutes: some gap is at least 0
 
 
 def _stacks(lat: Lattice, names: tuple[str, ...]) -> tuple[_Stack, ...]:
@@ -977,9 +1017,16 @@ def _stack(lat: Lattice, names: tuple[str, ...], arity: int) -> _Stack:
     for i, name in enumerate(names):
         for k, parens in enumerate(arg_parens(name, [levels] * arity)):
             brackets[i, k] = 2 * parens
+    gaps = np.full(len(names), -1, dtype=np.intp)
+    if arity == 2:
+        for i, name in enumerate(names):
+            table = lat.tables[name]
+            if np.array_equal(table, table.T):
+                gaps[i] = np.array_equal(np.diagonal(table), np.arange(lat.m))
     return _Stack(arity, names, np.concatenate([lat.flat(c) for c in names]),
                   np.array([len(join_args(c, [""] * arity)) for c in names], dtype=np.int64),
-                  brackets, brackets.tolist(), tuple(precedence(App(c, ())) for c in names))
+                  brackets, brackets.tolist(), tuple(precedence(App(c, ())) for c in names),
+                  gaps, bool((gaps >= 0).any()))
 
 
 class ClosureState:
@@ -1089,7 +1136,7 @@ class ClosureState:
         return sum(total ** c.arity - newest_only * older ** c.arity for c in self.conns)
 
     def _tuples(self, stack: _Stack, members: np.ndarray, conn: np.ndarray, first: np.ndarray,
-                sizes: np.ndarray, olds: np.ndarray, cells: int):
+                sizes: np.ndarray, olds: np.ndarray, cells: int, unordered: bool = False):
         """Blocks of the applications, over set tuples, that take an
         argument from the newest level (at level 1, every one), as (n, 1 +
         arity) arrays of (connective, argument columns) rows sized for
@@ -1099,7 +1146,18 @@ class ClosureState:
         which the first ``olds[t, k]`` predate the newest level.  Box k of a
         set tuple, one per argument position, takes older entries before
         position k and newer ones at k.  Set tuples come in connective
-        order, so the applications do too."""
+        order, so the applications do too.
+
+        With ``unordered``, a connective that commutes (``stack.gaps``)
+        takes each unordered pair of columns once, and the caller gives it
+        only one of two mirrored set tuples (S, T) and (T, S).  On a set
+        tuple (S, S), whose sets start at one entry, it takes the pairs (i,
+        j) of entries of S with j - i at least its gap, as a triangle of
+        ``_blocks``: at level 1 over all of S, later over its newest
+        entries, box 2 holding the older-newest rectangle."""
+        gap = None
+        if unordered and stack.commutes:
+            gap = np.where(first[:, 0] == first[:, 1], stack.gaps[conn], -1)
         one = np.ones((len(conn), 1), dtype=np.intp)
         first, sizes, olds = (np.hstack([conn[:, None], first]), np.hstack([one, sizes]),
                               np.hstack([one, olds]))
@@ -1108,10 +1166,16 @@ class ClosureState:
             before, at = k < k[1:, None], k == k[1:, None]  # [box, position]
             f, s, o = first[:, None], sizes[:, None], olds[:, None]
             shape = (len(first) * stack.arity, 1 + stack.arity)
-            first = (f + at * o).reshape(shape)
-            sizes = np.where(before, o, s - at * o).reshape(shape)
+            first = f + at * o  # [set tuple, box, position]
+            sizes = np.where(before, o, s - at * o)
+            if gap is not None:  # a triangle's box 1 takes the newest entries at both arguments
+                newer = (gap >= 0) * olds[:, 2]
+                first[:, 0, 2] += newer
+                sizes[:, 0, 2] -= newer
+                gap = np.hstack([gap[:, None], np.full((len(gap), 1), -1)]).ravel()
+            first, sizes = first.reshape(shape), sizes.reshape(shape)
         positions = [np.arange(len(stack.names))] + [members] * stack.arity
-        return _blocks(positions, first, sizes, cells)
+        return _blocks(positions, first, sizes, cells, gap)
 
     def _eval(self, stack: _Stack, rows: np.ndarray, tup: np.ndarray) -> np.ndarray:
         """Kernel values of the applications ``tup`` over ``rows``, shape
@@ -1157,7 +1221,7 @@ class ClosureState:
             wits[j] = App(stack.names[app[0]], tuple(wits[t] for t in app[1:]))
         return wits[i]
 
-    def _candidates(self, blocks, inside=None, limit=None) -> dict:
+    def _candidates(self, blocks, inside=None, limit=None, unordered=False) -> dict:
         """Evaluate (stack, applications) blocks.  For every resulting
         column that is not in the closure (and passes ``inside``), keep its
         least (length, word, values, stack, application) under its key, a
@@ -1176,7 +1240,11 @@ class ClosureState:
         values are copied out of the block by its row, or, for a wide
         column, read from its bytes key, so each column is held once.
         Evaluation stops after the block that takes the count of new
-        columns past ``limit``."""
+        columns past ``limit``.  With ``unordered`` the blocks hold one
+        application per unordered pair of a commuting connective, and each
+        fresh row of one gets its mirror (c, b, a) before lengths are
+        ranked, so the witness is the least over the ordered applications;
+        bracketing can make the mirror the shorter."""
         best: dict = {}
         lens = np.array([len(w) for w in self.words], dtype=np.int64)
         precs = np.array(self.precs, dtype=np.int64)
@@ -1197,29 +1265,31 @@ class ClosureState:
             if extra is None:
                 extra = arg_lengths[stack.arity] = stack.brackets[:, :, precs] + lens
             apps = tup[rows]
+            if unordered and stack.commutes:  # each unordered pair's mirror, on the row it shares
+                mirror = (stack.gaps[apps[:, 0]] >= 0) & (apps[:, 1] != apps[:, 2])
+                if mirror.any():
+                    apps = np.concatenate([apps, apps[mirror][:, [0, 2, 1]]])
+                    rows, col = np.concatenate([rows, rows[mirror]]), np.concatenate([col, col[mirror]])
             conn = apps[:, 0]
             length = stack.text[conn]
             for k in range(stack.arity):
                 length += extra[conn, k, apps[:, k + 1]]
-            # fresh rows by column, then length, then position: the first
-            # row of a column is its shortest application, and the rows up
-            # to ``last`` tie with it
+            # fresh applications by column, then length, then position: the
+            # first of a column is its shortest, and those up to ``last`` tie
+            # with it
             order = np.lexsort((length, col))
-            rows, col, size = rows[order], col[order], length[order]
+            rows, col, size, apps = rows[order], col[order], length[order], apps[order]
             first = np.flatnonzero(np.diff(col, prepend=-1))
             rank = col * (int(size.max()) + 1) + size
             last = rank.searchsorted(rank[first], side="right")
-            winners = rows[first]
             for key, n, row, app, s, e in zip(uniq[col[first]].tolist(), size[first].tolist(),
-                                              winners.tolist(), tup[winners].tolist(),
+                                              rows[first].tolist(), apps[first].tolist(),
                                               first.tolist(), last.tolist()):
                 old = best.get(key)
                 if old is not None and old[0] < n:
                     continue
-                if e - s > 1:
-                    word, row = min((self._word(stack, tup[r].tolist()), r)
-                                    for r in rows[s:e].tolist())
-                    app = tup[row].tolist()
+                if e - s > 1:  # tied applications give one column: ``row`` holds its values
+                    word, app = min((self._word(stack, a), a) for a in apps[s:e].tolist())
                 else:
                     word = self._word(stack, app)
                 if old is None:
@@ -1239,7 +1309,9 @@ class ClosureState:
         unfinished and uncommitted, and ``max_new + 1`` is returned: the
         count at the first new column past the limit.  That count does not
         depend on the order or the blocks in which applications are
-        evaluated."""
+        evaluated.  A level of more applications than one block holds takes
+        each unordered pair of a commuting connective once (``_tuples``);
+        a smaller one saves too few rows to pay for the bookkeeping."""
         members = np.arange(self.total)
 
         def every(stack):  # a set tuple per connective, every column at each position
@@ -1247,9 +1319,10 @@ class ClosureState:
             return (np.arange(shape[0]), np.zeros(shape, dtype=np.intp),
                     np.full(shape, self.total), np.full(shape, self.frontier))
 
+        unordered = self.app_count(len(self.added)) > _step(self.N)
         blocks = ((s, tup) for s in self.stacks
-                  for tup in self._tuples(s, members, *every(s), self.N))
-        best = self._candidates(blocks, limit=max_new)
+                  for tup in self._tuples(s, members, *every(s), self.N, unordered))
+        best = self._candidates(blocks, limit=max_new, unordered=unordered)
         if max_new is not None and len(best) > max_new:
             return max_new + 1
         return self._commit(best.values())
@@ -1282,8 +1355,10 @@ class ClosureState:
         every variable varies among them.  Returns (values, word, witness) for
         the first fitting new column in closure order, with its canonical
         witness: observationally identical to growing the level and scanning
-        it.  More than MAX_SURVIVORS applications after the probe groups
-        raise BUDGET_EXCEEDED.
+        it.  More than MAX_SURVIVORS applications after the probe groups,
+        counted ordered, raise BUDGET_EXCEEDED.  When they fill more than
+        one block, a commuting connective takes each unordered pair once:
+        group tuples (g1, g2) with g1 <= g2, and inside g1 == g2 a triangle.
         """
         leq = self.lat.leq
         probes = _spread(PROBES, self.N)
@@ -1308,31 +1383,36 @@ class ClosureState:
         plan, survivors = [], 0
         for stack in self.stacks:
             fits = _probe_fits(allowed[:, stack.flat], self.m, reps, stack.arity)
-            groups = fits[:, 1:]
-            set_tuples = fits[:, 0], starts[groups], sizes[groups], olds[groups]
-            survivors += self._count_new(*set_tuples[2:])
-            plan.append((stack, set_tuples))
+            survivors += self._count_new(sizes[fits[:, 1:]], olds[fits[:, 1:]])
+            plan.append((stack, fits))
         if survivors > MAX_SURVIVORS:
             raise BudgetExceeded(
                 f"envelope scan produced {survivors} candidate applications",
                 survivors=survivors,
             )
+        unordered = survivors > _step(self.N)
+
+        def set_tuples(stack, fits):
+            if unordered and stack.commutes:  # of two mirrored group tuples, the increasing one
+                fits = fits[(stack.gaps[fits[:, 0]] < 0) | (fits[:, 1] <= fits[:, 2])]
+            groups = fits[:, 1:]
+            return fits[:, 0], starts[groups], sizes[groups], olds[groups]
 
         if self.N <= SCREEN_WIDTH:
-            def blocks(stack, set_tuples):
-                return self._tuples(stack, order, *set_tuples, self.N)
+            def blocks(stack, fits):
+                return self._tuples(stack, order, *set_tuples(stack, fits), self.N, unordered)
         else:
             screen = _spread(SCREEN_WIDTH, self.N)
             rows, at_screen = self.values[:, screen], inside(screen)
 
-            def blocks(stack, set_tuples):
-                return _rechunk((tup[at_screen(self._eval(stack, rows, tup))]
-                                 for tup in self._tuples(stack, order, *set_tuples, len(screen))),
+            def blocks(stack, fits):
+                tuples = self._tuples(stack, order, *set_tuples(stack, fits), len(screen), unordered)
+                return _rechunk((tup[at_screen(self._eval(stack, rows, tup))] for tup in tuples),
                                 _step(self.N))
 
-        best = self._candidates(((stack, tup) for stack, set_tuples in plan
-                                 for tup in blocks(stack, set_tuples)),
-                                inside(np.arange(self.N)))
+        best = self._candidates(((stack, tup) for stack, fits in plan
+                                 for tup in blocks(stack, fits)),
+                                inside(np.arange(self.N)), unordered=unordered)
         if not best:
             return None
         _, word, values, stack, app = min(best.values(), key=lambda e: e[:2])

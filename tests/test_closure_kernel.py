@@ -181,6 +181,49 @@ def test_closure_on_a_stack_past_256_entries_matches_reference(var_list, cap):
     assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
 
 
+def test_stack8_connectives_commute_as_their_tables_say():
+    """``Sum`` commutes and is not idempotent, ``Tie``, ``&`` and ``|``
+    commute and are idempotent, and ``->``, ``P1``, ``P2`` and ``Dif`` do
+    not commute."""
+    binary = ClosureState(_stack8(), ()).stacks[-1]
+    assert dict(zip(binary.names, binary.gaps.tolist())) == {
+        "&": 1, "|": 1, "->": -1, "P1": -1, "P2": -1, "Sum": 0, "Dif": -1, "Tie": 1}
+
+
+@pytest.mark.parametrize("var_list, cap", [(("x",), 3), (("x", "y"), 2)])
+def test_unordered_pairs_on_stack8_match_reference(var_list, cap, monkeypatch):
+    """With blocks of one application every level of more than one takes
+    each unordered pair of a commuting connective once, a triangle with
+    its diagonal for ``Sum`` and without for ``Tie``; the closure equals the
+    reference, which evaluates every ordered pair."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
+    lat = _stack8()
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
+
+
+def test_mc_level_two_grow_evaluates_each_unordered_pair_once():
+    """Level 2 of mc over five variables: 8,004 ordered applications, of
+    which the kernel evaluates 5,290: ``&`` and ``|`` take the 6 x 46
+    older-newest rectangle and the 46 * 45 / 2 newest pairs, ``->`` all
+    52 ** 2 - 6 ** 2."""
+    state = ClosureState(bundled_lattice("mc"), ("a", "b", "c", "d", "e"))
+    state.grow()
+    evaluated = []
+    kernel = state._eval
+
+    def counting(stack, rows, tup):
+        evaluated.append(len(tup))
+        return kernel(stack, rows, tup)
+
+    state._eval = counting
+    assert state.app_count(2) == 8004
+    state.grow()
+    assert sum(evaluated) == 2 * (6 * 46 + 46 * 45 // 2) + 52 ** 2 - 6 ** 2 == 5290
+    assert state.added == [6, 46, 3050]
+
+
 @pytest.mark.parametrize("lat", [
     _lattice(RawConnective("Box_up", ("+",), ["0", "h", "h"])),
     _lattice(RawConnective("Mid", (), ["h"])),
@@ -270,12 +313,12 @@ def _scan_counting(state, lower, upper):
     evaluated = []
     kernel = state._candidates
 
-    def counting(blocks, inside=None):
+    def counting(blocks, inside=None, **options):
         def tally():
             for stack, tup in blocks:
                 evaluated.append(len(tup))
                 yield stack, tup
-        return kernel(tally(), inside)
+        return kernel(tally(), inside, **options)
 
     state._candidates = counting
     try:
@@ -337,6 +380,25 @@ def test_survivor_budget_counts_probe_group_survivors(monkeypatch):
     assert exc.value.details == {"survivors": 65}
     monkeypatch.setattr(propcore, "MAX_SURVIVORS", 65)
     assert state.stream_scan(env.lower.values, env.upper.values)[1] == "s | t & v"
+
+
+def test_survivor_budget_counts_ordered_applications(monkeypatch):
+    """The scan above evaluates fewer applications than the 65 ordered ones
+    it counts, as ``&`` and ``|`` take each unordered pair once; a budget
+    between the two counts still stops it at 65."""
+    lat = bundled_lattice("mc")
+    env = envelopes(parse_formula("s & (u -> t) & v"), parse_formula("s | t & (w -> v)"), lat)
+    state = ClosureState(lat, env.shared)
+    state.grow()
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", 1)  # every scan takes unordered pairs
+    monkeypatch.setattr(propcore, "SCREEN_WIDTH", state.N)  # no screen: count them all
+    found, evaluated = _scan_counting(state, env.lower.values, env.upper.values)
+    assert found[1] == "s | t & v" and evaluated < 64
+    monkeypatch.setattr(propcore, "MAX_SURVIVORS", 64)
+    with pytest.raises(BudgetExceeded) as exc:
+        state.stream_scan(env.lower.values, env.upper.values)
+    assert exc.value.details == {"survivors": 65}
 
 
 def test_repeated_variable_is_rejected():
@@ -604,16 +666,22 @@ def test_closure_result_builds_witnesses_when_read():
     assert sum(w is None for w in state.wits[seeds:]) > 0
 
 
-def _reference_blocks(members, first, count, cells):
-    """Each box enumerated on its own with itertools.product, cut into
-    pieces of a block's tuples, BLOCK_CELLS cells but at least
-    MIN_BLOCK_APPS tuples; consecutive pieces share a block while they
-    fit."""
+def _reference_blocks(members, first, count, cells, gap=None):
+    """Each box enumerated on its own with itertools.product, a triangle
+    (``gap`` at least 0) as the product of its leading positions and its
+    pairs (i, j), j - i >= gap, by j then i; cut into pieces of a block's
+    tuples, BLOCK_CELLS cells but at least MIN_BLOCK_APPS tuples;
+    consecutive pieces share a block while they fit."""
     step = max(propcore.MIN_BLOCK_APPS, propcore.BLOCK_CELLS // cells)
     blocks, pending = [], []
-    for f, c in zip(first.tolist(), count.tolist()):
-        box = list(itertools.product(*[members[k][a:a + n].tolist()
-                                       for k, (a, n) in enumerate(zip(f, c))]))
+    gaps = [-1] * len(first) if gap is None else gap.tolist()
+    for f, c, g in zip(first.tolist(), count.tolist(), gaps):
+        ranges = [members[k][a:a + n].tolist() for k, (a, n) in enumerate(zip(f, c))]
+        if g < 0:
+            box = list(itertools.product(*ranges))
+        else:
+            pairs = [(ranges[-2][i], ranges[-1][j]) for j in range(c[-1]) for i in range(j - g + 1)]
+            box = [h + p for h in itertools.product(*ranges[:-2]) for p in pairs]
         for start in range(0, len(box), step):
             piece = box[start:start + step]
             if len(pending) + len(piece) > step:
@@ -644,6 +712,34 @@ def test_blocks_match_per_box_enumeration(block_cells, monkeypatch):
         cells = rng.choice([1, 3, 9, 64, 3125])
         got = [b.tolist() for b in _blocks(members, first, count, cells)]
         want = _reference_blocks(members, first, count, cells)
+        assert got == [[list(t) for t in b] for b in want]
+
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 64, 7])
+def test_triangle_blocks_match_per_box_enumeration(block_cells, monkeypatch):
+    """Boxes whose last two positions draw the same entries, some of them
+    triangles of gap 0 or 1 (empty ones and ones of one pair among them),
+    among product boxes, cut into the same blocks as a per-box
+    enumeration."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", block_cells)
+    if block_cells != BLOCK_CELLS:
+        monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
+    rng = random.Random(block_cells + 1)
+    for _ in range(300):
+        arity, n = rng.randint(2, 3), rng.randint(0, 7)
+        members = [np.array(rng.sample(range(100), 60)) for _ in range(arity - 1)]
+        members.append(members[-1])
+        first = np.array([[rng.randint(0, 30) for _ in range(arity)] for _ in range(n)],
+                         dtype=np.intp).reshape(n, arity)
+        count = np.array([[rng.choice([0, 1, 2, 5, 9, 30]) for _ in range(arity)]
+                          for _ in range(n)], dtype=np.intp).reshape(n, arity)
+        gap = np.array([rng.choice([-1, 0, 1]) for _ in range(n)], dtype=np.intp)
+        first[gap >= 0, -1] = first[gap >= 0, -2]
+        count[gap >= 0, -1] = count[gap >= 0, -2]
+        cells = rng.choice([1, 3, 9, 64, 3125])
+        got = [b.tolist() for b in _blocks(members, first, count, cells, gap)]
+        want = _reference_blocks(members, first, count, cells, gap)
         assert got == [[list(t) for t in b] for b in want]
 
 
@@ -1026,3 +1122,31 @@ def test_apply_packed_matches_fancy_indexing(m, arity):
             got = apply_packed(pad, m, cells, packed)
             want = np.broadcast_to(_plain(flat, m, args), (cells,))
             assert got.to_bytes(cells, byteorder="big") == want.tobytes(), (cells, args)
+
+
+@pytest.mark.parametrize("name, var_list", [("stack8", ("x",)), ("godel3", ("x", "y")),
+                                            ("mc", ("s", "t", "v"))])
+def test_unordered_stream_scan_equals_grow_then_scan_existing(name, var_list, monkeypatch):
+    """Scanning levels 1 and 2 with unordered pairs finds what growing the
+    level and scanning its new rows finds, for bounds equal to each new
+    column whose witness applies a commuting connective, whichever
+    orientation of its arguments the scan enumerates."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
+    lat = _stack8() if name == "stack8" else bundled_lattice(name)
+    state = ClosureState(lat, var_list)
+    hits = 0
+    for _ in range(2):
+        grown = state.copy()
+        start = grown.total
+        grown.grow()
+        for i in range(start, grown.total):
+            stack, app = grown.parents[i]
+            if stack.arity != 2 or stack.gaps[app[0]] < 0:
+                continue
+            hits += 1
+            found = state.stream_scan(grown.values[i], grown.values[i])
+            hit = grown.scan_existing(grown.values[i], grown.values[i], start)
+            assert found[1] == grown.words[hit] and np.array_equal(found[0], grown.values[hit])
+        state.grow()
+    assert hits > 0
