@@ -482,6 +482,19 @@ def test_random_lattice_closure_matches_reference(seed):
     assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_random_lattice_closure_with_unordered_pairs_matches_reference(seed, monkeypatch):
+    """The same closures with blocks of one application, so that every level
+    of more than one takes each unordered pair of ``&`` and ``|`` once
+    (left to themselves, only seeds 1 and 3 do, at level 3)."""
+    monkeypatch.setattr(propcore, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(propcore, "MIN_BLOCK_APPS", 1)
+    lat, var_list = _random_closure_case(seed)
+    cap = 3 if len(var_list) < 3 else 2
+    got = representable_closure(lat, var_list, budget=ClosureBudget(max_levels=cap))
+    assert _summary(got) == reference_closure(lat, var_list, level_cap=cap)
+
+
 def _table_keyed(lat, var_list):
     """Whether a closure over ``var_list`` finds its known columns by table
     lookup: its keys are uint64 numerals below m ** N <= BLOCK_CELLS."""
@@ -713,7 +726,6 @@ def test_blocks_match_per_box_enumeration(block_cells, monkeypatch):
         got = [b.tolist() for b in _blocks(members, first, count, cells)]
         want = _reference_blocks(members, first, count, cells)
         assert got == [[list(t) for t in b] for b in want]
-
 
 
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 64, 7])
@@ -1150,3 +1162,45 @@ def test_unordered_stream_scan_equals_grow_then_scan_existing(name, var_list, mo
             assert found[1] == grown.words[hit] and np.array_equal(found[0], grown.values[hit])
         state.grow()
     assert hits > 0
+
+
+@pytest.mark.parametrize("name, var_list, kind", [("godel3", ("x", "y", "z"), "same group"),
+                                                  ("mc", ("s", "t"), "shorter mirror"),
+                                                  ("stack8", ("x",), "shorter mirror")])
+def test_unordered_stream_scan_on_one_group_pairs_and_shorter_mirrors(name, var_list, kind,
+                                                                      monkeypatch):
+    """Bounds equal to a level-3 column whose canonical application either
+    pairs two columns of one probe group, which the scan takes from that
+    group's triangle, or is the mirror of the orientation the scan
+    enumerates (probe groups in increasing order, then columns) and
+    renders shorter.  With blocks of one application every scan takes
+    unordered pairs, and finds what growing the level and scanning its new
+    rows finds."""
+    lat = _stack8() if name == "stack8" else bundled_lattice(name)
+    state = ClosureState(lat, var_list)
+    state.grow()
+    state.grow()
+    grown = state.copy()
+    start = grown.total
+    grown.grow()
+    probes = propcore._spread(propcore.PROBES, state.N)
+    _, group = np.unique(propcore.row_keys(state.values[:, probes], state.m), return_inverse=True)
+    picked = []
+    for i in range(start, grown.total):
+        stack, app = grown.parents[i]
+        if stack.arity != 2 or stack.gaps[app[0]] < 0:
+            continue
+        c, a, b = app
+        if kind == "same group":
+            hit = a != b and group[a] == group[b]
+        else:
+            hit = ((group[a], a) > (group[b], b)
+                   and len(grown._word(stack, [c, b, a])) > len(grown.words[i]))
+        if hit:
+            picked.append(i)
+    assert picked
+    monkeypatch.setattr(propcore, "_step", lambda cells: 1)
+    for i in picked:
+        found = state.stream_scan(grown.values[i], grown.values[i])
+        assert grown.scan_existing(grown.values[i], grown.values[i], start) == i
+        assert found[1] == grown.words[i] and np.array_equal(found[0], grown.values[i])
