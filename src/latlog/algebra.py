@@ -421,6 +421,18 @@ def validate_lattice(raw: RawLattice) -> Lattice:
 # lattice text format
 
 
+def _order_entries(toks: list[str], ln_no: int) -> list[tuple[str, str]]:
+    """The pairs (a, b) of an ``order a < b, c < d`` line, given its tokens
+    after ``order``."""
+    pairs = []
+    for part in " ".join(toks).split(","):
+        bits = part.split()
+        if len(bits) != 3 or bits[1] != "<":
+            raise ParseError(f"bad order entry {part.strip()!r}", line=ln_no)
+        pairs.append((bits[0], bits[2]))
+    return pairs
+
+
 def parse_lattice_source(text: str) -> RawLattice:
     """Parse the lattice text format.
 
@@ -465,12 +477,7 @@ def parse_lattice_source(text: str) -> RawLattice:
                 raise ParseError("elements declared twice", line=ln_no)
             raw.elements = toks[1:]
         elif head == "order":
-            spec = " ".join(toks[1:])
-            for part in spec.split(","):
-                bits = part.split()
-                if len(bits) != 3 or bits[1] != "<":
-                    raise ParseError(f"bad order entry {part.strip()!r}", line=ln_no)
-                covers.append((bits[0], bits[2]))
+            covers.extend(_order_entries(toks[1:], ln_no))
         elif head in ("meet", "join"):
             if not raw.elements:
                 raise ParseError(f"{head} section before elements", line=ln_no)
@@ -578,12 +585,7 @@ def parse_frame_source(text: str) -> KripkeFrame:
         if toks[0] == "worlds":
             worlds.extend(toks[1:])
         elif toks[0] == "order":
-            spec = " ".join(toks[1:])
-            for part in spec.split(","):
-                bits = part.split()
-                if len(bits) != 3 or bits[1] != "<":
-                    raise ParseError(f"bad order entry {part.strip()!r}", line=ln_no)
-                pairs.append((bits[0], bits[2]))
+            pairs.extend(_order_entries(toks[1:], ln_no))
         else:
             raise ParseError(f"unknown frame section {toks[0]!r}", line=ln_no)
     return kripke_frame(worlds, pairs)

@@ -15,7 +15,9 @@ connective, and a quantifier folds its variable's axis.  Over a finite
 domain a structure's predicate tables are a valuation of the ground atoms,
 so the smoke test gives the A ground atoms of a domain the columns of A
 propositional variables and runs one evaluation per domain and choice of
-function tables, over all predicate interpretations at once.
+function tables, over all predicate interpretations at once.  Skolemization
+reads signs through ``syntax.signed_args``, and evaluation rejects an
+ill-formed application with ``syntax.ill_formed``, as the parser would.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .errors import (
 from .interp import YES, InterpolationVerdict, find_prop_interpolant
 from .propcore import (
     DEFAULT_VAR_CAP,
-    ClosureBudget,
     ValidityReport,
     _fold_axis,
     _projection,
@@ -70,6 +71,7 @@ from .syntax import (
     fold,
     fresh_name,
     functions_of,
+    ill_formed,
     implies,
     inferred_language,
     is_quantifier_free,
@@ -77,9 +79,13 @@ from .syntax import (
     predicates_of,
     prop_variables,
     render,
+    signed_args,
     substitute,
     with_children,
 )
+
+SMOKE_STRUCTURE_CAP = 30_000  # most structures the smoke test evaluates
+
 
 @dataclass
 class FoBudgets:
@@ -88,9 +94,7 @@ class FoBudgets:
 
     max_n: int = 8
     var_cap: int = DEFAULT_VAR_CAP
-    closure: ClosureBudget = field(default_factory=ClosureBudget)
     smoke_domain_cap: int = 2
-    smoke_structure_cap: int = 30000
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,7 @@ def _evaluator(phi: Formula, lat: Lattice):
     formula, the column's axis.  A quantifier whose body does not depend on
     its variable gives the body: a value is its own meet and join."""
     m = lat.m
+    conns = lat.signature.by_name
 
     def evaluate(structure: FoStructure) -> np.ndarray:
         domain = structure.domain
@@ -183,6 +188,9 @@ def _evaluator(phi: Formula, lat: Lattice):
             if kind is Func or kind is Atom:
                 return gather(f, kids)
             if kind is App:
+                conn = conns.get(f.conn)
+                if conn is None or conn.arity != len(kids):
+                    raise ill_formed(f, lat.signature)
                 names, args = align(kids)
                 return names, apply_connective(lat.flat(f.conn), m, args)
             if kind is Quant:
@@ -278,13 +286,9 @@ def skolemize(phi: Formula, lat: Lattice) -> tuple[Formula, SkolemRecord]:
                 tasks.append((f, 0, None, None))
                 tasks.append((f.body, sign, (weak, f.var), (path, 0)))
         elif isinstance(f, App):
-            conn = lat.signature.get(f.conn)
-            if conn is None:
-                raise UninterpretedSymbol(f"connective {f.conn!r} not in signature",
-                                          symbol=f.conn)
             tasks.append((f, 0, None, None))
-            tasks.extend((a, -sign if conn.polarity[i] == "-" else sign, weak, (path, i))
-                         for i, a in reversed(tuple(enumerate(f.args))))
+            tasks.extend((a, s, weak, (path, i)) for i, (a, s)
+                         in reversed(tuple(enumerate(signed_args(f, sign, lat.signature)))))
         else:
             values.append(f)
     return values[0], record
@@ -585,7 +589,7 @@ class FoInterpolationResult:
 def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                 budgets: FoBudgets, trace: PipelineTrace) -> None:
     """Check a <= interpolant <= b on every structure over domains of size 1
-    to ``smoke_domain_cap``, within ``smoke_structure_cap`` structures, in
+    to ``smoke_domain_cap``, within ``SMOKE_STRUCTURE_CAP`` structures, in
     the order of the predicate tables, then the function tables, each in name
     order with its entries by argument tuple, the last entry fastest."""
     lang = inferred_language(implies(implies(a, interpolant), b))
@@ -601,7 +605,7 @@ def _smoke_test(a: Formula, interpolant: Formula, b: Formula, lat: Lattice,
                           for table in (lang.predicates, lang.functions))
         cells = m ** len(atoms)
         space = cells * d ** len(entries)
-        if checked + space > budgets.smoke_structure_cap:
+        if checked + space > SMOKE_STRUCTURE_CAP:
             trace.notes.append(
                 f"smoke test stopped before domain size {d}: "
                 f"{space} interpretations exceed the budget")
@@ -679,8 +683,7 @@ def fo_interpolate(phi: Formula, lat: Lattice,
     trace.prop_antecedent = prop_a
     trace.prop_succedent = prop_b
 
-    verdict = find_prop_interpolant(prop_a, prop_b, lat, budget=budgets.closure,
-                                    var_cap=budgets.var_cap,
+    verdict = find_prop_interpolant(prop_a, prop_b, lat, var_cap=budgets.var_cap,
                                     env=search.check.report.envelopes)
     trace.verdict = verdict
     if verdict.status != YES:

@@ -35,7 +35,7 @@ from .propcore import (
     row_keys,
     walk_closure,
 )
-from .syntax import Formula, PropVar, conjoin, disjoin, implies, prop_variables, substitute
+from .syntax import Formula, PropVar, conjoin, disjoin, fresh_name, implies, prop_variables, substitute
 
 if TYPE_CHECKING:
     from .relations import BinaryInvariants
@@ -459,18 +459,6 @@ class SpectrumReport:
         return self.entries[frozenset(subset)]
 
 
-def _fresh_constant_name(element: str, taken: set[str]) -> str:
-    if element not in taken:
-        return element
-    base = f"v_{element}"
-    name = base
-    i = 2
-    while name in taken:
-        name = f"{base}{i}"
-        i += 1
-    return name
-
-
 def spectrum(lat: Lattice, k: Optional[int] = None,
              budget: Optional[DecideBudget] = None,
              subsets: Optional[Sequence[Sequence[str]]] = None) -> SpectrumReport:
@@ -493,7 +481,7 @@ def spectrum(lat: Lattice, k: Optional[int] = None,
         taken = set(lat.constants)
         added = {}
         for elt in subset:
-            name = _fresh_constant_name(elt, taken)
+            name = elt if elt not in taken else fresh_name(f"v_{elt}", taken)
             taken.add(name)
             added[name] = elt
         extended = lat.with_constants(added)

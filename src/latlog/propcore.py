@@ -158,7 +158,6 @@ from .errors import (
     NotValidError,
     UnboundVariable,
     UndeclaredConstant,
-    UnknownSymbolError,
 )
 from .syntax import (
     App,
@@ -166,10 +165,10 @@ from .syntax import (
     Formula,
     PropVar,
     Quant,
-    _arity_error,
     arg_parens,
     children,
     fold,
+    ill_formed,
     join_args,
     parse_formula,
     precedence,
@@ -272,15 +271,6 @@ def _not_a_word(phi: Formula) -> LatlogError:
     return LatlogError(f"not a propositional word: {render(phi)}")
 
 
-def _ill_formed(node: App, lat: Lattice) -> LatlogError:
-    """The error of ``node``, which applies a connective outside the
-    signature or one given a wrong number of arguments."""
-    table = lat.tables.get(node.conn)
-    if table is None:
-        return UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
-    return _arity_error("connective", node.conn, table.ndim, len(node.args))
-
-
 def _projection(m: int, n: int, k: int) -> np.ndarray:
     """Column of variable k over the m**n valuations (lexicographic)."""
     N = m ** n
@@ -374,7 +364,7 @@ def _packed_column(phi: Formula, lat: Lattice, pads: Mapping[str, tuple[int, byt
         if kind is App:
             entry = pads.get(node.conn)
             if entry is None or len(node.args) != entry[0]:
-                raise _ill_formed(node, lat)
+                raise ill_formed(node, lat.signature)
             arity, pad = entry
             if arity == 2:  # apply_packed inlined: the call costs a fifth of a node
                 b = values.pop()
@@ -438,7 +428,7 @@ def _broadcast_column(phi: Formula, lat: Lattice, var_list: tuple[str, ...],
             if entry is None and node.conn in lat.tables:
                 entry = flats[node.conn] = (lat.tables[node.conn].ndim, lat.flat(node.conn))
             if entry is None or len(node.args) != entry[0]:
-                raise _ill_formed(node, lat)
+                raise ill_formed(node, lat.signature)
             cut = len(done) - entry[0]
             args = tuple(done[cut:])
             del done[cut:]
@@ -487,7 +477,7 @@ def eval_prop(phi: Formula, lat: Lattice, valuation: Mapping[str, str]) -> str:
         if isinstance(f, App):
             table = lat.tables.get(f.conn)
             if table is None or table.ndim != len(args):
-                raise _ill_formed(f, lat)
+                raise ill_formed(f, lat.signature)
             return int(table[tuple(args)])
         if isinstance(f, PropVar):
             if f.name not in valuation:
@@ -563,7 +553,7 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
         elif kind is App:
             conn = conns.get(node.conn)
             if conn is None or conn.arity != len(node.args):
-                raise _ill_formed(node, lat)
+                raise ill_formed(node, lat.signature)
             for kid, p in zip(node.args, conn.polarity):
                 stack.append((kid, sign if p == "+" else _FLIP[sign]))
         else:
@@ -1025,7 +1015,8 @@ def _stack(lat: Lattice, names: tuple[str, ...], arity: int) -> _Stack:
                 gaps[i] = np.array_equal(np.diagonal(table), np.arange(lat.m))
     return _Stack(arity, names, np.concatenate([lat.flat(c) for c in names]),
                   np.array([len(join_args(c, [""] * arity)) for c in names], dtype=np.int64),
-                  brackets, brackets.tolist(), tuple(precedence(App(c, ())) for c in names),
+                  brackets, brackets.tolist(),
+                  tuple(precedence(App(c, (PropVar("p"),) * arity)) for c in names),
                   gaps, bool((gaps >= 0).any()))
 
 

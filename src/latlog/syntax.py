@@ -41,6 +41,11 @@ printing, evaluation, substitution, alpha-equality and the collectors
 therefore handle any nesting depth, and so do free variables and
 quantifier classification.  Dataclass ``==`` and ``hash`` still recurse
 once per level, so ``atoms_of`` tells atoms apart by their text.
+
+Every walker raises ``ill_formed`` on an application outside the
+signature or of the wrong arity, and the sign walks step by ``signed_args``,
+which flips signs under a ``-`` position.  An infix connective on other
+than two arguments prints in call form, so every error can render its formula.
 """
 from __future__ import annotations
 
@@ -558,19 +563,24 @@ _NEED = {conn: (p + 1, p) if conn == "->" else (p, p + 1) for conn, p in _PREC.i
 _ATOMIC = 5  # precedence of a word that never needs parentheses
 
 
+def _infix(f) -> bool:
+    """Whether ``f`` prints infix: an infix connective on two arguments."""
+    return type(f) is App and f.conn in _PREC and len(f.args) == 2
+
+
 def precedence(f: Formula) -> int:
     """Precedence of the top symbol: infix connectives by _PREC, quantifiers
     lowest, everything else atomic."""
     if isinstance(f, Quant):
         return 0
-    return _PREC.get(f.conn, _ATOMIC) if isinstance(f, App) else _ATOMIC
+    return _PREC[f.conn] if _infix(f) else _ATOMIC
 
 
 def arg_parens(conn: str, precs):
     """Which arguments of ``conn`` are parenthesised, given the precedence of
     each argument's top symbol (elementwise on arrays); prefix arguments stay
     bare."""
-    need = _NEED.get(conn)
+    need = _NEED.get(conn) if len(precs) == 2 else None
     if need is None:
         return [False] * len(precs)
     return [p < q for p, q in zip(precs, need)]
@@ -578,7 +588,7 @@ def arg_parens(conn: str, precs):
 
 def join_args(conn: str, parts) -> str:
     """Text of ``conn`` applied to already rendered (and bracketed) arguments."""
-    if conn in _PREC:
+    if conn in _PREC and len(parts) == 2:
         return f"{parts[0]} {conn} {parts[1]}"
     return f"{conn}({', '.join(parts)})"
 
@@ -586,7 +596,7 @@ def join_args(conn: str, parts) -> str:
 def _opens_with_paren(f: Formula) -> bool:
     """Whether the text of ``f`` starts with '(': some leftmost infix
     argument is bracketed."""
-    while isinstance(f, App) and f.conn in _NEED:
+    while _infix(f):
         if precedence(f.args[0]) < _NEED[f.conn][0]:
             return True
         f = f.args[0]
@@ -618,7 +628,7 @@ def render(f) -> str:
             out.append(node.name)
         elif isinstance(node, Const):
             out.append("#" + node.name)
-        elif isinstance(node, App) and node.conn in _NEED:
+        elif _infix(node):
             (a, b), need = node.args, _NEED[node.conn]
             stack.extend((")", b, "(") if precedence(b) < need[1] else (b,))
             stack.append(f" {node.conn} ")
@@ -644,29 +654,39 @@ def render(f) -> str:
 # structural helpers
 
 
+def ill_formed(node: App, signature: PolaritySignature) -> LatlogError:
+    """The error of ``node``, which applies a connective outside the
+    signature or one given a wrong number of arguments."""
+    conn = signature.get(node.conn)
+    if conn is None:
+        return UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
+    return _arity_error("connective", node.conn, conn.arity, len(node.args))
+
+
+def signed_args(node: Formula, sign: int, signature: PolaritySignature) -> tuple:
+    """The subformulas of ``node``, each with its sign (1 or -1): an
+    argument of a connective flips ``sign`` at a ``-`` position, a
+    quantifier's body keeps it, and an atom has none.  An application that
+    the signature does not allow raises ``ill_formed``."""
+    if type(node) is App:
+        conn = signature.get(node.conn)
+        if conn is None or conn.arity != len(node.args):
+            raise ill_formed(node, signature)
+        return tuple((a, -sign if p == "-" else sign) for a, p in zip(node.args, conn.polarity))
+    return ((node.body, sign),) if type(node) is Quant else ()
+
+
 def polarity_of(f: Formula, path: tuple[int, ...],
                 signature: Optional[PolaritySignature] = None) -> str:
     """Sign of the position addressed by ``path``: product of the polarity
     annotations along the way; quantifiers contribute '+'."""
     sig = signature or default_signature()
-    sign = 1
-    node = f
+    node, sign = f, 1
     for step in path:
-        if isinstance(node, App):
-            conn = sig.get(node.conn)
-            if conn is None:
-                raise UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
-            if step < 0 or step >= conn.arity:
-                raise BadPathError(f"path {path} leaves the formula", path=path)
-            if conn.polarity[step] == "-":
-                sign = -sign
-            node = node.args[step]
-        elif isinstance(node, Quant):
-            if step != 0:
-                raise BadPathError(f"path {path} leaves the formula", path=path)
-            node = node.body
-        else:
+        kids = signed_args(node, sign, sig)
+        if not 0 <= step < len(kids):
             raise BadPathError(f"path {path} leaves the formula", path=path)
+        node, sign = kids[step]
     return "+" if sign > 0 else "-"
 
 
@@ -695,15 +715,9 @@ def classify_quantifiers(f: Formula,
             strong = (node.kind == FORALL) == (sign > 0)
             out.append(Occurrence(path, node.kind, node.var, pol,
                                   "strong" if strong else "weak"))
-            stack.append((node.body, sign, path + (0,)))
-        elif isinstance(node, App):
-            conn = sig.get(node.conn)
-            if conn is None:
-                raise UnknownSymbolError(f"connective {node.conn!r} not in signature", symbol=node.conn)
-            # pushed right to left, so that the arguments are popped left to right
-            for i in reversed(range(len(node.args))):
-                kid_sign = -sign if conn.polarity[i] == "-" else sign
-                stack.append((node.args[i], kid_sign, path + (i,)))
+        # pushed right to left, so that the arguments are popped left to right
+        kids = signed_args(node, sign, sig)
+        stack.extend((kid, s, path + (i,)) for i, (kid, s) in reversed(tuple(enumerate(kids))))
     return out
 
 

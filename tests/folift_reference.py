@@ -10,7 +10,7 @@ import math
 
 from latlog.algebra import JOIN, MEET
 from latlog.errors import LatlogError, SmokeTestFailed, UninterpretedSymbol
-from latlog.folift import FoStructure
+from latlog.folift import SMOKE_STRUCTURE_CAP, FoStructure
 from latlog.syntax import (
     FORALL,
     App,
@@ -72,7 +72,7 @@ def reference_smoke(a, interpolant, b, lat, budgets) -> dict:
                 + [list(itertools.product(domain, repeat=lang.functions[f])) for f in funcs])
         spaces = [range(lat.m)] * len(preds) + [domain] * len(funcs)
         space = math.prod(len(s) ** len(k) for s, k in zip(spaces, keys))
-        if checked + space > budgets.smoke_structure_cap:
+        if checked + space > SMOKE_STRUCTURE_CAP:
             break
         for combo in itertools.product(*(itertools.product(s, repeat=len(k))
                                          for s, k in zip(spaces, keys))):

@@ -10,16 +10,19 @@ from latlog import (
     Var,
     alpha_equal,
     bundled_lattice,
+    load_lattice,
     parse_formula,
     propcore,
     render,
 )
 from latlog.errors import (
+    ArityMismatchError,
     LatlogError,
     PropInterpolationFailed,
     SmokeTestFailed,
     StrongQuantifierPresent,
     UninterpretedSymbol,
+    UnknownSymbolError,
     UnknownValidity,
 )
 from latlog.folift import (
@@ -41,10 +44,13 @@ from latlog.interp import find_prop_interpolant
 from latlog.syntax import (
     PredicateLanguage,
     atoms_of,
+    children,
     classify_quantifiers,
     free_object_vars,
     functions_of,
+    polarity_of,
     predicates_of,
+    with_children,
 )
 
 from folift_reference import plain_fo_eval, reference_smoke
@@ -685,3 +691,155 @@ def test_pipeline_on_a_shadowing_quantifier_chain(classical):
     result = fo_interpolate(parse_formula("(" + "forall x. " * 20 + "P(x)) -> P(c)"), classical)
     assert render(result.interpolant) == "forall z1. P(z1)"
     assert result.trace.smoke == {"domains": [1, 2], "structures": 2 + 8}
+
+
+# ---------------------------------------------------------------------------
+# ill-formed applications and the sign rule
+
+_A = Quant("exists", "x", Atom("P", (Var("x"),)))
+_P = Atom("P", (Func("c"),))
+_THREE = "connective '->' expects 2 arguments, got 3"
+_ONE = "connective '->' expects 2 arguments, got 1"
+_UNKNOWN = "connective 'neg' not in signature"
+
+
+@pytest.mark.parametrize("walk", [
+    lambda phi, lat: classify_quantifiers(phi, lat.signature),
+    skolemize,
+    lambda phi, lat: expand_n(phi, 2, signature=lat.signature),
+    find_herbrand_expansion,
+    fo_interpolate,
+], ids=["classify", "skolemize", "expand", "herbrand", "fo-interpolate"])
+def test_first_order_walks_reject_a_three_argument_implication(mc, walk):
+    with pytest.raises(ArityMismatchError) as info:
+        walk(App("->", (_A, _A, _A)), mc)
+    assert info.value.message == _THREE
+
+
+def test_fo_interpolate_rejects_a_one_argument_implication(mc):
+    with pytest.raises(ArityMismatchError) as info:
+        fo_interpolate(App("->", (_P,)), mc)
+    assert info.value.message == _ONE
+
+
+@pytest.mark.parametrize("walk", [skolemize, fo_interpolate])
+def test_skolemization_names_an_unknown_connective_as_the_parser_does(mc, walk):
+    with pytest.raises(UnknownSymbolError) as info:
+        walk(App("->", (App("neg", (_A,)), _A)), mc)
+    assert (info.value.code, info.value.message) == ("UNKNOWN_SYMBOL", _UNKNOWN)
+
+
+@pytest.mark.parametrize("phi, error, message", [
+    (App("->", (_P,)), ArityMismatchError, _ONE),
+    (App("&", (_P,)), ArityMismatchError, "connective '&' expects 2 arguments, got 1"),
+    (App("|", (_P,)), ArityMismatchError, "connective '|' expects 2 arguments, got 1"),
+    (App("->", (_P, _P, _P)), ArityMismatchError, _THREE),
+    (App("neg", (_P,)), UnknownSymbolError, _UNKNOWN),
+], ids=["implication", "meet", "join", "three-arguments", "unknown"])
+def test_fo_eval_answers_no_ill_formed_application(mc, phi, error, message):
+    """Each of these used to give a value (1, 0 and w on the first three) or
+    end in an internal error."""
+    structure = FoStructure(("d",), {"P": {("d",): mc.index("w")}}, {"c": {(): "d"}})
+    with pytest.raises(error) as info:
+        fo_eval(phi, mc, structure)
+    assert info.value.message == message
+
+
+def test_validity_names_a_first_order_word_it_cannot_check(mc):
+    """The message renders the word, whose implication is in call form."""
+    with pytest.raises(LatlogError, match="^not a propositional word: ->\\(P\\(c\\)\\)$"):
+        propcore.is_valid_prop(App("->", (_P,)), mc)
+
+
+# classical logic with a connective of each arity, some with - positions
+_SIGNED = load_lattice("elements 0 1\norder 0 < 1\nconnective -> -+\n1 1\n0 1\n"
+                       "connective top ()\n1\nconnective neg -\n1 0\n"
+                       "connective dif +-\n0 0\n1 0\n"  # x & not y
+                       "connective sel +-+\n0 0 0 0\n0 1 0 0\n")  # x & not y & z
+
+
+def _random_signed_formula(rng, depth):
+    conns = _SIGNED.signature.connectives
+
+    def go(d):
+        if d <= 0 or rng.random() < 0.2:
+            return Atom("P", (Var(rng.choice("xy")),)) if rng.random() < 0.7 else Atom("Q")
+        if rng.random() < 0.35:
+            return Quant(rng.choice(["forall", "exists"]), rng.choice("xy"), go(d - 1))
+        conn = rng.choice(conns)
+        return App(conn.name, tuple(go(d - 1) for _ in range(conn.arity)))
+
+    return go(depth)
+
+
+def _break_one_application(rng, phi):
+    """``phi`` with one application given an argument too many or too few,
+    or renamed out of the signature, and the path of that application; None
+    when ``phi`` has no application."""
+    apps, stack = [], [(phi, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, App):
+            apps.append(path)
+        if isinstance(node, (App, Quant)):
+            stack.extend((kid, path + (i,)) for i, kid in enumerate(children(node)))
+    if not apps:
+        return None
+    target = rng.choice(apps)
+
+    def rebuild(node, path):
+        if not path:
+            how = rng.randrange(3)
+            if how == 0 or (how == 1 and not node.args):
+                return App(node.conn, node.args + (Atom("Q"),))
+            return App(node.conn, node.args[:-1]) if how == 1 else App("nope", node.args)
+        kids = list(children(node))
+        kids[path[0]] = rebuild(kids[path[0]], path[1:])
+        return with_children(node, kids)
+
+    return rebuild(phi, target), target
+
+
+def test_sign_walkers_agree_on_random_formulas(rng):
+    """``classify_quantifiers``, ``polarity_of`` and ``skolemize`` follow one
+    sign rule: each occurrence's polarity is its path's, skolemization
+    replaces exactly the strong occurrences (each as often as the strong
+    ones above it are copied, the outermost in place) and keeps the weak
+    ones, and one ill-formed application makes all three raise one error."""
+    lat, sig = _SIGNED, _SIGNED.signature
+    strong_seen = broken_seen = 0
+    for _ in range(300):
+        phi = _random_signed_formula(rng, 5)
+        occurrences = classify_quantifiers(phi, sig)
+        for o in occurrences:
+            assert polarity_of(phi, o.path, sig) == o.polarity
+            assert (o.strength == "strong") == ((o.quantifier == "forall") == (o.polarity == "+"))
+        strong = [o for o in occurrences if o.strength == "strong"]
+        weak = [o for o in occurrences if o.strength == "weak"]
+        copies = {o.path: lat.m ** sum(s.path == o.path[:len(s.path)] != o.path for s in strong)
+                  for o in occurrences}
+        out, record = skolemize(phi, lat)
+        after = classify_quantifiers(out, sig)
+        assert all(o.strength == "weak" for o in after)
+        assert len(record.entries) == sum(copies[o.path] for o in strong)
+        assert len(after) == sum(copies[o.path] for o in weak)
+        assert ({(o.path, o.quantifier, o.variable) for o in strong if copies[o.path] == 1}
+                <= {(e.path, e.quantifier, e.variable) for e in record.entries})
+        assert ({(o.path, o.quantifier, o.variable, o.polarity) for o in weak if copies[o.path] == 1}
+                <= {(o.path, o.quantifier, o.variable, o.polarity) for o in after})
+        strong_seen += len(strong)
+
+        broken = _break_one_application(rng, phi)
+        if broken is None:
+            continue
+        bad, path = broken
+        errors = []
+        for walk in (lambda: classify_quantifiers(bad, sig),
+                     lambda: polarity_of(bad, path + (0,), sig),
+                     lambda: skolemize(bad, lat)):
+            with pytest.raises((ArityMismatchError, UnknownSymbolError)) as info:
+                walk()
+            errors.append((type(info.value), info.value.message))
+        assert len(set(errors)) == 1, errors
+        broken_seen += 1
+    assert strong_seen > 100 and broken_seen > 200

@@ -28,9 +28,11 @@ from latlog.errors import (
 from latlog.propcore import column_of
 from latlog.syntax import (
     PredicateLanguage,
+    arg_parens,
     ensure_object_constant,
     free_object_vars,
     inferred_language,
+    precedence,
     prop_word_variables,
 )
 
@@ -135,6 +137,26 @@ def test_render_quantifier_wrapping():
     assert parse_formula(render(f)) == f
     g = Quant("exists", "x", imp(imp(Atom("A"), Atom("B")), Atom("C")))
     assert parse_formula(render(g)) == g
+
+
+@pytest.mark.parametrize("f, text", [
+    (App("->", (x,)), "->(x)"),
+    (App("&", ()), "&()"),
+    (App("|", (x, y, z)), "|(x, y, z)"),
+    (App("&", (imp(x, y),)), "&(x -> y)"),
+    (imp(App("->", (x,)), y), "->(x) -> y"),
+    (App("&", (App("|", (x, y, z)), y)), "|(x, y, z) & y"),
+    (Quant("forall", "x", imp(App("->", (x,)), y)), "forall x. ->(x) -> y"),
+])
+def test_render_writes_an_infix_connective_of_another_arity_in_call_form(f, text):
+    """So that an error message can name an ill-formed formula."""
+    assert render(f) == text
+
+
+def test_call_form_binds_like_an_atom_and_keeps_its_arguments_bare():
+    assert precedence(App("->", (x,))) == precedence(App("|", (x, y, z))) == precedence(x)
+    assert arg_parens("->", [0]) == [False]
+    assert arg_parens("&", [0, 0, 0]) == [False] * 3
 
 
 # ---------------------------------------------------------------------------

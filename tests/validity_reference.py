@@ -17,12 +17,11 @@ from latlog.propcore import (
     DEFAULT_VAR_CAP,
     ValidityReport,
     _decode_valuation,
-    _ill_formed,
     _not_a_word,
     apply_connective,
     is_valid_implication,
 )
-from latlog.syntax import App, Const, Formula, PropVar, fold, prop_word_variables
+from latlog.syntax import App, Const, Formula, PropVar, fold, ill_formed, prop_word_variables
 
 
 def reference_column(phi: Formula, lat: Lattice, variables: tuple[str, ...]) -> np.ndarray:
@@ -37,7 +36,7 @@ def reference_column(phi: Formula, lat: Lattice, variables: tuple[str, ...]) -> 
         if isinstance(f, App):
             table = lat.tables.get(f.conn)
             if table is None or table.ndim != len(args):
-                raise _ill_formed(f, lat)
+                raise ill_formed(f, lat.signature)
             return apply_connective(lat.flat(f.conn), m, args)
         if isinstance(f, PropVar):
             if f.name not in leaves:
