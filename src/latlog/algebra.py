@@ -12,7 +12,6 @@ commutative monoid.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -195,14 +194,6 @@ class Lattice:
                        self.bottom)
 
 
-def _decode_index(flat_index: int, m: int, arity: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(arity):
-        out.append(flat_index % m)
-        flat_index //= m
-    return tuple(reversed(out))
-
-
 def _first_mismatch(bad: np.ndarray) -> tuple[int, ...]:
     where = np.argwhere(bad)
     return tuple(int(x) for x in where[0])
@@ -233,12 +224,37 @@ def _check_semilattice(name: str, t: np.ndarray, elements: tuple[str, ...]) -> N
         )
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    out = rel.copy()
-    m = out.shape[0]
-    for k in range(m):
-        out |= out[:, k][:, None] & out[k, :][None, :]
-    return out
+def _close_order(n: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The reflexive and transitive closure of the index pairs (a, b), read
+    a <= b, as a boolean matrix ``below[a, b]``, and the first pair (i, j)
+    of distinct points below each other, in declaration order (i, then j),
+    or None when the closure is antisymmetric."""
+    below = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        below[a, b] = True
+    for k in range(n):
+        below |= below[:, k, None] & below[k]
+    both = below & below.T & ~np.eye(n, dtype=bool)
+    return below, (_first_mismatch(both) if both.any() else None)
+
+
+def _principal(sets: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each boolean row of ``sets`` over the points of the order
+    ``below``, the point p whose up-set ``below[p]`` is that row, and whether
+    there is one.  Such a p lies in the row and has the largest up-set of
+    its points, since every other point of the row is above it."""
+    p = np.where(sets, below.sum(axis=1), -1).argmax(axis=-1)
+    return p, (below[p] == sets).all(axis=-1)
+
+
+def _greatest_lower_bounds(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table of greatest lower bounds of the order ``below`` (its meet;
+    on the transpose, its join), and where they exist.  Row i holds the
+    bounds of i with every j: the points whose down-set is the set of
+    points below both."""
+    above = below.T
+    table, ok = zip(*(_principal(above[i] & above, above) for i in range(len(below))))
+    return np.array(table), np.array(ok)
 
 
 def validate_lattice(raw: RawLattice) -> Lattice:
@@ -285,38 +301,24 @@ def validate_lattice(raw: RawLattice) -> Lattice:
     if raw.covers is not None and (raw.meet is not None or raw.join is not None):
         raise LatticeAxiomViolation("give either an order section or explicit meet/join tables, not both")
     if raw.covers is not None:
-        rel = np.eye(m, dtype=bool)
-        for a, b in raw.covers:
-            rel[to_index(a, "order"), to_index(b, "order")] = True
-        rel = _transitive_closure(rel)
-        if ((rel & rel.T) & ~np.eye(m, dtype=bool)).any():
-            i, j = _first_mismatch((rel & rel.T) & ~np.eye(m, dtype=bool))
+        below, cycle = _close_order(m, [(to_index(a, "order"), to_index(b, "order"))
+                                        for a, b in raw.covers])
+        if cycle is not None:
+            i, j = cycle
             raise LatticeAxiomViolation(
                 f"declared order is not antisymmetric: {elements[i]} and {elements[j]}",
                 witness=(elements[i], elements[j]),
             )
-        meet_t = np.zeros((m, m), dtype=np.uint8)
-        join_t = np.zeros((m, m), dtype=np.uint8)
-        for i in range(m):
-            for j in range(m):
-                lower = [k for k in range(m) if rel[k, i] and rel[k, j]]
-                greatest = [k for k in lower if all(rel[l, k] for l in lower)]
-                if len(greatest) != 1:
-                    raise LatticeAxiomViolation(
-                        f"order has no meet for ({elements[i]}, {elements[j]})",
-                        witness=(elements[i], elements[j]),
-                    )
-                meet_t[i, j] = greatest[0]
-                upper = [k for k in range(m) if rel[i, k] and rel[j, k]]
-                least = [k for k in upper if all(rel[k, l] for l in upper)]
-                if len(least) != 1:
-                    raise LatticeAxiomViolation(
-                        f"order has no join for ({elements[i]}, {elements[j]})",
-                        witness=(elements[i], elements[j]),
-                    )
-                join_t[i, j] = least[0]
-        tables[MEET] = meet_t
-        tables[JOIN] = join_t
+        meet_t, has_meet = _greatest_lower_bounds(below)
+        join_t, has_join = _greatest_lower_bounds(below.T)
+        if not (has_meet & has_join).all():
+            i, j = _first_mismatch(~(has_meet & has_join))
+            raise LatticeAxiomViolation(
+                f"order has no {'join' if has_meet[i, j] else 'meet'} for ({elements[i]}, {elements[j]})",
+                witness=(elements[i], elements[j]),
+            )
+        tables[MEET] = meet_t.astype(np.uint8)
+        tables[JOIN] = join_t.astype(np.uint8)
         polarities[MEET] = ("+", "+")
         polarities[JOIN] = ("+", "+")
     if raw.meet is not None:
@@ -370,32 +372,32 @@ def validate_lattice(raw: RawLattice) -> Lattice:
     top = int(tops[0])
     bottom = int(np.flatnonzero(leq.all(axis=1))[0])  # the meet of all elements
 
-    leq_flat = leq.reshape(-1)
+    strictly_above = [np.flatnonzero(row) for row in leq & ~np.eye(m, dtype=bool)]
     for name, pol in polarities.items():
         t = tables[name]
         arity = len(pol)
         for pos in range(arity):
-            moved = np.moveaxis(t, pos, 0).reshape(m, -1).astype(np.int32)
-            for a in range(m):
-                for b in range(m):
-                    if a == b or not leq[a, b]:
-                        continue
-                    lo, hi = (a, b) if pol[pos] == "+" else (b, a)
-                    ok = leq_flat[moved[lo] * m + moved[hi]]
-                    if not ok.all():
-                        rest = _decode_index(int(np.nonzero(~ok)[0][0]), m, arity - 1)
-                        args = rest[:pos] + (None,) + rest[pos:]
-                        witness = tuple(
-                            elements[a] + "<=" + elements[b] if x is None else elements[x]
-                            for x in args
-                        )
-                        kind = "monotone" if pol[pos] == "+" else "antitone"
-                        raise PolarityViolation(
-                            f"connective {name!r} is not {kind} in argument {pos + 1} "
-                            f"for {elements[a]} <= {elements[b]} at {witness}",
-                            connective=name, position=pos + 1,
-                            pair=(elements[a], elements[b]), arguments=witness,
-                        )
+            moved = np.moveaxis(t, pos, 0).reshape(m, -1)
+            for a, above in enumerate(strictly_above):
+                # ok[k, r]: the values at a and at above[k] are ordered as pol[pos] says
+                if pol[pos] == "+":
+                    ok = leq[moved[a], moved[above]]
+                else:
+                    ok = leq[moved[above], moved[a]]
+                if ok.all():
+                    continue
+                k, r = _first_mismatch(~ok)
+                b = int(above[k])
+                rest = tuple(int(x) for x in np.unravel_index(r, (m,) * (arity - 1)))
+                witness = tuple(elements[x] for x in rest[:pos]) + (
+                    elements[a] + "<=" + elements[b],) + tuple(elements[x] for x in rest[pos:])
+                kind = "monotone" if pol[pos] == "+" else "antitone"
+                raise PolarityViolation(
+                    f"connective {name!r} is not {kind} in argument {pos + 1} "
+                    f"for {elements[a]} <= {elements[b]} at {witness}",
+                    connective=name, position=pos + 1,
+                    pair=(elements[a], elements[b]), arguments=witness,
+                )
 
     imp_valid = tables[IMP] == top
     if not np.array_equal(imp_valid, leq):
@@ -554,24 +556,17 @@ def kripke_frame(worlds, pairs) -> KripkeFrame:
     worlds = tuple(worlds)
     if len(set(worlds)) != len(worlds) or not worlds:
         raise FrameViolation("worlds must be a non-empty list of distinct names")
-    wset = set(worlds)
-    rel = {(w, w) for w in worlds}
+    index = {w: i for i, w in enumerate(worlds)}
+    index_pairs = []
     for a, b in pairs:
-        if a not in wset or b not in wset:
+        if a not in index or b not in index:
             raise FrameViolation(f"unknown world in order pair ({a}, {b})")
-        rel.add((a, b))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    for a, b in rel:
-        if a != b and (b, a) in rel:
-            raise FrameViolation(f"order is not antisymmetric: {a} and {b}", witness=(a, b))
-    return KripkeFrame(worlds, frozenset(rel))
+        index_pairs.append((index[a], index[b]))
+    below, cycle = _close_order(len(worlds), index_pairs)
+    if cycle is not None:
+        a, b = (worlds[i] for i in cycle)
+        raise FrameViolation(f"order is not antisymmetric: {a} and {b}", witness=(a, b))
+    return KripkeFrame(worlds, frozenset((worlds[i], worlds[j]) for i, j in np.argwhere(below)))
 
 
 def parse_frame_source(text: str) -> KripkeFrame:
@@ -592,11 +587,20 @@ def parse_frame_source(text: str) -> KripkeFrame:
 
 
 def _upsets(frame: KripkeFrame) -> list[frozenset]:
-    ups = []
-    for bits in itertools.product((False, True), repeat=len(frame.worlds)):
-        s = frozenset(w for w, b in zip(frame.worlds, bits) if b)
-        if all((a, b) not in frame.order or b in s for a in s for b in frame.worlds):
-            ups.append(s)
+    """The up-sets of the frame, sorted by size, then by their sorted world
+    names.  They are built as unions of principal up-sets, one world at a
+    time, and more than MAX_ELEMENTS of them is an input error."""
+    bit = {w: 1 << i for i, w in enumerate(frame.worlds)}
+    principal = dict.fromkeys(frame.worlds, 0)
+    for a, b in frame.order:
+        principal[a] |= bit[b]
+    masks = {0}
+    for up in principal.values():
+        masks |= {s | up for s in masks}
+        if len(masks) > MAX_ELEMENTS:
+            raise LatlogError(f"the frame has more than {MAX_ELEMENTS} up-sets; at most "
+                              f"{MAX_ELEMENTS} elements are supported", worlds=len(frame.worlds))
+    ups = [frozenset(w for w in frame.worlds if s & bit[w]) for s in masks]
     ups.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return ups
 
@@ -614,11 +618,21 @@ def _upset_names(frame: KripkeFrame, ups: list[frozenset]) -> list[str]:
     return names
 
 
-def _heyting_arrow(frame: KripkeFrame, u: frozenset, v: frozenset) -> frozenset:
-    return frozenset(
-        w for w in frame.worlds
-        if all(w2 not in u or w2 in v for w2 in frame.worlds if (w, w2) in frame.order)
-    )
+def _upset_tables(frame: KripkeFrame) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The names of the frame's up-sets, and index tables over them: meet and
+    join (intersection and union) and the ``godel`` and ``heyting``
+    implications."""
+    ups = _upsets(frame)
+    n = len(ups)
+    member = np.array([[w in s for w in frame.worlds] for s in ups])
+    sub = (member[:, None] <= member).all(axis=2)  # sub[u, v]: u is contained in v
+    meet, _ = _greatest_lower_bounds(sub)
+    join, _ = _greatest_lower_bounds(sub.T)
+    # u -> v is the greatest z with z & u contained in v: the point whose
+    # down-set is the set of those z
+    heyting = np.array([_principal(sub[meet[:, u]].T, sub.T)[0] for u in range(n)])
+    godel = np.where(sub, n - 1, np.arange(n))  # the full up-set is the last
+    return _upset_names(frame, ups), {MEET: meet, JOIN: join, "godel": godel, "heyting": heyting}
 
 
 def upset_lattice(frame: KripkeFrame, implication_mode: str = "godel") -> Lattice:
@@ -630,32 +644,22 @@ def upset_lattice(frame: KripkeFrame, implication_mode: str = "godel") -> Lattic
     v otherwise (the Goedel implication read over inclusion).  The two
     disagree on some frames; see ``implication_mode_disagreements``.  A
     constant named ``0`` denotes the empty up-set.  The result passes
-    ``validate_lattice``.
+    ``validate_lattice``.  A frame with more than MAX_ELEMENTS up-sets is an
+    input error.
     """
     if implication_mode not in ("godel", "heyting"):
         raise FrameViolation(f"unknown implication mode {implication_mode!r}")
-    ups = _upsets(frame)
-    names = _upset_names(frame, ups)
-    pos = {s: i for i, s in enumerate(ups)}
-    full = frozenset(frame.worlds)
+    names, tables = _upset_tables(frame)
 
-    def arrow(u: frozenset, v: frozenset) -> frozenset:
-        if implication_mode == "godel":
-            return full if u <= v else v
-        return _heyting_arrow(frame, u, v)
+    def values(t: np.ndarray) -> list[str]:
+        return [names[i] for i in t.ravel().tolist()]
 
-    join_vals, meet_vals, imp_vals = [], [], []
-    for u in ups:
-        for v in ups:
-            join_vals.append(names[pos[u | v]])
-            meet_vals.append(names[pos[u & v]])
-            imp_vals.append(names[pos[arrow(u, v)]])
     raw = RawLattice(
         elements=names,
-        join=join_vals,
-        meet=meet_vals,
-        connectives=[RawConnective(IMP, ("-", "+"), imp_vals)],
-        constants={"0": names[pos[frozenset()]]},
+        join=values(tables[JOIN]),
+        meet=values(tables[MEET]),
+        connectives=[RawConnective(IMP, ("-", "+"), values(tables[implication_mode]))],
+        constants={"0": names[0]},  # the empty up-set comes first
     )
     return validate_lattice(raw)
 
@@ -663,18 +667,10 @@ def upset_lattice(frame: KripkeFrame, implication_mode: str = "godel") -> Lattic
 def implication_mode_disagreements(frame: KripkeFrame) -> list[tuple[str, str, str, str]]:
     """Up-set pairs where the two implication modes differ, with both results
     as (u, v, heyting result, godel result)."""
-    ups = _upsets(frame)
-    names = _upset_names(frame, ups)
-    pos = {s: i for i, s in enumerate(ups)}
-    full = frozenset(frame.worlds)
-    out = []
-    for u in ups:
-        for v in ups:
-            godel = full if u <= v else v
-            heyt = _heyting_arrow(frame, u, v)
-            if godel != heyt:
-                out.append((names[pos[u]], names[pos[v]], names[pos[heyt]], names[pos[godel]]))
-    return out
+    names, tables = _upset_tables(frame)
+    heyt, godel = tables["heyting"], tables["godel"]
+    return [(names[u], names[v], names[heyt[u, v]], names[godel[u, v]])
+            for u, v in np.argwhere(heyt != godel)]
 
 
 # ---------------------------------------------------------------------------
@@ -703,84 +699,52 @@ def derive_residuum(lat: Lattice) -> ResiduumReport:
 
     Residuation forces x & y to be the least z with x <= y -> z; the search
     therefore checks, for every pair, whether any candidate value survives the
-    residuation law (both orders, by commutativity) and the bound forced by
-    monotonicity with the unit.  If some pair eliminates every candidate the
-    report carries the full case analysis; otherwise the pinned table is
-    checked for associativity and the residuation law over all triples.
+    residuation law (both orders, by commutativity).  A survivor also meets
+    the bound x & y <= x meet y that monotonicity with the unit forces: it
+    lies below y because x <= y -> y, the top, and below x likewise.  If
+    some pair eliminates every candidate the report carries the full case
+    analysis; otherwise the pinned table is checked for associativity.
     """
     m = lat.m
     els = lat.elements
     leq = lat.leq
     imp = lat.tables[IMP]
-    meet = lat.tables[MEET]
+    texts = {  # (law, whether a <= b -> z holds): the detail of a candidate v refuted at z
+        ("residuation", True): "{a} <= {b} -> {z} = {i} forces {a} & {b} <= {z}, but {v} <= {z} fails",
+        ("residuation", False): "{v} <= {z} would force {a} <= {b} -> {z} = {i}, which fails",
+        ("commutativity", True): "by commutativity {a} & {b} = {v}, and {a} <= {b} -> {z} "
+                                 "forces it <= {z}, but {v} <= {z} fails",
+        ("commutativity", False): "{v} <= {z} would force {a} <= {b} -> {z}, which fails",
+    }
 
     def case_analysis(x: int, y: int) -> list[ResiduumCase]:
         cases = []
-        need_xy = leq[x, imp[y]]  # need_xy[z]: x <= y -> z
-        need_yx = leq[y, imp[x]]
         for v in range(m):
-            reason = None
-            for z in range(m):
-                if bool(leq[v, z]) != bool(need_xy[z]):
-                    if need_xy[z]:
-                        reason = ResiduumCase(
-                            els[v], "residuation",
-                            f"{els[x]} <= {els[y]} -> {els[z]} = {els[int(imp[y, z])]} "
-                            f"forces {els[x]} & {els[y]} <= {els[z]}, but {els[v]} <= {els[z]} fails",
-                        )
-                    else:
-                        reason = ResiduumCase(
-                            els[v], "residuation",
-                            f"{els[v]} <= {els[z]} would force {els[x]} <= {els[y]} -> {els[z]} "
-                            f"= {els[int(imp[y, z])]}, which fails",
-                        )
+            # x & y = v must have the up-set {z : x <= y -> z}, and y & x = v {z : y <= x -> z}
+            for law, a, b in (("residuation", x, y), ("commutativity", y, x)):
+                need = leq[a, imp[b]]
+                wrong = np.flatnonzero(leq[v] != need)
+                if len(wrong):
+                    z = int(wrong[0])
+                    cases.append(ResiduumCase(els[v], law, texts[law, bool(need[z])].format(
+                        a=els[a], b=els[b], v=els[v], z=els[z], i=els[int(imp[b, z])])))
                     break
-            if reason is None:
-                for z in range(m):
-                    if bool(leq[v, z]) != bool(need_yx[z]):
-                        if need_yx[z]:
-                            reason = ResiduumCase(
-                                els[v], "commutativity",
-                                f"by commutativity {els[y]} & {els[x]} = {els[v]}, and "
-                                f"{els[y]} <= {els[x]} -> {els[z]} forces it <= {els[z]}, "
-                                f"but {els[v]} <= {els[z]} fails",
-                            )
-                        else:
-                            reason = ResiduumCase(
-                                els[v], "commutativity",
-                                f"{els[v]} <= {els[z]} would force {els[y]} <= {els[x]} -> {els[z]}, which fails",
-                            )
-                        break
-            if reason is None and not leq[v, meet[x, y]]:
-                reason = ResiduumCase(
-                    els[v], "unit_monotonicity",
-                    f"{els[y]} <= {els[lat.top]} and x & {els[lat.top]} = x force "
-                    f"{els[x]} & {els[y]} <= {els[x]} meet {els[y]} = {els[int(meet[x, y])]}, "
-                    f"but {els[v]} is not below it",
-                )
-            if reason is not None:
-                cases.append(reason)
         return cases
 
+    # x & y is the element whose up-set is {z : x <= y -> z}, and it must also be y & x
     table = np.zeros((m, m), dtype=np.int32)
     for x in range(m):
-        for y in range(m):
-            need_xy = leq[x, imp[y]]
-            need_yx = leq[y, imp[x]]
-            survivor = None
-            for v in range(m):
-                if (np.array_equal(leq[v], need_xy)
-                        and np.array_equal(leq[v], need_yx)
-                        and leq[v, meet[x, y]]):
-                    survivor = v
-                    break
-            if survivor is None:
-                return ResiduumReport(
-                    residuated=False,
-                    failing_pair=(els[x], els[y]),
-                    cases=case_analysis(x, y),
-                )
-            table[x, y] = survivor
+        need = leq[x, imp]  # need[y, z]: x <= y -> z
+        row, found = _principal(need, leq)
+        ok = found & (leq[:, imp[x]] == need).all(axis=1)
+        if not ok.all():
+            y = int(np.flatnonzero(~ok)[0])
+            return ResiduumReport(
+                residuated=False,
+                failing_pair=(els[x], els[y]),
+                cases=case_analysis(x, y),
+            )
+        table[x] = row
 
     # the survivor conditions pin commutativity, unit and the residuation law;
     # associativity still needs an exhaustive sweep
@@ -799,10 +763,7 @@ def derive_residuum(lat: Lattice) -> ResiduumReport:
                 "right": els[int(right[i, j, k])],
             },
         )
-    for x in range(m):
-        for y in range(m):
-            assert np.array_equal(leq[table[x, y]], leq[x, imp[y]])
-            assert table[x, y] == table[y, x]
+    assert np.array_equal(table, table.T)
     assert np.array_equal(table[lat.top], idx) and np.array_equal(table[:, lat.top], idx)
     return ResiduumReport(
         residuated=True,

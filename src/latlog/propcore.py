@@ -172,6 +172,7 @@ from .syntax import (
     join_args,
     parse_formula,
     precedence,
+    prop_variables,
     prop_word_variables,
     render,
 )
@@ -541,7 +542,9 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
     occurrences: POS where the polarities of the connectives above it
     multiply to +, NEG where to -, both (mixed) when it has occurrences of
     each.  A connective outside the signature, or one given a wrong number
-    of arguments, raises a LatlogError."""
+    of arguments, raises the LatlogError that evaluating ``phi`` raises
+    first: this walk meets nodes in another order than ``fold``, so it
+    evaluates ``phi`` on one cell to find that error."""
     conns = lat.signature.by_name
     signs: dict[str, int] = {}
     stack = [(phi, POS)]
@@ -553,6 +556,7 @@ def _variable_signs(phi: Formula, lat: Lattice) -> dict[str, int]:
         elif kind is App:
             conn = conns.get(node.conn)
             if conn is None or conn.arity != len(node.args):
+                column_of(phi, lat, (), dict.fromkeys(prop_variables(phi), 0))
                 raise ill_formed(node, lat.signature)
             for kid, p in zip(node.args, conn.polarity):
                 stack.append((kid, sign if p == "+" else _FLIP[sign]))
@@ -649,18 +653,11 @@ def is_valid_implication(a: Formula, b: Formula, lat: Lattice,
                           method="factored")
 
 
-def _held_at_meet(phi: Formula, lat: Lattice, variables: tuple[str, ...]) -> dict[str, int]:
+def _held_at_meet(phi: Formula, lat: Lattice) -> dict[str, int]:
     """Each variable of ``phi`` of one sign with the element where the meet
-    of ``phi`` over it is reached: the bottom for POS, the top for NEG.  The
-    sign walk meets nodes in another order than ``fold``, so on an
-    ill-formed word this raises the error that evaluation raises."""
-    try:
-        signs = _variable_signs(phi, lat)
-    except LatlogError:
-        column_of(phi, lat, (), dict.fromkeys(variables, 0))  # one cell, in fold's order
-        raise
+    of ``phi`` over it is reached: the bottom for POS, the top for NEG."""
     ends = {POS: lat.bottom, NEG: lat.top}
-    return {v: ends[s] for v, s in signs.items() if s in ends}
+    return {v: ends[s] for v, s in _variable_signs(phi, lat).items() if s in ends}
 
 
 def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> ValidityReport:
@@ -691,7 +688,7 @@ def is_valid_prop(phi: Formula, lat: Lattice, var_cap: Optional[int] = None) -> 
     if len(variables) <= cap:
         m, top = lat.m, lat.top
         cells = m ** len(variables)
-        held = _held_at_meet(phi, lat, variables) if cells > PACKED_CELLS else {}
+        held = _held_at_meet(phi, lat) if cells > PACKED_CELLS else {}
         col = column_of(phi, lat, tuple(v for v in variables if v not in held), held)
         bad = np.flatnonzero(col != top)
         if not len(bad):

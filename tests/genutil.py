@@ -84,6 +84,28 @@ def random_upset_lattice(rng: random.Random):
     return upset_lattice(kripke_frame(worlds, pairs), rng.choice(("godel", "heyting")))
 
 
+def random_covers(rng: random.Random, names, density: float = 0.3, backward: int = 0,
+                  bounded: bool = False):
+    """Random order pairs (a, b), read a < b, over ``names``: each pair of
+    names ordered by a random ranking with probability ``density``, and
+    ``backward`` pairs against that ranking, which close cycles.  With
+    ``bounded`` the first name is put below and the last above all others,
+    which makes a lattice likelier.  The pairs come in random order."""
+    bounded = bounded and len(names) > 1
+    inner = list(names[1:-1] if bounded else names)
+    ranked = rng.sample(inner, len(inner))
+    pairs = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1:]
+             if rng.random() < density]
+    if bounded:
+        pairs += [(names[0], b) for b in names[1:]] + [(a, names[-1]) for a in inner]
+        ranked = [names[0]] + ranked + [names[-1]]
+    for _ in range(backward if len(names) > 1 else 0):
+        i, j = sorted(rng.sample(range(len(ranked)), 2))
+        pairs.append((ranked[j], ranked[i]))
+    rng.shuffle(pairs)
+    return pairs
+
+
 def random_valid_pair(rng, lat, left, shared, right, depth=3, max_tries=4000,
                       allow_constants=True):
     """Random (a, b) with a over left+shared, b over shared+right and a -> b

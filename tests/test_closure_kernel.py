@@ -22,6 +22,7 @@ from latlog import (
 from latlog.algebra import JOIN, MEET
 from latlog.bundled import BUNDLED, bundled_lattice
 from latlog.errors import BudgetExceeded, LatlogError
+from latlog.interp import find_prop_interpolant
 from latlog.propcore import (
     BLOCK_CELLS,
     PACKED_CELLS,
@@ -38,6 +39,7 @@ from latlog.propcore import (
     column_of,
     envelopes,
     eval_prop,
+    is_valid_implication,
     representable_closure,
 )
 from latlog.relations import binary_invariants
@@ -1076,6 +1078,8 @@ ILL_FORMED = {
     "binary-given-three": App("->", (PropVar("x"), PropVar("y"), PropVar("x"))),
     "nullary-given-one": App("Mid", (PropVar("y"),)),
     "unknown-connective": App("Down", (PropVar("y"),)),
+    # pre-order meets the outer '->' with three arguments first, evaluation the inner '&'
+    "nested-arity-errors": App("->", (App("&", (PropVar("x"),)), PropVar("y"), PropVar("z"))),
 }
 
 
@@ -1093,6 +1097,27 @@ def test_packed_column_fails_as_the_broadcast_grid_does(case):
         assert isinstance(packed[0], type) and issubclass(packed[0], LatlogError), packed
     with pytest.raises(LatlogError):
         eval_prop(phi, lat, {"x": lat.elements[-1], "y": lat.elements[0]})
+
+
+@pytest.mark.parametrize("case", ILL_FORMED)
+def test_implication_check_fails_as_evaluation_does(case):
+    """The sign walk of the implication check, its envelopes and the
+    interpolant search meet nodes in pre-order, but on an ill-formed side
+    they raise the error that evaluating that side, with its variables
+    bound, raises first."""
+    phi = ILL_FORMED[case]
+    lat = _up_chain(4)
+    evaluated = _outcome(lambda: column_of(phi, lat, tuple(sorted(prop_variables(phi)))))
+    if case == "unbound-variable":  # the check binds every variable of a side
+        assert evaluated[0] == "value" and is_valid_implication(phi, PropVar("x"), lat).valid
+        return
+    if case == "nested-arity-errors":
+        assert evaluated[1] == "connective '&' expects 2 arguments, got 1"
+    for a, b in ((phi, PropVar("x")), (PropVar("x"), phi)):
+        for check in (is_valid_implication, envelopes, find_prop_interpolant):
+            with pytest.raises(evaluated[0]) as exc:
+                check(a, b, lat)
+            assert (type(exc.value), str(exc.value)) == evaluated, (check, a, b)
 
 
 def test_deep_word_on_packed_and_broadcast_grids():
